@@ -44,6 +44,7 @@ from .errors import (
 from .model import (
     CloneSeries,
     Hyperparams,
+    PackedCohort,
     PosteriorGamma,
     SeriesBatch,
     dynamic_log_pmf,
@@ -70,6 +71,7 @@ __all__ = [
     "LogLinearResult",
     "OperatingCharacteristics",
     "OptimizerError",
+    "PackedCohort",
     "ParseError",
     "PersonCounts",
     "PosteriorGamma",

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .model import CloneSeries
+from .model import CloneSeries, PackedCohort, as_packed
 from .simulate import SimTruth
 
 
@@ -102,42 +102,56 @@ def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def classify(
-    responsibilities: Mapping[tuple[str, str], float],
-    series_by_clone: Iterable[CloneSeries] | Mapping[tuple[str, str], CloneSeries],
+    responsibilities: Mapping[tuple[str, str], float] | np.ndarray,
+    series_by_clone: Iterable[CloneSeries] | PackedCohort,
     threshold: float,
 ) -> list[CloneCall]:
     """Hard calls: dynamic iff prob_dynamic > threshold (strictly).
 
-    Dynamic calls get a direction from the sign of the least-squares
-    slope of count/offset against the observed time index; a zero slope
-    (including single-timepoint series) counts as expanding.  With two
-    time points this is the sign of the follow-up minus baseline
+    Calls come in canonical (person_id, clone_id) order.  responsibilities
+    maps each clone's key to its prob_dynamic, or is an array of them in
+    that order.  Dynamic calls get a direction from the sign of the
+    least-squares slope of count/offset against the observed time index;
+    a zero slope (including single-timepoint series) counts as expanding.
+    With two time points this is the sign of the follow-up minus baseline
     proportion.
     """
     if not 0.0 < threshold < 1.0:
         raise ValidationError(f"threshold must lie in (0, 1), got {threshold}")
-    if isinstance(series_by_clone, Mapping):
-        by_key = dict(series_by_clone)
+    cohort = as_packed(series_by_clone).sorted()
+    if cohort.has_duplicate_keys():
+        raise ValidationError("duplicate (person_id, clone_id) keys in input")
+    if isinstance(responsibilities, Mapping):
+        keys = cohort.keys
+        if set(keys) != set(responsibilities):
+            missing = set(responsibilities) ^ set(keys)
+            raise ValidationError(
+                f"responsibilities and series keys do not align ({len(missing)} mismatched)"
+            )
+        probs = np.array([float(responsibilities[key]) for key in keys], dtype=np.float64)
     else:
-        by_key = {s.key: s for s in series_by_clone}
-    if set(by_key) != set(responsibilities):
-        missing = set(responsibilities) ^ set(by_key)
-        raise ValidationError(
-            f"responsibilities and series keys do not align ({len(missing)} mismatched)"
-        )
+        probs = np.asarray(responsibilities, dtype=np.float64)
+        if probs.shape != (len(cohort),):
+            raise ValidationError(f"expected {len(cohort)} responsibilities, got {probs.shape}")
 
-    calls = []
-    for key in sorted(responsibilities):
-        prob = float(responsibilities[key])
-        series = by_key[key]
-        if prob > threshold:
-            proportions = series.counts / series.offsets
-            slope = _ols_slope(series.times.astype(np.float64), proportions)
-            direction = Direction.CONTRACTING if slope < 0.0 else Direction.EXPANDING
-            calls.append(CloneCall(key[0], key[1], prob, Call.DYNAMIC, direction))
-        else:
-            calls.append(CloneCall(key[0], key[1], prob, Call.STATIC, Direction.NOT_APPLICABLE))
-    return calls
+    directions = [Direction.NOT_APPLICABLE] * len(cohort)
+    for i in np.flatnonzero(probs > threshold).tolist():
+        span = slice(int(cohort.starts[i]), int(cohort.starts[i] + cohort.n_times[i]))
+        proportions = cohort.counts[span] / cohort.offsets[span]
+        slope = _ols_slope(cohort.times[span].astype(np.float64), proportions)
+        directions[i] = Direction.CONTRACTING if slope < 0.0 else Direction.EXPANDING
+    return [
+        CloneCall(
+            person,
+            clone,
+            prob,
+            Call.STATIC if direction is Direction.NOT_APPLICABLE else Call.DYNAMIC,
+            direction,
+        )
+        for person, clone, prob, direction in zip(
+            cohort.person_id.tolist(), cohort.clone_id.tolist(), probs.tolist(), directions
+        )
+    ]
 
 
 def operating_characteristics(

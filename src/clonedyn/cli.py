@@ -15,9 +15,13 @@ per failure class:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .classify import (
     Call,
@@ -29,6 +33,7 @@ from .classify import (
     operating_characteristics,
 )
 from .cohort import (
+    _parse_int,
     _read_rows,
     atomic_write_text,
     filter_clones,
@@ -49,7 +54,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .model import CloneSeries
+from .model import PackedCohort
 from .simulate import SimConfig, simulate
 
 EXIT_OK = 0
@@ -133,7 +138,7 @@ def _check_outputs(paths: Iterable[Path]) -> None:
             raise OSError(f"output {path} was not written")
 
 
-def _load_series(opts: _Options) -> list[CloneSeries]:
+def _load_series(opts: _Options) -> PackedCohort:
     table = ingest(
         opts.get("input", str, required=True),
         offsets_path=opts.get("offsets", str),
@@ -170,29 +175,76 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def write_responsibilities(path: str | Path, result: FitResult, series: Sequence[CloneSeries]) -> None:
-    n_times = {s.key: s.n_times for s in series}
+def write_responsibilities(path: str | Path, result: FitResult) -> None:
+    cohort = result.cohort
     write_table(
         path,
         RESPONSIBILITIES_COLUMNS,
-        (
-            (person, clone, str(n_times[(person, clone)]), format_float(prob))
-            for (person, clone), prob in result.responsibilities.items()
+        zip(
+            cohort.person_id.tolist(),
+            cohort.clone_id.tolist(),
+            map(str, cohort.n_times.tolist()),
+            map(format_float, result.prob_dynamic.tolist()),
         ),
     )
 
 
-def read_responsibilities(path: str | Path) -> dict[tuple[str, str], float]:
-    out: dict[tuple[str, str], float] = {}
-    for (person, clone, _n_times, prob), lineno in _read_rows(path, RESPONSIBILITIES_COLUMNS):
-        key = (person, clone)
-        if key in out:
-            raise ParseError(f"duplicate clone {key}", lineno)
+@dataclass(frozen=True, eq=False)
+class Responsibilities:
+    """The columns of responsibilities.tsv, in file order."""
+
+    person_id: np.ndarray
+    clone_id: np.ndarray
+    n_times: np.ndarray
+    prob_dynamic: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.person_id.size)
+
+
+def read_responsibilities(path: str | Path) -> Responsibilities:
+    keys: dict[tuple[str, str], None] = {}
+    n_times: list[int] = []
+    prob: list[float] = []
+    for (person, clone, n, value), lineno in _read_rows(path, RESPONSIBILITIES_COLUMNS):
+        if (person, clone) in keys:
+            raise ParseError(f"duplicate clone {(person, clone)}", lineno)
+        keys[(person, clone)] = None
         try:
-            out[key] = float(prob)
+            prob.append(float(value))
         except ValueError:
-            raise ParseError(f"prob_dynamic is not a number: {prob!r}", lineno) from None
-    return out
+            raise ParseError(f"prob_dynamic is not a number: {value!r}", lineno) from None
+        n_times.append(_parse_int(n, "n_times", lineno, minimum=1))
+        if not (math.isfinite(prob[-1]) and 0.0 <= prob[-1] <= 1.0):
+            raise ParseError(f"prob_dynamic must lie in [0, 1], got {value!r}", lineno)
+    return Responsibilities(
+        np.array([p for p, _ in keys], dtype=object),
+        np.array([c for _, c in keys], dtype=object),
+        np.array(n_times, dtype=np.int64),
+        np.array(prob, dtype=np.float64),
+    )
+
+
+def align_responsibilities(table: Responsibilities, cohort: PackedCohort) -> np.ndarray:
+    """prob_dynamic of each clone of a canonical cohort, after checking that the
+    table has exactly the cohort's clones with the cohort's n_times."""
+    order = np.lexsort((table.clone_id, table.person_id))
+    person, clone = table.person_id[order], table.clone_id[order]
+    if not (np.array_equal(person, cohort.person_id) and np.array_equal(clone, cohort.clone_id)):
+        mismatched = set(zip(person.tolist(), clone.tolist())) ^ set(cohort.keys)
+        raise ValidationError(
+            f"responsibilities and series keys do not align ({len(mismatched)} mismatched)"
+        )
+    n_times = table.n_times[order]
+    differ = np.flatnonzero(n_times != cohort.n_times)
+    if differ.size:
+        i = differ[0]
+        raise ValidationError(
+            f"{differ.size} clones have another n_times in the responsibilities than in "
+            f"the cohort, e.g. {cohort.keys[i]}: {n_times[i]} vs {cohort.n_times[i]}; "
+            "fit and classify must read the same cohort with the same filter settings"
+        )
+    return table.prob_dynamic[order]
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -217,7 +269,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "pi": result.hyperparams.pi,
             "iterations": result.iterations,
             "converged": result.converged,
-            "n_clones": len(result.responsibilities),
+            "n_clones": len(result.cohort),
             "n_single_timepoint": result.n_single_timepoint,
             "final_loglik": float(result.loglik_trace[-1]),
             "final_msq_change": float(result.msq_change_trace[-1]),
@@ -226,7 +278,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         },
     )
     resp_path = out / "responsibilities.tsv"
-    write_responsibilities(resp_path, result, series)
+    write_responsibilities(resp_path, result)
     trace_path = out / "fit_trace.tsv"
     write_table(
         trace_path,
@@ -263,14 +315,22 @@ def read_calls(path: str | Path) -> list[CloneCall]:
     return calls
 
 
+def _proportions(counts: np.ndarray, offsets: np.ndarray) -> list[float]:
+    """counts / offsets as Python's int division would round them."""
+    values = (counts / offsets).tolist()
+    # int64 -> float64 is exact below 2**53, so only larger offsets need int division
+    for i in np.flatnonzero(offsets > 2**53).tolist():
+        values[i] = int(counts[i]) / int(offsets[i])
+    return values
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     opts = _Options(args)
     out = _ensure_output_dir(opts)
-    series = _load_series(opts)
+    cohort = _load_series(opts)
     responsibilities = read_responsibilities(opts.get("responsibilities", str, required=True))
     threshold = opts.get("threshold", float, 0.75)
-    calls = classify(responsibilities, series, threshold)
-    by_key = {s.key: s for s in series}
+    calls = classify(align_responsibilities(responsibilities, cohort), cohort, threshold)
 
     calls_path = out / "calls.tsv"
     write_calls(calls_path, calls)
@@ -288,33 +348,41 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     truth_path_in = opts.get("truth", str)
     truth_labels = read_truth_labels(truth_path_in) if truth_path_in else None
+    if truth_labels is None:
+        truth_column = ["NA"] * len(calls)
+    else:
+        uncovered = [c.key for c in calls if c.key not in truth_labels]
+        if uncovered:
+            raise ValidationError(f"truth does not cover clone {uncovered[0]}")
+        truth_column = [str(int(truth_labels[c.key])) for c in calls]
 
+    persons, clones = cohort.person_id.tolist(), cohort.clone_id.tolist()
+    csum = cohort.segment_sums(cohort.counts).tolist()
+    osum = cohort.segment_sums(cohort.offsets).tolist()
     points_path = out / "membership_points.tsv"
     write_table(
         points_path,
         ("person_id", "clone_id", "mean_proportion", "prob_dynamic", "truth_dynamic"),
-        (
-            (
-                c.person_id,
-                c.clone_id,
-                format_float(
-                    float(by_key[c.key].counts.sum()) / float(by_key[c.key].offsets.sum())
-                ),
-                format_float(c.prob_dynamic),
-                "NA" if truth_labels is None else str(int(truth_labels[c.key])),
-            )
-            for c in calls
+        zip(
+            persons,
+            clones,
+            (format_float(float(c) / float(o)) for c, o in zip(csum, osum)),
+            (format_float(c.prob_dynamic) for c in calls),
+            truth_column,
         ),
     )
 
     traj_path = out / "trajectories.tsv"
+    call_values = np.array([c.call.value for c in calls])
     write_table(
         traj_path,
         ("person_id", "clone_id", "time_index", "proportion", "call"),
-        (
-            (c.person_id, c.clone_id, str(int(t)), format_float(int(n) / int(o)), c.call.value)
-            for c in calls
-            for t, n, o in zip(by_key[c.key].times, by_key[c.key].counts, by_key[c.key].offsets)
+        zip(
+            np.repeat(cohort.person_id, cohort.n_times).tolist(),
+            np.repeat(cohort.clone_id, cohort.n_times).tolist(),
+            map(str, cohort.times.tolist()),
+            map(format_float, _proportions(cohort.counts, cohort.offsets)),
+            np.repeat(call_values, cohort.n_times).tolist(),
         ),
     )
 

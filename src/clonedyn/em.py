@@ -13,12 +13,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .errors import IdentifiabilityError, OptimizerError, ValidationError
-from .model import CloneSeries, Hyperparams, SeriesBatch, stable_responsibility
+from .model import (
+    CloneSeries,
+    Hyperparams,
+    PackedCohort,
+    SeriesBatch,
+    as_packed,
+    stable_responsibility,
+)
 from .optim import maximize_bfgs
 
 PI_FLOOR = 1e-6
@@ -49,21 +57,29 @@ class FitConfig:
             raise ValidationError("seed must be a 64-bit unsigned integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     hyperparams: Hyperparams
-    responsibilities: dict[tuple[str, str], float]
+    cohort: PackedCohort  # the fitted clones in canonical (person_id, clone_id) order
+    prob_dynamic: np.ndarray  # responsibility of each clone of cohort
     loglik_trace: np.ndarray
     iterations: int
     converged: bool
     msq_change_trace: np.ndarray
     n_single_timepoint: int  # clones observed once; their responsibility is pi
 
+    @cached_property
+    def responsibilities(self) -> dict[tuple[str, str], float]:
+        return dict(zip(self.cohort.keys, self.prob_dynamic.tolist()))
 
-def _as_batch(clones: Iterable[CloneSeries] | SeriesBatch) -> SeriesBatch:
+
+Clones = Iterable[CloneSeries] | PackedCohort
+
+
+def _as_batch(clones: Clones | SeriesBatch) -> SeriesBatch:
     if isinstance(clones, SeriesBatch):
         return clones
-    return SeriesBatch(sorted(clones, key=lambda s: s.key))
+    return SeriesBatch(as_packed(clones).sorted())
 
 
 def _mixture_loglik(ls: np.ndarray, ld: np.ndarray, pi: float) -> float:
@@ -71,7 +87,7 @@ def _mixture_loglik(ls: np.ndarray, ld: np.ndarray, pi: float) -> float:
     return math.fsum(per_clone.tolist())
 
 
-def observed_loglik(clones: Iterable[CloneSeries] | SeriesBatch, hp: Hyperparams) -> float:
+def observed_loglik(clones: Clones | SeriesBatch, hp: Hyperparams) -> float:
     """Total log-likelihood of the two-component mixture over all clones.
 
     Each clone contributes log(pi * exp(ld) + (1 - pi) * exp(ls)) via
@@ -83,7 +99,7 @@ def observed_loglik(clones: Iterable[CloneSeries] | SeriesBatch, hp: Hyperparams
     return _mixture_loglik(ls, ld, hp.pi)
 
 
-def e_step(clones: Iterable[CloneSeries] | SeriesBatch, hp: Hyperparams) -> np.ndarray:
+def e_step(clones: Clones | SeriesBatch, hp: Hyperparams) -> np.ndarray:
     """Responsibilities for every clone, ordered by (person_id, clone_id).
 
     A pre-built SeriesBatch is evaluated in its own order.
@@ -108,7 +124,7 @@ def _q_value(batch: SeriesBatch, r: np.ndarray, hp: Hyperparams) -> float:
 
 
 def m_step(
-    clones: Iterable[CloneSeries] | SeriesBatch,
+    clones: Clones | SeriesBatch,
     responsibilities,
     hp_current: Hyperparams,
     cfg: FitConfig,
@@ -185,7 +201,7 @@ def _moment_start(batch: SeriesBatch, pi: float) -> Hyperparams:
     return Hyperparams(alpha0, beta0, pi)
 
 
-def fit_em(clones: Iterable[CloneSeries], cfg: FitConfig) -> FitResult:
+def fit_em(clones: Clones, cfg: FitConfig) -> FitResult:
     """Fit (alpha, beta, pi) and per-clone responsibilities by EM.
 
     Initialization draws a hard 50/50 component label per clone from the
@@ -195,20 +211,19 @@ def fit_em(clones: Iterable[CloneSeries], cfg: FitConfig) -> FitResult:
     responsibility change falls below cfg.epsilon or max_em_iters is
     reached.  Deterministic given (clones, cfg.seed).
     """
-    series = sorted(clones, key=lambda s: s.key)
-    if len(series) < 2:
+    cohort = as_packed(clones).sorted()
+    if len(cohort) < 2:
         raise ValidationError("need at least two clone series to fit")
-    keys = [s.key for s in series]
-    if len(set(keys)) != len(keys):
+    if cohort.has_duplicate_keys():
         raise ValidationError("duplicate (person_id, clone_id) keys in input")
-    n_single = sum(1 for s in series if s.n_times == 1)
-    if n_single == len(series):
+    n_single = int(np.count_nonzero(cohort.n_times == 1))
+    if n_single == len(cohort):
         raise IdentifiabilityError(
             "every clone is observed at a single time point; the mixture "
             "components coincide and pi is unidentified"
         )
 
-    batch = SeriesBatch(series)
+    batch = SeriesBatch(cohort)
     rng = np.random.default_rng(cfg.seed)
     r = rng.integers(0, 2, size=batch.n).astype(np.float64)
     hp = _moment_start(batch, pi=float(np.clip(r.mean(), PI_FLOOR, 1.0 - PI_FLOOR)))
@@ -233,9 +248,11 @@ def fit_em(clones: Iterable[CloneSeries], cfg: FitConfig) -> FitResult:
     loglik.flags.writeable = False
     msq = np.array(msq_trace)
     msq.flags.writeable = False
+    r.flags.writeable = False
     return FitResult(
         hyperparams=hp,
-        responsibilities={key: float(value) for key, value in zip(keys, r)},
+        cohort=cohort,
+        prob_dynamic=r,
         loglik_trace=loglik,
         iterations=iterations,
         converged=converged,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.special import digamma, expit, gammaln
@@ -111,35 +111,160 @@ def _log_per_value(values: np.ndarray) -> np.ndarray:
     return np.array([math.log(v) for v in values], dtype=np.float64)
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+def segment_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices of the ranges starts[i] : starts[i] + lengths[i], concatenated."""
+    out_starts = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - out_starts, lengths)
+
+
+class PackedCohort:
+    """Many clone series in one CSR table.
+
+    Clone i is (person_id[i], clone_id[i]) (object arrays of str, so an id
+    costs its own length, not the longest one's) and owns the observations
+    starts[i] up to starts[i + 1] (the last clone runs to the end) of the
+    flat int64 columns counts, offsets and times.  Construction checks,
+    once and vectorized, everything CloneSeries checks for one series.
+    Indexing and iteration yield CloneSeries views built on demand.
+    """
+
+    def __init__(self, person_id, clone_id, starts, counts, offsets, times):
+        self.person_id = _frozen(person_id, object)
+        self.clone_id = _frozen(clone_id, object)
+        self.starts = _frozen(starts, np.int64)
+        self.counts = _frozen(counts, np.int64)
+        self.offsets = _frozen(offsets, np.int64)
+        self.times = _frozen(times, np.int64)
+        n = self.starts.size
+        if self.starts.ndim != 1 or self.person_id.shape != (n,) or self.clone_id.shape != (n,):
+            raise ValidationError("ids and starts must be 1-d and of equal length")
+        if self.counts.ndim != 1 or (self.starts[0] != 0 if n else self.counts.size):
+            raise ValidationError("counts must be 1-d with the first clone starting at 0")
+        self.n_times = _frozen(np.diff(self.starts, append=self.counts.size), np.int64)
+        if np.any(self.n_times < 1):
+            raise ValidationError("counts must be a non-empty 1-d sequence")
+        if self.offsets.shape != self.counts.shape:
+            raise ValidationError(
+                f"counts and offsets lengths differ: {self.counts.size} vs {self.offsets.size}"
+            )
+        if np.any(self.counts < 0):
+            raise ValidationError("counts must be non-negative")
+        if np.any(self.offsets <= 0):
+            raise ValidationError("offsets must be positive")
+        if np.any(self.offsets < self.counts):
+            raise ValidationError("each offset must be >= the matching count")
+        if self.times.shape != self.counts.shape:
+            raise ValidationError("times must align with counts")
+        steps = np.diff(self.times)
+        steps[self.starts[1:] - 1] = 1  # a clone's first time follows nothing
+        if np.any(self.times < 0) or np.any(steps <= 0):
+            raise ValidationError("times must be non-negative and strictly increasing")
+
+    @classmethod
+    def from_series(cls, series: Iterable[CloneSeries]) -> PackedCohort:
+        """Pack series in the order given."""
+        series = list(series)
+        if not series:
+            empty = np.zeros(0, dtype=np.int64)
+            return cls([], [], empty, empty, empty, empty)
+        n_times = np.array([s.n_times for s in series], dtype=np.int64)
+        return cls(
+            [s.person_id for s in series],
+            [s.clone_id for s in series],
+            np.cumsum(n_times) - n_times,
+            np.concatenate([s.counts for s in series]),
+            np.concatenate([s.offsets for s in series]),
+            np.concatenate([s.times for s in series]),
+        )
+
+    def __len__(self) -> int:
+        return int(self.starts.size)
+
+    def __getitem__(self, i: int) -> CloneSeries:
+        i = range(len(self))[i]
+        span = slice(int(self.starts[i]), int(self.starts[i] + self.n_times[i]))
+        return CloneSeries(
+            clone_id=str(self.clone_id[i]),
+            person_id=str(self.person_id[i]),
+            counts=self.counts[span],
+            offsets=self.offsets[span],
+            times=self.times[span],
+        )
+
+    def __iter__(self) -> Iterator[CloneSeries]:
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def keys(self) -> list[tuple[str, str]]:
+        return list(zip(self.person_id.tolist(), self.clone_id.tolist()))
+
+    def segment_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-clone sums of a flat column, each accumulated left to right."""
+        return np.add.reduceat(values, self.starts)
+
+    def take(self, index) -> PackedCohort:
+        """The clones at the given positions, in that order."""
+        index = np.asarray(index, dtype=np.int64)
+        n_times = self.n_times[index]
+        flat = segment_rows(self.starts[index], n_times)
+        return PackedCohort(
+            self.person_id[index],
+            self.clone_id[index],
+            np.cumsum(n_times) - n_times,
+            self.counts[flat],
+            self.offsets[flat],
+            self.times[flat],
+        )
+
+    def sorted(self) -> PackedCohort:
+        """The clones in canonical (person_id, clone_id) order; self if already so."""
+        p, c = self.person_id, self.clone_id
+        if np.all((p[1:] > p[:-1]) | ((p[1:] == p[:-1]) & (c[1:] >= c[:-1]))):
+            return self
+        return self.take(np.lexsort((c, p)))
+
+    def has_duplicate_keys(self) -> bool:
+        """True when two adjacent clones share (person_id, clone_id)."""
+        p, c = self.person_id, self.clone_id
+        return bool(np.any((p[1:] == p[:-1]) & (c[1:] == c[:-1])))
+
+
+def as_packed(clones: Iterable[CloneSeries] | PackedCohort) -> PackedCohort:
+    return clones if isinstance(clones, PackedCohort) else PackedCohort.from_series(clones)
+
+
 class SeriesBatch:
     """Column-packed view of many clone series for vectorized evaluation.
 
     Transcendentals are evaluated once per distinct input value and
     gathered, and per-series reductions run left to right, so each
     series' log-densities come out bit-identical whether it is evaluated
-    alone or inside a larger batch.
+    alone or inside a larger batch.  The batch keeps the order of the
+    clones it is given.
     """
 
-    def __init__(self, series: Sequence[CloneSeries]):
-        series = list(series)
-        if not series:
+    def __init__(self, series: Iterable[CloneSeries] | PackedCohort):
+        cohort = as_packed(series)
+        if not len(cohort):
             raise ValidationError("need at least one clone series")
-        self.series = series
-        self.keys = [s.key for s in series]
-        self.n = len(series)
+        self.cohort = cohort
+        self.n = len(cohort)
+        self.t = cohort.n_times.astype(np.float64)
+        self._segment_sum = cohort.segment_sums
 
-        t = np.array([s.n_times for s in series], dtype=np.int64)
-        self.t = t.astype(np.float64)
-        self._starts = np.zeros(self.n, dtype=np.int64)
-        np.cumsum(t[:-1], out=self._starts[1:])
-
-        flat_c = np.concatenate([s.counts for s in series]).astype(np.float64)
-        flat_o = np.concatenate([s.offsets for s in series]).astype(np.float64)
+        flat_c = cohort.counts.astype(np.float64)
+        flat_o = cohort.offsets.astype(np.float64)
         self._flat_c = flat_c
 
-        self.csum = np.add.reduceat(flat_c, self._starts)
-        self.osum = np.add.reduceat(flat_o, self._starts)
-        self._sum_lgamma_c1 = np.add.reduceat(gammaln(flat_c + 1.0), self._starts)
+        self.csum = self._segment_sum(flat_c)
+        self.osum = self._segment_sum(flat_o)
+        self._sum_lgamma_c1 = self._segment_sum(gammaln(flat_c + 1.0))
 
         # distinct-value tables for the (alpha, beta)-dependent terms
         self._uniq_c, self._inv_c = np.unique(flat_c, return_inverse=True)
@@ -149,12 +274,7 @@ class SeriesBatch:
 
         # sum_k c_k * log(o_k), with 0 * log(o) pinned to zero for zero counts
         log_o = _log_per_value(self._uniq_o)[self._inv_o]
-        self._sum_c_log_o = np.add.reduceat(
-            np.where(flat_c > 0.0, flat_c * log_o, 0.0), self._starts
-        )
-
-    def _segment_sum(self, values: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(values, self._starts)
+        self._sum_c_log_o = self._segment_sum(np.where(flat_c > 0.0, flat_c * log_o, 0.0))
 
     def log_pmfs(self, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-series static and dynamic marginal log-densities at (alpha, beta)."""

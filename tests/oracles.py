@@ -1,6 +1,6 @@
-"""Independent numerical oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
-Everything here evaluates the gamma-mixed Poisson marginals by direct
+The quadrature oracles evaluate the gamma-mixed Poisson marginals by direct
 quadrature over the latent per-read rate, never through the conjugate
 closed forms the package implements.  The integrand is integrated on the
 log-rate axis, where it is strictly concave and free of endpoint
@@ -12,10 +12,16 @@ with A = sum(counts) + alpha, B = sum(offsets) + beta and K collecting
 the rate-free terms.  Factorials are exact integers via math.factorial
 and the remaining log-gamma comes from libm's lgamma, so no scipy.special
 code is shared with the implementation under test.
+
+The row-by-row cohort reader at the end reads, validates and groups a
+cohort table one record at a time with dicts, the way the package did
+before it read cohorts into packed columns; the property tests hold the
+packed reader to it.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import mpmath as mp
@@ -136,3 +142,120 @@ def random_series_cases(rng: np.random.Generator, n_cases: int):
         beta = float(rng.uniform(10.0, 1000.0))
         cases.append((counts, offsets, alpha, beta))
     return cases
+
+
+class RowParseError(Exception):
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+class RowValidationError(Exception):
+    pass
+
+
+INT64_MAX = 2**63 - 1
+
+
+def _row_int(value: str, what: str, line: int, minimum: int = 0) -> int:
+    try:
+        parsed = int(value)
+    except ValueError:
+        raise RowParseError(f"{what} is not an integer: {value!r}", line) from None
+    if parsed < minimum:
+        raise RowParseError(f"{what} must be >= {minimum}, got {parsed}", line)
+    if parsed > INT64_MAX:
+        raise RowParseError(f"{what} does not fit in a 64-bit integer: {value!r}", line)
+    return parsed
+
+
+def _row_records(path, width: int):
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle, delimiter="\t")
+        next(reader)
+        records = []
+        for line, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != width:
+                raise RowParseError(f"{path}: expected {width} fields, got {len(record)}", line)
+            records.append((record, line))
+    if not records:
+        raise RowValidationError(f"{path}: no data rows")
+    return records
+
+
+def row_ingest(path, offsets_path=None):
+    """(rows, offsets) of a cohort table: rows are (person, time, clone, count)
+    in file order, offsets the per person-time totals."""
+    rows = []
+    seen = set()
+    derived: dict[tuple[str, int], int] = {}
+    for (person, time, clone, count), line in _row_records(path, 4):
+        time_index = _row_int(time, "time_index", line)
+        count_value = _row_int(count, "count", line)
+        key = (person, time_index, clone)
+        if key in seen:
+            raise RowParseError(f"duplicate (person_id, time_index, clone_id) {key}", line)
+        seen.add(key)
+        rows.append((person, time_index, clone, count_value))
+        derived[(person, time_index)] = derived.get((person, time_index), 0) + count_value
+    if offsets_path is None:
+        for pt, total in derived.items():
+            if total > INT64_MAX:
+                raise RowValidationError(
+                    f"person-time {pt} total reads do not fit in a 64-bit integer"
+                )
+        for pt, total in derived.items():
+            if total <= 0:
+                raise RowValidationError(
+                    f"person-time {pt} has zero total reads; supply an explicit offsets file"
+                )
+        return rows, derived
+    offsets = {}
+    for (person, time, total), line in _row_records(offsets_path, 3):
+        key = (person, _row_int(time, "time_index", line))
+        if key in offsets:
+            raise RowParseError(f"duplicate person-time {key}", line)
+        offsets[key] = _row_int(total, "total_reads", line, minimum=1)
+    for person, time_index, clone, count in rows:
+        total = offsets.get((person, time_index))
+        if total is None:
+            raise RowValidationError(
+                f"offsets file does not cover person-time {(person, time_index)}"
+            )
+        if count > total:
+            raise RowValidationError(
+                f"count {count} for clone {clone!r} exceeds the offset {total} "
+                f"at {(person, time_index)}"
+            )
+    return rows, offsets
+
+
+def row_filter(rows, offsets, min_total_reads: int, absent_as_zero: bool):
+    """Kept clones as (person, clone, times, counts, offsets) tuples of lists,
+    in (person, clone) order."""
+    person_times: dict[str, list[int]] = {}
+    for person, time_index in offsets:
+        person_times.setdefault(person, []).append(time_index)
+    for times in person_times.values():
+        times.sort()
+    by_clone: dict[tuple[str, str], dict[int, int]] = {}
+    for person, time_index, clone, count in rows:
+        by_clone.setdefault((person, clone), {})[time_index] = count
+    out = []
+    for person, clone in sorted(by_clone):
+        observed = by_clone[(person, clone)]
+        if sum(observed.values()) < min_total_reads:
+            continue
+        times = person_times[person] if absent_as_zero else sorted(observed)
+        out.append(
+            (
+                person,
+                clone,
+                times,
+                [observed.get(t, 0) for t in times],
+                [offsets[(person, t)] for t in times],
+            )
+        )
+    return out

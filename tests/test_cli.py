@@ -241,3 +241,93 @@ def test_keyvalue_round_trip(tmp_path):
     write_keyvalues(path, {"alpha": 1.25, "converged": True, "iterations": 12, "name": "x"})
     values = read_keyvalues(path)
     assert values == {"alpha": "1.25", "converged": "true", "iterations": "12", "name": "x"}
+
+
+COHORT = (
+    "person_id\ttime_index\tclone_id\tcount\n"
+    "p1\t0\ta\t10\np1\t1\ta\t20\np1\t0\tb\t5\np1\t1\tb\t6\np1\t0\tc\t7\n"
+)
+
+
+def responsibilities_file(path, rows):
+    lines = ["person_id\tclone_id\tn_times\tprob_dynamic"]
+    lines += ["\t".join(str(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestRejectedInputs:
+    """Input that cannot be right exits with EXIT_VALIDATION, not a traceback or 0."""
+
+    def fit(self, tmp_path, cohort_text, *extra):
+        cohort = tmp_path / "cohort.tsv"
+        cohort.write_text(cohort_text)
+        return run(
+            "fit", "--input", cohort, "--min-total-reads", 0, *extra,
+            "--output-dir", tmp_path / "fit",
+        )
+
+    def classify(self, tmp_path, responsibilities, *extra):
+        cohort = tmp_path / "cohort.tsv"
+        cohort.write_text(COHORT)
+        return run(
+            "classify", "--input", cohort, "--responsibilities", responsibilities,
+            "--min-total-reads", 0, *extra, "--output-dir", tmp_path / "cls",
+        )
+
+    @pytest.mark.parametrize(
+        "row",
+        ["p1\t0\td\t99999999999999999999", "p1\t99999999999999999999\td\t1"],
+    )
+    def test_integer_beyond_int64(self, tmp_path, row):
+        text = COHORT + row + "\n"
+        assert self.fit(tmp_path, text) == EXIT_VALIDATION
+
+    def test_total_reads_beyond_int64(self, tmp_path):
+        offsets = tmp_path / "offsets.tsv"
+        offsets.write_text(
+            "person_id\ttime_index\ttotal_reads\np1\t0\t99999999999999999999\np1\t1\t100\n"
+        )
+        assert self.fit(tmp_path, COHORT, "--offsets", offsets) == EXIT_VALIDATION
+
+    def test_derived_person_time_total_beyond_int64(self, tmp_path):
+        big = 2**62
+        text = COHORT + f"p1\t1\td\t{big}\np1\t1\te\t{big}\n"
+        assert self.fit(tmp_path, text) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("prob", ["nan", "1.5", "-0.25", "inf"])
+    def test_prob_dynamic_outside_the_unit_interval(self, tmp_path, prob):
+        path = responsibilities_file(
+            tmp_path / "resp.tsv",
+            [("p1", "a", 2, prob), ("p1", "b", 2, 0.5), ("p1", "c", 1, 0.5)],
+        )
+        assert self.classify(tmp_path, path, "--no-absent-as-zero") == EXIT_VALIDATION
+
+    def test_n_times_that_differ_from_the_cohort(self, tmp_path):
+        path = responsibilities_file(
+            tmp_path / "resp.tsv",
+            [("p1", "a", 7, 0.9), ("p1", "b", 2, 0.5), ("p1", "c", 1, 0.5)],
+        )
+        assert self.classify(tmp_path, path, "--no-absent-as-zero") == EXIT_VALIDATION
+        good = responsibilities_file(
+            tmp_path / "good.tsv",
+            [("p1", "a", 2, 0.9), ("p1", "b", 2, 0.5), ("p1", "c", 1, 0.5)],
+        )
+        assert self.classify(tmp_path, good, "--no-absent-as-zero") == EXIT_OK
+
+    def test_classify_with_other_filter_settings_than_the_fit(self, tmp_path):
+        assert self.fit(tmp_path, COHORT, "--no-absent-as-zero") == EXIT_OK
+        resp = tmp_path / "fit" / "responsibilities.tsv"
+        # absent_as_zero gives clone c a zero at time 1: two points, fitted on one
+        assert self.classify(tmp_path, resp, "--absent-as-zero") == EXIT_VALIDATION
+        assert self.classify(tmp_path, resp, "--no-absent-as-zero") == EXIT_OK
+
+    def test_truth_that_misses_a_clone(self, tmp_path):
+        path = responsibilities_file(
+            tmp_path / "resp.tsv",
+            [("p1", "a", 2, 0.9), ("p1", "b", 2, 0.5), ("p1", "c", 1, 0.5)],
+        )
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("person_id\tclone_id\tdynamic\np1\ta\t1\np1\tb\t0\n")
+        code = self.classify(tmp_path, path, "--no-absent-as-zero", "--truth", truth)
+        assert code == EXIT_VALIDATION

@@ -1,5 +1,9 @@
 """Cohort ingestion, offset derivation, filtering, and file round trips."""
 
+import os
+import stat
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from clonedyn.cohort import (
     write_cohort,
     write_offsets,
     write_strata,
+    write_table,
     write_truth,
 )
 
@@ -47,6 +52,52 @@ class TestIngest:
         with pytest.raises(ParseError) as excinfo:
             ingest(path)
         assert excinfo.value.line == 3
+
+    def test_first_repeat_in_file_order_is_reported(self, tmp_path):
+        path = write(
+            tmp_path / "dup.tsv",
+            HEADER + "p1\t0\tb\t1\np1\t0\ta\t1\np1\t0\tb\t2\np1\t0\ta\t3\n",
+        )
+        with pytest.raises(ParseError) as excinfo:
+            ingest(path)
+        assert excinfo.value.line == 4
+        assert "('p1', 0, 'b')" in str(excinfo.value)
+
+    def test_repeat_before_an_unparsable_record_is_reported_first(self, tmp_path):
+        path = write(
+            tmp_path / "dup.tsv",
+            HEADER + "p1\t0\ta\t1\np1\t0\ta\t2\np1\t1\ta\tx\n",
+        )
+        with pytest.raises(ParseError) as excinfo:
+            ingest(path)
+        assert excinfo.value.line == 3
+
+    def test_wrong_field_count_anywhere_is_reported_before_values(self, tmp_path):
+        path = write(
+            tmp_path / "fields.tsv",
+            HEADER + "p1\t0\ta\tx\np1\t0\ta\t1\np1\t1\n",
+        )
+        with pytest.raises(ParseError) as excinfo:
+            ingest(path)
+        assert excinfo.value.line == 4
+
+    def test_ids_take_their_own_length_not_the_longest(self, tmp_path):
+        # CDR3-like 90-character clone ids and one 20k-character outlier:
+        # an id padded to the longest one would need ~240 MB here
+        clones = [f"{i:06d}" + "ACGT" * 21 for i in range(1500)] + ["C" * 20_000]
+        rows = [f"p{i % 3}\t{t}\t{c}\t{i % 7 + t}" for i, c in enumerate(clones) for t in (0, 1)]
+        path = write(tmp_path / "long.tsv", HEADER + "\n".join(reversed(rows)) + "\n")
+        tracemalloc.start()
+        try:
+            kept = filter_clones(ingest(path), min_total_reads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
+        expected = sorted((f"p{i % 3}", c) for i, c in enumerate(clones))
+        assert [s.key for s in kept] == expected
+        outlier = kept[[s.clone_id for s in kept].index("C" * 20_000)]
+        assert outlier.counts.tolist() == [1500 % 7, 1500 % 7 + 1]
 
     def test_negative_count_reports_line(self, tmp_path):
         path = write(tmp_path / "neg.tsv", HEADER + "p1\t0\ta\t-3\n")
@@ -187,3 +238,15 @@ def test_conflicting_offsets_in_series_rejected():
     b = CloneSeries(clone_id="b", person_id="p", counts=[1], offsets=[20])
     with pytest.raises(ValidationError):
         offsets_from_series([a, b])
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+def test_outputs_are_created_with_the_umask_mode(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        path = tmp_path / "table.tsv"
+        write_table(path, ("a", "b"), [("1", "2")])
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    assert path.read_text() == "a\tb\n1\t2\n"

@@ -1,0 +1,227 @@
+"""Property tests of the packed cohort reader against a row-by-row reference.
+
+Random cohorts have persons sampled at different times, clones missing
+at some of their person's times, zero counts, and (optionally) an offsets
+sidecar with person-times and persons that have no rows.  Block sizes
+down to a few characters make records straddle the reader's blocks.
+"""
+
+from __future__ import annotations
+
+import random
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from clonedyn import CloneSeries, ParseError, ValidationError, filter_clones, ingest
+from clonedyn import cohort as cohort_module
+from clonedyn.cli import main
+from clonedyn.cohort import write_cohort, write_offsets
+
+from oracles import RowParseError, RowValidationError, row_filter, row_ingest
+
+HEADER = "person_id\ttime_index\tclone_id\tcount\n"
+IDS = st.text(alphabet="abAB_1é", min_size=1, max_size=4)
+BLOCK_CHARS = st.sampled_from([8, 64, 1 << 20])
+SETTINGS = settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def cohorts(draw):
+    """(rows in file order, sampled times per person, offsets sidecar or None)."""
+    persons = draw(st.lists(IDS, min_size=1, max_size=3, unique=True))
+    rows = []
+    sampled = {}
+    for person in persons:
+        times = sorted(draw(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True)))
+        sampled[person] = times
+        for clone in draw(st.lists(IDS, min_size=1, max_size=5, unique=True)):
+            observed = draw(st.lists(st.sampled_from(times), min_size=1, unique=True))
+            rows.extend((person, t, clone, draw(st.integers(0, 40))) for t in observed)
+    rows = draw(st.permutations(rows))
+    sidecar = None
+    if draw(st.booleans()):
+        sidecar = {}
+        for person, times in sampled.items():
+            for t in times:
+                recorded = sum(n for p, tt, _c, n in rows if (p, tt) == (person, t))
+                sidecar[(person, t)] = recorded + draw(st.integers(0 if recorded else 1, 50))
+        if draw(st.booleans()):
+            sidecar[("zz-no-rows", 0)] = 10
+    return rows, sampled, sidecar
+
+
+def cohort_text(rows) -> str:
+    return HEADER + "".join(f"{p}\t{t}\t{c}\t{n}\n" for p, t, c, n in rows)
+
+
+def outcome(fn):
+    """The result of fn, or the kind, text and line of the error it raised."""
+    try:
+        return ("ok", fn())
+    except (ParseError, RowParseError) as exc:
+        return ("parse", str(exc), exc.line)
+    except (ValidationError, RowValidationError) as exc:
+        return ("invalid", str(exc))
+
+
+def packed_clones(path, offsets_path, min_total_reads, absent_as_zero):
+    kept = filter_clones(ingest(path, offsets_path), min_total_reads, absent_as_zero)
+    return [
+        (s.person_id, s.clone_id, s.times.tolist(), s.counts.tolist(), s.offsets.tolist())
+        for s in kept
+    ]
+
+
+def write_inputs(root: Path, text: str, sidecar):
+    path = root / "cohort.tsv"
+    path.write_text(text, encoding="utf-8", newline="")
+    offsets_path = None
+    if sidecar is not None:
+        offsets_path = root / "offsets.tsv"
+        write_offsets(offsets_path, sidecar)
+    return path, offsets_path
+
+
+@SETTINGS
+@given(
+    cohorts(), st.integers(0, 60), st.booleans(), BLOCK_CHARS
+)
+def test_packed_ingest_and_filter_match_the_row_reference(
+    cohort, min_total_reads, absent_as_zero, block_chars
+):
+    rows, _sampled, sidecar = cohort
+    with tempfile.TemporaryDirectory() as root:
+        path, offsets_path = write_inputs(Path(root), cohort_text(rows), sidecar)
+        expected = outcome(
+            lambda: row_filter(*row_ingest(path, offsets_path), min_total_reads, absent_as_zero)
+        )
+        with mock.patch.object(cohort_module, "BLOCK_CHARS", block_chars):
+            actual = outcome(
+                lambda: packed_clones(path, offsets_path, min_total_reads, absent_as_zero)
+            )
+    assert actual == expected
+
+
+@settings(SETTINGS, max_examples=20)  # two CLI fits per example
+@given(cohorts(), st.randoms(use_true_random=False), st.booleans())
+def test_shuffled_rows_give_the_same_packed_cohort_and_fit(cohort, rnd, absent_as_zero):
+    rows, _sampled, sidecar = cohort
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    flag = "--absent-as-zero" if absent_as_zero else "--no-absent-as-zero"
+    results = []
+    with tempfile.TemporaryDirectory() as root:
+        for name, order in (("a", rows), ("b", shuffled)):
+            base = Path(root) / name
+            base.mkdir()
+            path, offsets_path = write_inputs(base, cohort_text(order), sidecar)
+            # an error may name another record when the rows come in another order
+            packed = outcome(lambda: filter_clones(ingest(path, offsets_path), 0, absent_as_zero))
+            if packed[0] == "ok":
+                c = packed[1]
+                packed = [c.person_id, c.clone_id, c.starts, c.counts, c.offsets, c.times]
+            else:
+                packed = packed[0]
+            argv = ["fit", "--input", str(path), "--min-total-reads", "0", flag]
+            if offsets_path is not None:
+                argv += ["--offsets", str(offsets_path)]
+            code = main(argv + ["--max-em-iters", "20", "--output-dir", str(base / "fit")])
+            outputs = sorted(
+                (f.name, f.read_bytes()) for f in (base / "fit").glob("*") if code == 0
+            )
+            results.append((packed, code, outputs))
+    (packed_a, code_a, out_a), (packed_b, code_b, out_b) = results
+    if isinstance(packed_a, list):
+        assert all(np.array_equal(x, y) for x, y in zip(packed_a, packed_b))
+    else:
+        assert packed_a == packed_b
+    assert (code_a, out_a) == (code_b, out_b)
+
+
+@SETTINGS
+@given(cohorts(), BLOCK_CHARS)
+def test_write_cohort_then_ingest_round_trips(cohort, block_chars):
+    rows, sampled, _sidecar = cohort
+    by_clone = {}
+    for p, t, c, n in sorted(rows):
+        by_clone.setdefault((p, c), []).append((t, n))
+    totals = {(p, t): 1000 for p, times in sampled.items() for t in times}
+    series = [
+        CloneSeries(
+            clone_id=c,
+            person_id=p,
+            counts=[n for _t, n in obs],
+            offsets=[totals[(p, t)] for t, _n in obs],
+            times=[t for t, _n in obs],
+        )
+        for (p, c), obs in by_clone.items()
+    ]
+    random.Random(len(rows)).shuffle(series)
+    with tempfile.TemporaryDirectory() as root:
+        first, offsets_path = Path(root) / "first.tsv", Path(root) / "offsets.tsv"
+        write_cohort(first, series)
+        write_offsets(offsets_path, totals)
+        with mock.patch.object(cohort_module, "BLOCK_CHARS", block_chars):
+            table = ingest(first, offsets_path)
+        second = Path(root) / "second.tsv"
+        write_cohort(second, table)
+        assert second.read_bytes() == first.read_bytes()
+    assert sorted(table.rows) == sorted(rows)
+    rebuilt = filter_clones(table, 0, absent_as_zero=False)
+    assert [s.key for s in rebuilt] == sorted(s.key for s in series)
+    for s in rebuilt:
+        original = next(o for o in series if o.key == s.key)
+        assert np.array_equal(s.counts, original.counts)
+        assert np.array_equal(s.offsets, original.offsets)
+        assert np.array_equal(s.times, original.times)
+
+
+MALFORMED = [
+    "p\tx\tc\t1",  # non-integer time
+    "p\t0\tc\t-4",  # negative count
+    "p\t0\tc\t99999999999999999999",  # count beyond int64
+    "p\t99999999999999999999\tc\t1",  # time beyond int64
+    "p\t0\tc",  # too few fields
+    "p\t0\tc\t1\t2",  # too many fields
+    "",  # blank record: skipped, but counted in line numbers
+    '"p"\t0\t"c"\t7',  # quoted fields: csv.reader unquotes them
+    "p\t0\tc\r\t1",  # a lone carriage return ends a record
+]
+
+
+@SETTINGS
+@given(
+    cohorts(),
+    st.lists(
+        st.tuples(st.integers(0, 10_000), st.sampled_from(MALFORMED + ["duplicate"] * 4)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.booleans(),
+    BLOCK_CHARS,
+)
+def test_malformed_records_fail_on_the_same_line_as_the_row_reference(
+    cohort, damage, crlf, block_chars
+):
+    rows, _sampled, sidecar = cohort
+    lines = [f"{p}\t{t}\t{c}\t{n}" for p, t, c, n in rows]
+    for position, record in damage:
+        at = position % (len(lines) + 1)
+        if record == "duplicate":
+            record = lines[position % len(lines)]
+        lines.insert(at, record)
+    newline = "\r\n" if crlf else "\n"
+    text = HEADER.replace("\n", newline) + "".join(line + newline for line in lines)
+    with tempfile.TemporaryDirectory() as root:
+        path, offsets_path = write_inputs(Path(root), text, sidecar)
+        expected = outcome(lambda: row_filter(*row_ingest(path, offsets_path), 0, True))
+        with mock.patch.object(cohort_module, "BLOCK_CHARS", block_chars):
+            actual = outcome(lambda: packed_clones(path, offsets_path, 0, True))
+    assert actual == expected

@@ -8,6 +8,7 @@ import pytest
 from clonedyn import (
     CloneSeries,
     Hyperparams,
+    PackedCohort,
     ValidationError,
     dynamic_log_pmf,
     log_component_quotient,
@@ -219,3 +220,41 @@ class TestValidation:
     def test_times_must_increase(self):
         with pytest.raises(ValidationError):
             series([1, 2], [10, 10], times=[1, 1])
+
+
+class TestPackedCohort:
+    def test_rejects_what_a_single_series_rejects_with_the_same_message(self):
+        good = dict(counts=[1, 2], offsets=[10, 10], times=[0, 1])
+        for change in (
+            {"counts": [-1, 2]},
+            {"offsets": [0, 10]},
+            {"counts": [11, 2]},
+            {"times": [1, 1]},
+            {"times": [-1, 1]},
+        ):
+            fields = {**good, **change}
+            with pytest.raises(ValidationError) as single:
+                series(**fields)
+            with pytest.raises(ValidationError) as packed:
+                PackedCohort(["q", "p"], ["a", "c"], [0, 2], *(
+                    [1, 2] + fields[name] for name in ("counts", "offsets", "times")
+                ))
+            assert str(packed.value) == str(single.value)
+
+    def test_times_may_restart_at_each_clone(self):
+        cohort = PackedCohort(["p", "p"], ["a", "b"], [0, 2], [1, 2, 3], [9, 9, 9], [3, 4, 0])
+        assert cohort.n_times.tolist() == [2, 1]
+        assert [s.times.tolist() for s in cohort] == [[3, 4], [0]]
+
+    def test_sorted_and_take_move_whole_clones(self):
+        clones = [
+            CloneSeries("b", "p2", [1, 2], [10, 10], times=[0, 2]),
+            CloneSeries("a", "p2", [3], [10], times=[1]),
+            CloneSeries("z", "p1", [4, 5, 6], [10, 10, 10]),
+        ]
+        cohort = PackedCohort.from_series(clones).sorted()
+        assert cohort.keys == [("p1", "z"), ("p2", "a"), ("p2", "b")]
+        assert cohort.counts.tolist() == [4, 5, 6, 3, 1, 2]
+        assert cohort.times.tolist() == [0, 1, 2, 1, 0, 2]
+        assert cohort.sorted() is cohort
+        assert [s.key for s in cohort.take([2, 0])] == [("p2", "b"), ("p1", "z")]
