@@ -189,7 +189,7 @@ def dynamic_counts_per_person(calls: Iterable[CloneCall]) -> dict[str, PersonCou
             row[0] += 1
             if call.direction is Direction.EXPANDING:
                 row[1] += 1
-            else:
+            elif call.direction is Direction.CONTRACTING:
                 row[2] += 1
     return {
         person: PersonCounts(n_dynamic=row[0], n_expanding=row[1], n_contracting=row[2])

@@ -259,6 +259,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
         seed=opts.get("seed", int, 0),
     )
     result = fit_em(series, cfg)
+    if not result.converged:
+        msq = float(result.msq_change_trace[-1])
+        print(
+            f"warning: EM stopped at max_em_iters = {cfg.max_em_iters} without converging "
+            f"(mean squared change {msq:.3g} >= epsilon {cfg.epsilon:.3g})",
+            file=sys.stderr,
+        )
 
     hp_path = out / "hyperparams.txt"
     write_keyvalues(
@@ -303,15 +310,40 @@ def write_calls(path: str | Path, calls: Sequence[CloneCall]) -> None:
     )
 
 
+# the (call, direction) pairs classify writes
+CALL_KINDS = {
+    (call.value, direction.value): (call, direction)
+    for call, direction in (
+        (Call.DYNAMIC, Direction.EXPANDING),
+        (Call.DYNAMIC, Direction.CONTRACTING),
+        (Call.STATIC, Direction.NOT_APPLICABLE),
+    )
+}
+
+
 def read_calls(path: str | Path) -> list[CloneCall]:
+    """calls.tsv as classify writes it: one row per clone, a prob_dynamic in
+    [0, 1], a direction on every dynamic call and none on a static one."""
     calls = []
+    keys = set()
     for (person, clone, prob, call, direction), lineno in _read_rows(path, CALLS_COLUMNS):
-        try:
-            calls.append(
-                CloneCall(person, clone, float(prob), Call(call), Direction(direction))
+        if (person, clone) in keys:
+            raise ParseError(f"duplicate clone {(person, clone)}", lineno)
+        keys.add((person, clone))
+        kind = CALL_KINDS.get((call, direction))
+        if kind is None:
+            raise ParseError(
+                f"call {call!r} with direction {direction!r}: expected dynamic with "
+                "expanding or contracting, or static with na",
+                lineno,
             )
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
+        try:
+            value = float(prob)
+        except ValueError:
+            raise ParseError(f"prob_dynamic is not a number: {prob!r}", lineno) from None
+        if not 0.0 <= value <= 1.0:  # also false for nan
+            raise ParseError(f"prob_dynamic must lie in [0, 1], got {prob!r}", lineno)
+        calls.append(CloneCall(person, clone, value, *kind))
     return calls
 
 

@@ -4,9 +4,14 @@ The E-step evaluates each clone's posterior probability of being dynamic
 under the current hyperparameters.  The M-step maximizes the expected
 complete-data log-likelihood: the mixing weight has the closed-form
 update pi = mean(responsibilities), and (alpha, beta) are pushed uphill
-by BFGS in (log alpha, log beta) with analytic digamma gradients.  The
-loop stops when the mean squared change in responsibilities between
-successive iterations drops below epsilon.
+by BFGS in (log alpha, log beta) with analytic digamma gradients.  With
+the responsibilities fixed, conjugacy makes that objective a weighted
+sum over the distinct counts, offsets, count sums and offset sums
+(model.ExpectedLoglik), so the M-step builds those histograms once and each
+BFGS evaluation costs O(#distinct values); the per-observation kernels
+run once per iteration, in the E-step.  The loop stops when the mean
+squared change in responsibilities between successive iterations drops
+below epsilon.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from .errors import IdentifiabilityError, OptimizerError, ValidationError
 from .model import (
     CloneSeries,
+    ExpectedLoglik,
     Hyperparams,
     PackedCohort,
     SeriesBatch,
@@ -116,13 +122,6 @@ def convergence_stat(r_prev, r_next) -> float:
     return math.fsum(((a - b) ** 2).tolist()) / a.size
 
 
-def _q_value(batch: SeriesBatch, r: np.ndarray, hp: Hyperparams) -> float:
-    ls, ld = batch.log_pmfs(hp.alpha, hp.beta)
-    return float(
-        r @ ld + (1.0 - r) @ ls + math.log(hp.pi) * r.sum() + math.log1p(-hp.pi) * (1.0 - r).sum()
-    )
-
-
 def m_step(
     clones: Clones | SeriesBatch,
     responsibilities,
@@ -135,38 +134,22 @@ def m_step(
     (person_id, clone_id) order (or the batch's own order).  The mixing
     weight update is the responsibility mean, clamped away from 0 and 1;
     (alpha, beta) are maximized by BFGS in log coordinates with the
-    current values as the warm start.  Never returns hyperparameters with
-    a lower expected complete-data value than hp_current.
+    current values as the warm start, on the histogram form of
+    ExpectedLoglik.  Never returns hyperparameters with a lower expected
+    complete-data value than hp_current.
     """
     batch = _as_batch(clones)
     r = np.asarray(responsibilities, dtype=np.float64)
     if r.shape != (batch.n,):
         raise ValidationError(f"expected {batch.n} responsibilities, got shape {r.shape}")
-    if np.any(r < 0.0) or np.any(r > 1.0):
-        raise ValidationError("responsibilities must lie in [0, 1]")
+    if not np.all((r >= 0.0) & (r <= 1.0)):
+        raise ValidationError("responsibilities must be finite and lie in [0, 1]")
 
     pi_new = float(np.clip(r.mean(), PI_FLOOR, 1.0 - PI_FLOOR))
-    n = batch.n
-    one_minus_r = 1.0 - r
-
-    def weighted_value_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        with np.errstate(over="ignore"):
-            alpha = float(np.exp(theta[0]))
-            beta = float(np.exp(theta[1]))
-        if not (math.isfinite(alpha) and math.isfinite(beta) and alpha > 0 and beta > 0):
-            return -math.inf, np.zeros(2)
-        ls, ld = batch.log_pmfs(alpha, beta)
-        value = (r @ ld + one_minus_r @ ls) / n
-        if not math.isfinite(value):
-            return -math.inf, np.zeros(2)
-        dls_da, dls_db, dld_da, dld_db = batch.log_pmf_grads(alpha, beta)
-        grad_log_alpha = (r @ dld_da + one_minus_r @ dls_da) * (alpha / n)
-        grad_log_beta = (r @ dld_db + one_minus_r @ dls_db) * (beta / n)
-        return float(value), np.array([grad_log_alpha, grad_log_beta])
-
+    q = ExpectedLoglik(batch, r)
     theta0 = np.array([math.log(hp_current.alpha), math.log(hp_current.beta)])
     result = maximize_bfgs(
-        weighted_value_and_grad,
+        q.in_log_coords,
         theta0,
         gtol=cfg.inner_opt_tol,
         max_iters=cfg.inner_opt_max_iters,
@@ -175,8 +158,8 @@ def m_step(
         alpha=float(np.exp(result.x[0])), beta=float(np.exp(result.x[1])), pi=pi_new
     )
 
-    q_candidate = _q_value(batch, r, candidate)
-    q_incumbent = _q_value(batch, r, hp_current)
+    q_candidate = q.with_mixing_weight(candidate)
+    q_incumbent = q.with_mixing_weight(hp_current)
     if math.isfinite(q_candidate) and q_candidate >= q_incumbent:
         return candidate
     if not math.isfinite(q_incumbent):

@@ -9,6 +9,10 @@ for the dynamic component (a product of negative binomials).  All
 arithmetic is in natural-log space; counts can reach 1e4 and offsets 1e7
 without overflow or underflow.
 
+ExpectedLoglik is the M-step's objective: the responsibility-weighted sum
+of both log-densities over a batch, evaluated on histograms of the
+batch's distinct values.
+
 Every operation here is a pure function of its arguments and safe to map
 over clones in parallel.
 """
@@ -336,6 +340,96 @@ class SeriesBatch:
     def responsibilities(self, hp: Hyperparams) -> np.ndarray:
         ls, ld = self.log_pmfs(hp.alpha, hp.beta)
         return stable_responsibility(ls, ld, hp.pi)
+
+
+def _dot(w: np.ndarray, x: np.ndarray) -> float:
+    # numpy's pairwise sum of the products: a BLAS dot may split long
+    # vectors across threads, which costs more than the sum at these sizes
+    # and makes the result depend on the thread count
+    return float(np.sum(w * x))
+
+
+class ExpectedLoglik:
+    """Q(alpha, beta): the expected complete-data log-likelihood of the Gamma
+    prior at fixed responsibilities r, less its (alpha, beta)-free terms.
+
+    By conjugacy each clone's two log-densities depend on (alpha, beta)
+    only through its counts and offsets (dynamic component, one term per
+    observation) and its count and offset sums (static component), so Q
+    is a weighted sum over the batch's distinct values of each:
+
+        Q = sum_c W(c) lgamma(c + alpha) - S lgamma(alpha) + S alpha log(beta)
+            - sum_o (alpha W(o) + WC(o)) log(o + beta)
+            + sum_C V(C) lgamma(C + alpha)
+            - sum_O (alpha V(O) + VC(O)) log(O + beta)
+
+    where W and WC sum r and r * count over the observations with that
+    count or offset, V and VC sum (1 - r) and (1 - r) * count sum over the
+    clones with that count or offset sum, and S = sum r * n_times + sum (1 - r)
+    is the expected number of Gamma-distributed proportions drawn.
+    The histograms are built once; each evaluation then costs
+    O(#distinct values), not O(#observations).
+    """
+
+    def __init__(self, batch: SeriesBatch, r: np.ndarray):
+        self.n = batch.n
+        r_obs = np.repeat(r, batch.cohort.n_times)
+        one_minus_r = 1.0 - r
+        self._c, self._o = batch._uniq_c, batch._uniq_o
+        self._csum, self._osum = batch._uniq_csum, batch._uniq_osum
+        self._w_c = np.bincount(batch._inv_c, r_obs, self._c.size)
+        self._w_o = np.bincount(batch._inv_o, r_obs, self._o.size)
+        self._wc_o = np.bincount(batch._inv_o, r_obs * batch._flat_c, self._o.size)
+        self._v_csum = np.bincount(batch._inv_csum, one_minus_r, self._csum.size)
+        self._v_osum = np.bincount(batch._inv_osum, one_minus_r, self._osum.size)
+        self._vc_osum = np.bincount(batch._inv_osum, one_minus_r * batch.csum, self._osum.size)
+        self._n_draws = _dot(r, batch.t) + float(one_minus_r.sum())
+        self._r_sum = float(r.sum())
+
+    def value_and_grad(self, alpha: float, beta: float) -> tuple[float, float, float]:
+        """Q and its partial derivatives in alpha and beta."""
+        s = self._n_draws
+        log_beta = math.log(beta)
+        b_o, b_osum = self._o + beta, self._osum + beta
+        log_b_o, log_b_osum = np.log(b_o), np.log(b_osum)
+        with np.errstate(over="ignore", invalid="ignore"):  # far out: inf, then -inf to BFGS
+            w_o = alpha * self._w_o + self._wc_o
+            w_osum = alpha * self._v_osum + self._vc_osum
+        value = (
+            _dot(self._w_c, gammaln(self._c + alpha))
+            + _dot(self._v_csum, gammaln(self._csum + alpha))
+            - s * (float(gammaln(alpha)) - alpha * log_beta)
+            - _dot(w_o, log_b_o)
+            - _dot(w_osum, log_b_osum)
+        )
+        d_alpha = (
+            _dot(self._w_c, digamma(self._c + alpha))
+            + _dot(self._v_csum, digamma(self._csum + alpha))
+            - s * (float(digamma(alpha)) - log_beta)
+            - _dot(self._w_o, log_b_o)
+            - _dot(self._v_osum, log_b_osum)
+        )
+        d_beta = s * alpha / beta - _dot(w_o, 1.0 / b_o) - _dot(w_osum, 1.0 / b_osum)
+        return value, d_alpha, d_beta
+
+    def in_log_coords(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """Q / n and its gradient in (log alpha, log beta): the BFGS objective."""
+        with np.errstate(over="ignore"):
+            alpha = float(np.exp(theta[0]))
+            beta = float(np.exp(theta[1]))
+        if not (math.isfinite(alpha) and math.isfinite(beta) and alpha > 0 and beta > 0):
+            return -math.inf, np.zeros(2)
+        value, d_alpha, d_beta = self.value_and_grad(alpha, beta)
+        if not math.isfinite(value):
+            return -math.inf, np.zeros(2)
+        n = self.n
+        return value / n, np.array([d_alpha * (alpha / n), d_beta * (beta / n)])
+
+    def with_mixing_weight(self, hp: Hyperparams) -> float:
+        """Q at (hp.alpha, hp.beta) plus the expected log mixing weights at hp.pi."""
+        value, _, _ = self.value_and_grad(hp.alpha, hp.beta)
+        r_sum = self._r_sum
+        return value + math.log(hp.pi) * r_sum + math.log1p(-hp.pi) * (self.n - r_sum)
 
 
 def stable_responsibility(ls, ld, pi: float):

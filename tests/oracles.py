@@ -13,6 +13,11 @@ the rate-free terms.  Factorials are exact integers via math.factorial
 and the remaining log-gamma comes from libm's lgamma, so no scipy.special
 code is shared with the implementation under test.
 
+The per-observation M-step objective evaluates the expected complete-data
+log-likelihood the way the package did before it reduced it to weighted
+histograms of distinct values: one pass of the batch's log-densities and
+their gradients per evaluation, weighted by the responsibilities.
+
 The row-by-row cohort reader at the end reads, validates and groups a
 cohort table one record at a time with dicts, the way the package did
 before it read cohorts into packed columns; the property tests hold the
@@ -126,6 +131,30 @@ def mp_responsibility(counts, offsets, alpha, beta, pi, dps: int = 40) -> float:
         wd = pi * mp.exp(ld)
         ws = (1 - pi) * mp.exp(ls)
         return float(wd / (wd + ws))
+
+
+def m_step_objective(batch, r):
+    """BFGS callback theta = (log alpha, log beta) -> (value, gradient) of
+    sum_i r_i ld_i + (1 - r_i) ls_i, averaged over the batch's clones."""
+    n = batch.n
+    one_minus_r = 1.0 - r
+
+    def weighted_value_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        with np.errstate(over="ignore"):
+            alpha = float(np.exp(theta[0]))
+            beta = float(np.exp(theta[1]))
+        if not (math.isfinite(alpha) and math.isfinite(beta) and alpha > 0 and beta > 0):
+            return -math.inf, np.zeros(2)
+        ls, ld = batch.log_pmfs(alpha, beta)
+        value = (r @ ld + one_minus_r @ ls) / n
+        if not math.isfinite(value):
+            return -math.inf, np.zeros(2)
+        dls_da, dls_db, dld_da, dld_db = batch.log_pmf_grads(alpha, beta)
+        grad_log_alpha = (r @ dld_da + one_minus_r @ dls_da) * (alpha / n)
+        grad_log_beta = (r @ dld_db + one_minus_r @ dls_db) * (beta / n)
+        return float(value), np.array([grad_log_alpha, grad_log_beta])
+
+    return weighted_value_and_grad
 
 
 def random_series_cases(rng: np.random.Generator, n_cases: int):

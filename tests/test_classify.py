@@ -149,6 +149,11 @@ class TestDynamicCounts:
         counts = dynamic_counts_per_person(calls)
         assert (counts["p"].n_dynamic, counts["p"].n_expanding, counts["p"].n_contracting) == (2, 1, 1)
 
+    def test_dynamic_call_without_direction_is_not_contracting(self):
+        calls = [call("p", "a", 0.9, Call.DYNAMIC, Direction.NOT_APPLICABLE)]
+        counts = dynamic_counts_per_person(calls)
+        assert (counts["p"].n_dynamic, counts["p"].n_expanding, counts["p"].n_contracting) == (1, 0, 0)
+
     def test_partition_identity(self):
         clones, _ = simulate(SimConfig(n_clones=500, n_persons=5, seed=16))
         result = fit_em(clones, FitConfig(seed=2))

@@ -331,3 +331,68 @@ class TestRejectedInputs:
         truth.write_text("person_id\tclone_id\tdynamic\np1\ta\t1\np1\tb\t0\n")
         code = self.classify(tmp_path, path, "--no-absent-as-zero", "--truth", truth)
         assert code == EXIT_VALIDATION
+
+
+CALLS_HEADER = "person_id\tclone_id\tprob_dynamic\tcall\tdirection\n"
+GOOD_CALLS = (
+    "p1\ta\t0.9\tdynamic\tcontracting\n"
+    "p1\tb\t0.1\tstatic\tna\n"
+    "p2\ta\t0.8\tdynamic\texpanding\n"
+    "p3\ta\t0.2\tstatic\tna\n"
+    "p4\ta\t0.95\tdynamic\tcontracting\n"
+)
+
+
+class TestSummarizeRejectsBadCalls:
+    """summarize checks calls.tsv rather than trusting it."""
+
+    def summarize(self, tmp_path, rows):
+        calls = tmp_path / "calls.tsv"
+        calls.write_text(CALLS_HEADER + rows)
+        strata = tmp_path / "strata.tsv"
+        strata.write_text("person_id\tstratum\np1\t0\np2\t0\np3\t1\np4\t1\n")
+        return run(
+            "summarize", "--input", calls, "--strata", strata, "--cutoff-dynamic", 0,
+            "--cutoff-direction", 0, "--output-dir", tmp_path / "sum",
+        )
+
+    def test_consistent_calls_pass(self, tmp_path):
+        assert self.summarize(tmp_path, GOOD_CALLS) == EXIT_OK
+        per_person = (tmp_path / "sum" / "per_person.tsv").read_text().splitlines()
+        assert per_person[1:] == [
+            "p1\t0\t1\t0\t1", "p2\t0\t1\t1\t0", "p3\t1\t0\t0\t0", "p4\t1\t1\t0\t1"
+        ]
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "p3\tb\t0.9\tdynamic\tna",
+            "p3\tb\t0.1\tstatic\texpanding",
+            "p3\tb\t0.1\tstatic\tcontracting",
+            "p3\tb\tnan\tstatic\tna",
+            "p3\tb\tinf\tdynamic\texpanding",
+            "p3\tb\t1.5\tdynamic\texpanding",
+            "p3\tb\t-0.1\tstatic\tna",
+            "p1\ta\t0.9\tdynamic\tcontracting",
+        ],
+        ids=["dynamic-na", "static-expanding", "static-contracting", "nan", "inf", "above-1",
+             "below-0", "duplicate"],
+    )
+    def test_inconsistent_row_exits_2_with_its_line(self, tmp_path, row, capsys):
+        assert self.summarize(tmp_path, GOOD_CALLS + row + "\n") == EXIT_VALIDATION
+        assert "line 7" in capsys.readouterr().err
+
+
+def test_unconverged_fit_warns_and_still_succeeds(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert run("simulate", "--n-clones", 300, "--n-persons", 3, "--seed", 3,
+               "--output-dir", sim) == EXIT_OK
+    fit = ("fit", "--input", sim / "cohort.tsv", "--offsets", sim / "offsets.tsv",
+           "--min-total-reads", 0)
+    capsys.readouterr()
+    assert run(*fit, "--output-dir", tmp_path / "done") == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert run(*fit, "--max-em-iters", 1, "--output-dir", tmp_path / "cut") == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning:") and "max_em_iters = 1" in err[0]
+    assert read_keyvalues(tmp_path / "cut" / "hyperparams.txt")["converged"] == "false"

@@ -190,6 +190,13 @@ class TestMStep:
         hp = m_step(ordered, r, start, FitConfig())
         assert q_full(hp) >= q_full(start)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 1.5])
+    def test_responsibilities_outside_the_unit_interval_raise(self, bad):
+        clones, _ = small_cohort(n=5, seed=3)
+        r = np.array([0.2, 0.4, bad, 0.6, 0.8])
+        with pytest.raises(ValidationError, match="responsibilities"):
+            m_step(clones, r, Hyperparams(1.0, 150.0, 0.5), FitConfig())
+
     def test_misaligned_responsibilities_raise(self):
         clones, _ = small_cohort(n=10, seed=3)
         with pytest.raises(ValidationError):
