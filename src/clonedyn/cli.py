@@ -164,12 +164,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         n_persons=opts.get("n_persons", int, 100),
         seed=opts.get("seed", int, 0),
     )
-    series, truth = simulate(cfg)
+    cohort, truth = simulate(cfg)
     cohort_path = out / "cohort.tsv"
     offsets_path = out / "offsets.tsv"
     truth_path = out / "truth.tsv"
-    write_cohort(cohort_path, series)
-    write_offsets(offsets_path, offsets_from_series(series))
+    write_cohort(cohort_path, cohort)
+    write_offsets(offsets_path, offsets_from_series(cohort))
     write_truth(truth_path, truth)
     _check_outputs([cohort_path, offsets_path, truth_path])
     return EXIT_OK
@@ -451,6 +451,13 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     uncovered = sorted(p for p in counts if p not in strata)
     if uncovered:
         raise ValidationError(f"persons without a stratum: {uncovered[:5]} ...")
+    without_calls = sorted(p for p in strata if p not in counts)
+    if without_calls:
+        print(
+            f"warning: {len(without_calls)} persons in the strata file have no calls and are "
+            f"left out of per_person.tsv and both tests: {without_calls[:5]}",
+            file=sys.stderr,
+        )
     person_path = out / "per_person.tsv"
     write_table(
         person_path,

@@ -31,7 +31,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .model import CloneSeries, PackedCohort, segment_rows
+from .model import CloneSeries, PackedCohort, as_packed, segment_rows
 from .simulate import SimTruth
 
 COHORT_COLUMNS = ("person_id", "time_index", "clone_id", "count")
@@ -81,7 +81,6 @@ class CohortTable:
     pt_person: np.ndarray
     pt_time: np.ndarray
     pt_total: np.ndarray
-    strata: dict[str, int] | None = None
 
     @property
     def rows(self) -> CohortRows:
@@ -319,11 +318,7 @@ def _person_time_keys(person_names, person, time, pt_person, pt_time):
     )
 
 
-def ingest(
-    path: str | Path,
-    offsets_path: str | Path | None = None,
-    strata_path: str | Path | None = None,
-) -> CohortTable:
+def ingest(path: str | Path, offsets_path: str | Path | None = None) -> CohortTable:
     """Read and validate a cohort table.
 
     Offsets are computed from the full, unfiltered table so they reflect
@@ -392,8 +387,7 @@ def ingest(
         pt_total[obs_pt],
         time,
     )
-    strata = read_strata(strata_path) if strata_path is not None else None
-    return CohortTable(observed, obs_pt, pt_person, pt_time, pt_total, strata)
+    return CohortTable(observed, obs_pt, pt_person, pt_time, pt_total)
 
 
 def filter_clones(
@@ -475,17 +469,24 @@ def write_table(path: str | Path, columns: Sequence[str], rows: Iterable[Sequenc
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_cohort(path: str | Path, table_or_series: CohortTable | Iterable[CloneSeries]) -> None:
+def _person_ranks(cohort: PackedCohort) -> np.ndarray:
+    """Per observation, the rank of its clone's person among the cohort's persons."""
+    return np.repeat(np.unique(cohort.person_id, return_inverse=True)[1], cohort.n_times)
+
+
+def write_cohort(
+    path: str | Path, cohort: CohortTable | PackedCohort | Iterable[CloneSeries]
+) -> None:
     """Write cohort rows in canonical (person, time, clone) order."""
-    if isinstance(table_or_series, CohortTable):
-        rows = list(table_or_series.rows)
-    else:
-        rows = [
-            (s.person_id, int(t), s.clone_id, int(c))
-            for s in table_or_series
-            for t, c in zip(s.times, s.counts)
-        ]
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    cohort = as_packed(cohort.observed if isinstance(cohort, CohortTable) else cohort).sorted()
+    # stable: the clones are in (person, clone) order, which stays within a person-time
+    order = np.lexsort((cohort.times, _person_ranks(cohort)))
+    rows = zip(
+        np.repeat(cohort.person_id, cohort.n_times)[order].tolist(),
+        cohort.times[order].tolist(),
+        np.repeat(cohort.clone_id, cohort.n_times)[order].tolist(),
+        cohort.counts[order].tolist(),
+    )
     write_table(path, COHORT_COLUMNS, ((p, str(t), c, str(n)) for p, t, c, n in rows))
 
 
@@ -497,16 +498,21 @@ def write_offsets(path: str | Path, offsets: Mapping[tuple[str, int], int]) -> N
     )
 
 
-def offsets_from_series(series: Iterable[CloneSeries]) -> dict[tuple[str, int], int]:
+def offsets_from_series(series: PackedCohort | Iterable[CloneSeries]) -> dict[tuple[str, int], int]:
     """Collect the per-person-time totals referenced by a series collection."""
-    offsets: dict[tuple[str, int], int] = {}
-    for s in series:
-        for t, o in zip(s.times, s.offsets):
-            key = (s.person_id, int(t))
-            previous = offsets.setdefault(key, int(o))
-            if previous != int(o):
-                raise ValidationError(f"conflicting offsets recorded for person-time {key}")
-    return offsets
+    cohort = as_packed(series)
+    person = _person_ranks(cohort)
+    order = np.lexsort((cohort.times, person))  # stable: series order within a person-time
+    times, offsets = cohort.times[order], cohort.offsets[order]
+    leads = (np.diff(person[order], prepend=-1) != 0) | (np.diff(times, prepend=-1) != 0)
+    conflicts = order[offsets != offsets[leads][np.cumsum(leads) - 1]]
+    person_ids = np.repeat(cohort.person_id, cohort.n_times)
+    if conflicts.size:
+        i = conflicts.min()  # the first disagreement in series order
+        key = (person_ids[i], int(cohort.times[i]))
+        raise ValidationError(f"conflicting offsets recorded for person-time {key}")
+    keys = zip(person_ids[order[leads]].tolist(), times[leads].tolist())
+    return dict(zip(keys, offsets[leads].tolist()))
 
 
 def write_truth(path: str | Path, truth: SimTruth) -> None:

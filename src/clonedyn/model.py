@@ -29,6 +29,28 @@ from scipy.special import digamma, expit, gammaln
 from .errors import ValidationError
 
 
+def _check_columns(counts, offsets, times, starts) -> np.ndarray:
+    """Check the int64 columns of series packed back to back, series i starting
+    at starts[i], as one CloneSeries is checked; return the series' lengths."""
+    if counts.ndim != 1 or np.any((n_times := np.diff(starts, append=counts.size)) < 1):
+        raise ValidationError("counts must be a non-empty 1-d sequence")
+    if offsets.shape != counts.shape:
+        raise ValidationError(f"counts and offsets lengths differ: {counts.size} vs {offsets.size}")
+    if np.any(counts < 0):
+        raise ValidationError("counts must be non-negative")
+    if np.any(offsets <= 0):
+        raise ValidationError("offsets must be positive")
+    if np.any(offsets < counts):
+        raise ValidationError("each offset must be >= the matching count")
+    if times.shape != counts.shape:
+        raise ValidationError("times must align with counts")
+    steps = np.diff(times)
+    steps[starts[1:] - 1] = 1  # a series' first time follows nothing
+    if np.any(times < 0) or np.any(steps <= 0):
+        raise ValidationError("times must be non-negative and strictly increasing")
+    return n_times
+
+
 @dataclass(frozen=True)
 class CloneSeries:
     """One clone's observed counts with the matching per-sample read totals.
@@ -49,26 +71,8 @@ class CloneSeries:
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
         offsets = np.asarray(self.offsets, dtype=np.int64)
-        if counts.ndim != 1 or counts.size < 1:
-            raise ValidationError("counts must be a non-empty 1-d sequence")
-        if offsets.shape != counts.shape:
-            raise ValidationError(
-                f"counts and offsets lengths differ: {counts.size} vs {offsets.size}"
-            )
-        if np.any(counts < 0):
-            raise ValidationError("counts must be non-negative")
-        if np.any(offsets <= 0):
-            raise ValidationError("offsets must be positive")
-        if np.any(offsets < counts):
-            raise ValidationError("each offset must be >= the matching count")
-        if self.times is None:
-            times = np.arange(counts.size, dtype=np.int64)
-        else:
-            times = np.asarray(self.times, dtype=np.int64)
-            if times.shape != counts.shape:
-                raise ValidationError("times must align with counts")
-            if np.any(times < 0) or np.any(np.diff(times) <= 0):
-                raise ValidationError("times must be non-negative and strictly increasing")
+        times = np.asarray(np.arange(counts.size) if self.times is None else self.times, np.int64)
+        _check_columns(counts, offsets, times, np.zeros(1, dtype=np.int64))
         for name, arr in (("counts", counts), ("offsets", offsets), ("times", times)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -150,42 +154,23 @@ class PackedCohort:
             raise ValidationError("ids and starts must be 1-d and of equal length")
         if self.counts.ndim != 1 or (self.starts[0] != 0 if n else self.counts.size):
             raise ValidationError("counts must be 1-d with the first clone starting at 0")
-        self.n_times = _frozen(np.diff(self.starts, append=self.counts.size), np.int64)
-        if np.any(self.n_times < 1):
-            raise ValidationError("counts must be a non-empty 1-d sequence")
-        if self.offsets.shape != self.counts.shape:
-            raise ValidationError(
-                f"counts and offsets lengths differ: {self.counts.size} vs {self.offsets.size}"
-            )
-        if np.any(self.counts < 0):
-            raise ValidationError("counts must be non-negative")
-        if np.any(self.offsets <= 0):
-            raise ValidationError("offsets must be positive")
-        if np.any(self.offsets < self.counts):
-            raise ValidationError("each offset must be >= the matching count")
-        if self.times.shape != self.counts.shape:
-            raise ValidationError("times must align with counts")
-        steps = np.diff(self.times)
-        steps[self.starts[1:] - 1] = 1  # a clone's first time follows nothing
-        if np.any(self.times < 0) or np.any(steps <= 0):
-            raise ValidationError("times must be non-negative and strictly increasing")
+        n_times = _check_columns(self.counts, self.offsets, self.times, self.starts)
+        self.n_times = _frozen(n_times, np.int64)
 
     @classmethod
     def from_series(cls, series: Iterable[CloneSeries]) -> PackedCohort:
         """Pack series in the order given."""
-        series = list(series)
-        if not series:
-            empty = np.zeros(0, dtype=np.int64)
-            return cls([], [], empty, empty, empty, empty)
-        n_times = np.array([s.n_times for s in series], dtype=np.int64)
-        return cls(
-            [s.person_id for s in series],
-            [s.clone_id for s in series],
-            np.cumsum(n_times) - n_times,
-            np.concatenate([s.counts for s in series]),
-            np.concatenate([s.offsets for s in series]),
-            np.concatenate([s.times for s in series]),
+        return cls.from_clones(
+            (s.person_id, s.clone_id, s.counts, s.offsets, s.times) for s in series
         )
+
+    @classmethod
+    def from_clones(cls, clones: Iterable[tuple]) -> PackedCohort:
+        """Pack (person_id, clone_id, counts, offsets, times) tuples in the order given."""
+        person_id, clone_id, counts, offsets, times = list(zip(*clones)) or [()] * 5
+        n_times = np.fromiter(map(len, counts), np.int64, len(counts))
+        flat = (np.concatenate([np.zeros(0, np.int64), *c]) for c in (counts, offsets, times))
+        return cls(person_id, clone_id, np.cumsum(n_times) - n_times, *flat)
 
     def __len__(self) -> int:
         return int(self.starts.size)

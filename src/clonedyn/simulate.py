@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import CloneSeries
+from .model import PackedCohort
 
 # read depth calibrated against the reference operating characteristics
 DEFAULT_OFFSET_MEAN = 4e4
@@ -63,11 +63,15 @@ class SimTruth:
     lambdas: dict[tuple[str, str], np.ndarray]
 
 
-def simulate(cfg: SimConfig) -> tuple[list[CloneSeries], SimTruth]:
+def simulate(cfg: SimConfig) -> tuple[PackedCohort, SimTruth]:
     """Generate a cohort and its ground truth, deterministically per seed.
 
     Per-person generator streams are split off the root seed, so output
     is independent of any parallel scheduling of the person blocks.
+
+    The cohort is a PackedCohort in canonical (person_id, clone_id)
+    order; len(), integer indexing and iteration give CloneSeries, and
+    list(cohort) makes a list of them.
     """
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_persons)
     base, extra = divmod(cfg.n_clones, cfg.n_persons)
@@ -75,7 +79,7 @@ def simulate(cfg: SimConfig) -> tuple[list[CloneSeries], SimTruth]:
     clone_width = max(6, len(str(cfg.n_clones - 1)))
     person_width = max(3, len(str(cfg.n_persons - 1)))
 
-    series: list[CloneSeries] = []
+    clones: list[tuple] = []
     labels: dict[tuple[str, str], bool] = {}
     lambdas: dict[tuple[str, str], np.ndarray] = {}
     clone_index = 0
@@ -105,16 +109,9 @@ def simulate(cfg: SimConfig) -> tuple[list[CloneSeries], SimTruth]:
             counts = np.minimum(rng.poisson(means), obs_offsets)
 
             key = (person_id, clone_id)
-            series.append(
-                CloneSeries(
-                    clone_id=clone_id,
-                    person_id=person_id,
-                    counts=counts,
-                    offsets=obs_offsets,
-                    times=times,
-                )
-            )
+            clones.append((person_id, clone_id, counts, obs_offsets, times))
             labels[key] = dynamic
             lambdas[key] = lams
 
-    return series, SimTruth(labels=labels, lambdas=lambdas)
+    # ids are zero-padded, so generation order is canonical order
+    return PackedCohort.from_clones(clones), SimTruth(labels=labels, lambdas=lambdas)

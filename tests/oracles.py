@@ -22,6 +22,11 @@ The row-by-row cohort reader at the end reads, validates and groups a
 cohort table one record at a time with dicts, the way the package did
 before it read cohorts into packed columns; the property tests hold the
 packed reader to it.
+
+The per-clone simulator, the offsets walk and the tuple-sorting cohort
+writer after it are how the package simulated and wrote a cohort before
+those stages worked on packed columns: one CloneSeries per clone, one
+dict entry per observation, one Python tuple per row.
 """
 
 from __future__ import annotations
@@ -288,3 +293,66 @@ def row_filter(rows, offsets, min_total_reads: int, absent_as_zero: bool):
             )
         )
     return out
+
+
+def simulate_series(cfg):
+    """(series, labels, lambdas): the cohort drawn by cfg as one CloneSeries
+    per clone, with the same generator calls in the same order as
+    clonedyn.simulate."""
+    from clonedyn.model import CloneSeries
+
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_persons)
+    base, extra = divmod(cfg.n_clones, cfg.n_persons)
+    clone_width = max(6, len(str(cfg.n_clones - 1)))
+    person_width = max(3, len(str(cfg.n_persons - 1)))
+    series, labels, lambdas = [], {}, {}
+    clone_index = 0
+    for j, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        person_id = f"p{j:0{person_width}d}"
+        offsets = np.maximum(
+            np.ceil(rng.exponential(cfg.offset_mean, size=cfg.n_followups)), 1.0
+        ).astype(np.int64)
+        for _ in range(base + (1 if j < extra else 0)):
+            clone_id = f"c{clone_index:0{clone_width}d}"
+            clone_index += 1
+            dynamic = bool(rng.random() < cfg.pi)
+            if cfg.missing_rate > 0.0:
+                keep = np.ones(cfg.n_followups, dtype=bool)
+                keep[1:] = rng.random(cfg.n_followups - 1) >= cfg.missing_rate
+                times = np.flatnonzero(keep)
+            else:
+                times = np.arange(cfg.n_followups)
+            lams = rng.gamma(cfg.alpha, 1.0 / cfg.beta, size=times.size if dynamic else 1)
+            obs_offsets = offsets[times]
+            means = (lams if dynamic else lams[0]) * obs_offsets
+            counts = np.minimum(rng.poisson(means), obs_offsets)
+            series.append(CloneSeries(clone_id, person_id, counts, obs_offsets, times))
+            labels[(person_id, clone_id)] = dynamic
+            lambdas[(person_id, clone_id)] = lams
+    return series, labels, lambdas
+
+
+def offsets_by_walk(series):
+    """Per-person-time totals of a series collection, walking every observation;
+    RowValidationError at the first total that differs from one seen before."""
+    offsets: dict[tuple[str, int], int] = {}
+    for s in series:
+        for t, o in zip(s.times, s.offsets):
+            key = (s.person_id, int(t))
+            if offsets.setdefault(key, int(o)) != int(o):
+                raise RowValidationError(f"conflicting offsets recorded for person-time {key}")
+    return offsets
+
+
+def cohort_text_by_sort(series) -> str:
+    """cohort.tsv text of a series collection: one tuple per row, sorted on
+    (person, time, clone)."""
+    rows = [
+        (s.person_id, int(t), s.clone_id, int(c))
+        for s in series
+        for t, c in zip(s.times, s.counts)
+    ]
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    header = "person_id\ttime_index\tclone_id\tcount\n"
+    return header + "".join(f"{p}\t{t}\t{c}\t{n}\n" for p, t, c, n in rows)

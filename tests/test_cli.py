@@ -2,6 +2,7 @@
 
 import pytest
 
+from clonedyn import CloneSeries
 from clonedyn.cli import (
     EXIT_IDENTIFIABILITY,
     EXIT_IO,
@@ -396,3 +397,29 @@ def test_unconverged_fit_warns_and_still_succeeds(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("warning:") and "max_em_iters = 1" in err[0]
     assert read_keyvalues(tmp_path / "cut" / "hyperparams.txt")["converged"] == "false"
+
+
+def test_simulate_builds_no_clone_series(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"simulate built a CloneSeries for {self.key}")
+
+    monkeypatch.setattr(CloneSeries, "__post_init__", refuse)
+    assert run("simulate", "--n-clones", 300, "--n-persons", 4, "--missing-rate", 0.2,
+               "--seed", 3, "--output-dir", tmp_path) == EXIT_OK
+    assert len((tmp_path / "truth.tsv").read_text().splitlines()) == 1 + 300
+
+
+def test_summarize_warns_about_persons_without_calls(tmp_path, capsys):
+    calls = tmp_path / "calls.tsv"
+    calls.write_text(CALLS_HEADER + GOOD_CALLS)
+    strata = tmp_path / "strata.tsv"
+    strata.write_text("person_id\tstratum\np1\t0\np2\t0\np3\t1\np4\t1\np5\t0\np6\t1\n")
+    capsys.readouterr()
+    assert run(
+        "summarize", "--input", calls, "--strata", strata, "--cutoff-dynamic", 0,
+        "--cutoff-direction", 0, "--output-dir", tmp_path / "sum",
+    ) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: 2 persons") and "['p5', 'p6']" in err[0]
+    per_person = (tmp_path / "sum" / "per_person.tsv").read_text().splitlines()
+    assert [row.split("\t")[0] for row in per_person[1:]] == ["p1", "p2", "p3", "p4"]

@@ -4,6 +4,8 @@ Random cohorts have persons sampled at different times, clones missing
 at some of their person's times, zero counts, and (optionally) an offsets
 sidecar with person-times and persons that have no rows.  Block sizes
 down to a few characters make records straddle the reader's blocks.
+The columnar cohort and offsets writers are held to per-row references
+on the same cohorts, shuffled.
 """
 
 from __future__ import annotations
@@ -17,12 +19,19 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from clonedyn import CloneSeries, ParseError, ValidationError, filter_clones, ingest
+from clonedyn import CloneSeries, PackedCohort, ParseError, ValidationError, filter_clones, ingest
 from clonedyn import cohort as cohort_module
 from clonedyn.cli import main
-from clonedyn.cohort import write_cohort, write_offsets
+from clonedyn.cohort import offsets_from_series, write_cohort, write_offsets
 
-from oracles import RowParseError, RowValidationError, row_filter, row_ingest
+from oracles import (
+    RowParseError,
+    RowValidationError,
+    cohort_text_by_sort,
+    offsets_by_walk,
+    row_filter,
+    row_ingest,
+)
 
 HEADER = "person_id\ttime_index\tclone_id\tcount\n"
 IDS = st.text(alphabet="abAB_1é", min_size=1, max_size=4)
@@ -225,3 +234,42 @@ def test_malformed_records_fail_on_the_same_line_as_the_row_reference(
         with mock.patch.object(cohort_module, "BLOCK_CHARS", block_chars):
             actual = outcome(lambda: packed_clones(path, offsets_path, 0, True))
     assert actual == expected
+
+
+def shuffled_series(rows, rnd, bumps=0):
+    """One CloneSeries per clone of rows, in random order, with every offset
+    1000 except at `bumps` random observations, each raised by one."""
+    by_clone = {}
+    for p, t, c, n in rows:
+        by_clone.setdefault((p, c), []).append((t, n))
+    series = [
+        [p, c, [n for _t, n in sorted(obs)], [1000] * len(obs), [t for t, _n in sorted(obs)]]
+        for (p, c), obs in by_clone.items()
+    ]
+    rnd.shuffle(series)
+    for _ in range(bumps):
+        offsets = rnd.choice(series)[3]
+        offsets[rnd.randrange(len(offsets))] += 1
+    return [CloneSeries(c, p, counts, offsets, times) for p, c, counts, offsets, times in series]
+
+
+@SETTINGS
+@given(cohorts(), st.randoms(use_true_random=False))
+def test_columnar_writers_match_the_per_row_reference_on_shuffled_series(cohort, rnd):
+    series = shuffled_series(cohort[0], rnd)
+    packed = PackedCohort.from_series(series)
+    with tempfile.TemporaryDirectory() as root:
+        for clones in (series, packed):
+            write_cohort(Path(root) / "cohort.tsv", clones)
+            text = (Path(root) / "cohort.tsv").read_text(encoding="utf-8")
+            assert text == cohort_text_by_sort(series)
+            assert offsets_from_series(clones) == offsets_by_walk(series)
+
+
+@SETTINGS
+@given(cohorts(), st.randoms(use_true_random=False), st.integers(1, 3))
+def test_conflicting_offsets_fail_as_the_per_row_reference_does(cohort, rnd, bumps):
+    series = shuffled_series(cohort[0], rnd, bumps)
+    expected = outcome(lambda: offsets_by_walk(series))
+    assert outcome(lambda: offsets_from_series(series)) == expected
+    assert outcome(lambda: offsets_from_series(PackedCohort.from_series(series))) == expected

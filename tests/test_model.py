@@ -258,3 +258,28 @@ class TestPackedCohort:
         assert cohort.times.tolist() == [0, 1, 2, 1, 0, 2]
         assert cohort.sorted() is cohort
         assert [s.key for s in cohort.take([2, 0])] == [("p2", "b"), ("p1", "z")]
+
+
+@pytest.mark.parametrize(
+    "counts, offsets, times, message",
+    [
+        ([], [], None, "counts must be a non-empty 1-d sequence"),
+        ([[1, 2]], [[5, 5]], None, "counts must be a non-empty 1-d sequence"),
+        ([1, 2], [10], None, "counts and offsets lengths differ: 2 vs 1"),
+        ([-1], [10], None, "counts must be non-negative"),
+        ([0], [0], None, "offsets must be positive"),
+        ([11], [10], None, "each offset must be >= the matching count"),
+        ([1, 2], [10, 10], [0], "times must align with counts"),
+        ([1, 2], [10, 10], [1, 1], "times must be non-negative and strictly increasing"),
+        ([1], [10], [-1], "times must be non-negative and strictly increasing"),
+    ],
+)
+def test_series_checks_keep_their_messages(counts, offsets, times, message):
+    with pytest.raises(ValidationError) as single:
+        series(counts, offsets, times=times)
+    assert str(single.value) == message
+    if np.ndim(counts) == 1:  # a packed cohort rejects 2-d columns before these checks
+        times = np.arange(len(counts)) if times is None else times
+        with pytest.raises(ValidationError) as packed:
+            PackedCohort(["p"], ["c"], [0], counts, offsets, times)
+        assert str(packed.value) == message

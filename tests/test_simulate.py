@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from clonedyn import SimConfig, ValidationError, simulate
+from clonedyn import PackedCohort, SimConfig, ValidationError, simulate
+
+from oracles import simulate_series
 
 
 def test_seed_determinism():
@@ -121,3 +123,28 @@ def test_config_validation():
         SimConfig(n_persons=0)
     with pytest.raises(ValidationError):
         SimConfig(offset_mean=0.0)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SimConfig(n_clones=301, n_persons=7, seed=21),
+        SimConfig(n_clones=250, n_persons=4, n_followups=5, missing_rate=0.3, seed=22),
+        SimConfig(n_clones=97, n_persons=5, pi=0.0, missing_rate=0.2, seed=23),
+        SimConfig(n_clones=122, n_persons=3, pi=1.0, seed=24),
+        SimConfig(n_clones=1001, n_persons=12, pi=1.0, n_followups=4, missing_rate=0.6, seed=25),
+    ],
+    ids=["uneven", "missing", "all-static", "all-dynamic", "dynamic-missing"],
+)
+def test_packed_simulation_matches_the_per_clone_reference(cfg):
+    cohort, truth = simulate(cfg)
+    series, labels, lambdas = simulate_series(cfg)
+    expected = PackedCohort.from_series(series)
+    for name in ("person_id", "clone_id", "starts", "counts", "offsets", "times"):
+        assert np.array_equal(getattr(cohort, name), getattr(expected, name)), name
+    assert cohort.sorted() is cohort
+    assert list(truth.labels.items()) == list(labels.items())
+    assert list(truth.lambdas) == list(lambdas)
+    assert all(np.array_equal(truth.lambdas[k], lam) for k, lam in lambdas.items())
+    assert [s.key for s in cohort] == [s.key for s in series]
+    assert cohort[-1].key == series[-1].key and len(cohort) == cfg.n_clones
