@@ -11,6 +11,7 @@ statistics.
 from .classify import (
     AssociationResult,
     Call,
+    CallTable,
     ChiSquareResult,
     CloneCall,
     Direction,
@@ -58,6 +59,7 @@ from .simulate import SimConfig, SimTruth, simulate
 __all__ = [
     "AssociationResult",
     "Call",
+    "CallTable",
     "ChiSquareResult",
     "CloneCall",
     "CloneDynError",

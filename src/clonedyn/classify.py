@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import CloneSeries, PackedCohort, as_packed
+from .model import CloneSeries, PackedCohort, as_packed, segment_rows
 from .simulate import SimTruth
 
 
@@ -91,6 +91,73 @@ class AssociationResult:
     loglinear_degenerate: bool
 
 
+# CallTable.direction codes index DIRECTIONS
+DIRECTIONS = (Direction.NOT_APPLICABLE, Direction.EXPANDING, Direction.CONTRACTING)
+NOT_APPLICABLE, EXPANDING, CONTRACTING = range(3)
+_CALL_TEXT = np.array([Call.STATIC.value, Call.DYNAMIC.value], dtype=object)
+_DIRECTION_TEXT = np.array([d.value for d in DIRECTIONS], dtype=object)
+
+
+class CallTable:
+    """Clone calls as columns: person_id and clone_id (object arrays of str),
+    prob_dynamic (float64), a dynamic mask and a direction code (int8, an
+    index into DIRECTIONS).
+
+    len, integer indexing and iteration give CloneCall objects built on
+    demand, as PackedCohort gives CloneSeries.
+    """
+
+    def __init__(self, person_id, clone_id, prob_dynamic, dynamic, direction):
+        self.person_id = np.asarray(person_id, dtype=object)
+        self.clone_id = np.asarray(clone_id, dtype=object)
+        self.prob_dynamic = np.asarray(prob_dynamic, dtype=np.float64)
+        self.dynamic = np.asarray(dynamic, dtype=bool)
+        self.direction = np.asarray(direction, dtype=np.int8)
+
+    @classmethod
+    def from_calls(cls, calls: Iterable[CloneCall]) -> CallTable:
+        calls = list(calls)
+        return cls(
+            [c.person_id for c in calls],
+            [c.clone_id for c in calls],
+            [c.prob_dynamic for c in calls],
+            [c.call is Call.DYNAMIC for c in calls],
+            [DIRECTIONS.index(c.direction) for c in calls],
+        )
+
+    def __len__(self) -> int:
+        return int(self.person_id.size)
+
+    def __getitem__(self, i: int) -> CloneCall:
+        i = range(len(self))[i]
+        return CloneCall(
+            self.person_id[i],
+            self.clone_id[i],
+            float(self.prob_dynamic[i]),
+            Call.DYNAMIC if self.dynamic[i] else Call.STATIC,
+            DIRECTIONS[self.direction[i]],
+        )
+
+    def __iter__(self) -> Iterator[CloneCall]:
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def keys(self) -> list[tuple[str, str]]:
+        return list(zip(self.person_id.tolist(), self.clone_id.tolist()))
+
+    def call_text(self) -> np.ndarray:
+        """Each call's Call value ("dynamic" or "static"), as an object array."""
+        return _CALL_TEXT[self.dynamic.astype(np.intp)]
+
+    def direction_text(self) -> np.ndarray:
+        """Each call's Direction value, as an object array."""
+        return _DIRECTION_TEXT[self.direction]
+
+
+def as_calls(calls: CallTable | Iterable[CloneCall]) -> CallTable:
+    return calls if isinstance(calls, CallTable) else CallTable.from_calls(calls)
+
+
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
     if x.size < 2:
         return 0.0
@@ -101,11 +168,46 @@ def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(xc @ (y - y.mean())) / denom
 
 
+def _contracting(cohort: PackedCohort, index: np.ndarray) -> np.ndarray:
+    """Whether _ols_slope of proportion against time is negative, for the
+    clones at index.
+
+    All clones are done at once: the numerator of the slope is a segment
+    sum of centred time times centred proportion, and the denominator is
+    positive.  That sum rounds differently from _ols_slope's means and
+    dot products, so a clone whose sum lies within the rounding bound of
+    both computations gets its sign from _ols_slope itself.
+    """
+    if not index.size:
+        return np.zeros(0, dtype=bool)
+    n = cohort.n_times[index]
+    rows = segment_rows(cohort.starts[index], n)
+    starts = np.cumsum(n) - n
+    x = cohort.times[rows].astype(np.float64)
+    y = cohort.counts[rows] / cohort.offsets[rows]
+    sum_x, sum_y = np.add.reduceat(x, starts), np.add.reduceat(y, starts)
+    products = (x - np.repeat(sum_x / n, n)) * (y - np.repeat(sum_y / n, n))
+    numerator = np.add.reduceat(products, starts)
+    # this sum and _ols_slope's numerator differ by at most ~2 (n + 3) u sum|products|
+    # (rounding of the differences, products and sums) plus ~32 (n + 1) u^2 sum_x
+    # sum_y (the errors of both computations' means), u being the unit roundoff;
+    # the bound is at least twice that.  A single time point gives an exact zero.
+    u = np.finfo(np.float64).eps / 2
+    bound = 8 * (n + 2) * u * np.add.reduceat(np.abs(products), starts)
+    bound += 64 * (n + 2) ** 2 * u * u * sum_x * sum_y
+    contracting = numerator < 0.0
+    for i in np.flatnonzero((np.abs(numerator) <= bound) & (n >= 2)).tolist():
+        span = slice(int(cohort.starts[index[i]]), int(cohort.starts[index[i]] + n[i]))
+        proportions = cohort.counts[span] / cohort.offsets[span]
+        contracting[i] = _ols_slope(cohort.times[span].astype(np.float64), proportions) < 0.0
+    return contracting
+
+
 def classify(
     responsibilities: Mapping[tuple[str, str], float] | np.ndarray,
     series_by_clone: Iterable[CloneSeries] | PackedCohort,
     threshold: float,
-) -> list[CloneCall]:
+) -> CallTable:
     """Hard calls: dynamic iff prob_dynamic > threshold (strictly).
 
     Calls come in canonical (person_id, clone_id) order.  responsibilities
@@ -134,66 +236,74 @@ def classify(
         if probs.shape != (len(cohort),):
             raise ValidationError(f"expected {len(cohort)} responsibilities, got {probs.shape}")
 
-    directions = [Direction.NOT_APPLICABLE] * len(cohort)
-    for i in np.flatnonzero(probs > threshold).tolist():
-        span = slice(int(cohort.starts[i]), int(cohort.starts[i] + cohort.n_times[i]))
-        proportions = cohort.counts[span] / cohort.offsets[span]
-        slope = _ols_slope(cohort.times[span].astype(np.float64), proportions)
-        directions[i] = Direction.CONTRACTING if slope < 0.0 else Direction.EXPANDING
-    return [
-        CloneCall(
-            person,
-            clone,
-            prob,
-            Call.STATIC if direction is Direction.NOT_APPLICABLE else Call.DYNAMIC,
-            direction,
-        )
-        for person, clone, prob, direction in zip(
-            cohort.person_id.tolist(), cohort.clone_id.tolist(), probs.tolist(), directions
-        )
-    ]
+    dynamic = probs > threshold
+    direction = np.full(len(cohort), NOT_APPLICABLE, dtype=np.int8)
+    index = np.flatnonzero(dynamic)
+    direction[index] = np.where(_contracting(cohort, index), CONTRACTING, EXPANDING)
+    return CallTable(cohort.person_id, cohort.clone_id, probs, dynamic, direction)
+
+
+def truth_of(
+    calls: CallTable | Iterable[CloneCall], truth: SimTruth | Mapping[tuple[str, str], bool]
+) -> np.ndarray:
+    """Each call's true label, in call order; ValidationError when truth
+    misses a clone."""
+    labels = truth.labels if isinstance(truth, SimTruth) else truth
+    keys = as_calls(calls).keys
+    found = list(map(labels.get, keys))
+    if None in found:
+        raise ValidationError(f"truth does not cover clone {keys[found.index(None)]}")
+    return np.array(found, dtype=bool)
 
 
 def operating_characteristics(
-    calls: Iterable[CloneCall],
-    truth: SimTruth | Mapping[tuple[str, str], bool],
+    calls: CallTable | Iterable[CloneCall],
+    truth: SimTruth | Mapping[tuple[str, str], bool] | np.ndarray,
     threshold: float,
 ) -> OperatingCharacteristics:
-    """Confusion-matrix rates of the calls against ground-truth labels."""
-    labels = truth.labels if isinstance(truth, SimTruth) else truth
-    tp = fp = tn = fn = 0
-    for call in calls:
-        if call.key not in labels:
-            raise ValidationError(f"truth does not cover clone {call.key}")
-        actual = bool(labels[call.key])
-        predicted = call.call is Call.DYNAMIC
-        if predicted and actual:
-            tp += 1
-        elif predicted and not actual:
-            fp += 1
-        elif not predicted and actual:
-            fn += 1
-        else:
-            tn += 1
+    """Confusion-matrix rates of the calls against ground-truth labels, given
+    as a mapping from clone key or as an array of booleans in call order."""
+    calls = as_calls(calls)
+    if isinstance(truth, np.ndarray):
+        actual = truth.astype(bool)
+        if actual.shape != (len(calls),):
+            raise ValidationError(f"expected {len(calls)} truth labels, got {actual.shape}")
+    else:
+        actual = truth_of(calls, truth)
+    predicted = calls.dynamic
+    tp = int(np.count_nonzero(predicted & actual))
+    fp = int(np.count_nonzero(predicted & ~actual))
+    fn = int(np.count_nonzero(~predicted & actual))
+    tn = len(calls) - tp - fp - fn
     sensitivity = tp / (tp + fn) if tp + fn > 0 else math.nan
     specificity = tn / (tn + fp) if tn + fp > 0 else math.nan
     return OperatingCharacteristics(threshold, tp, fp, tn, fn, sensitivity, specificity)
 
 
-def dynamic_counts_per_person(calls: Iterable[CloneCall]) -> dict[str, PersonCounts]:
+def _codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values in sorted order and each value's position among them."""
+    if values.size and np.all(values[1:] >= values[:-1]):
+        new = np.concatenate([[True], values[1:] != values[:-1]])
+        return values[new], np.cumsum(new) - 1
+    return np.unique(values, return_inverse=True)
+
+
+def dynamic_counts_per_person(calls: CallTable | Iterable[CloneCall]) -> dict[str, PersonCounts]:
     """Per-person totals of dynamic, expanding and contracting calls."""
-    tallies: dict[str, list[int]] = {}
-    for call in calls:
-        row = tallies.setdefault(call.person_id, [0, 0, 0])
-        if call.call is Call.DYNAMIC:
-            row[0] += 1
-            if call.direction is Direction.EXPANDING:
-                row[1] += 1
-            elif call.direction is Direction.CONTRACTING:
-                row[2] += 1
+    calls = as_calls(calls)
+    persons, person = _codes(calls.person_id)
+    dynamic = calls.dynamic
+    tallies = (
+        np.bincount(person[mask], minlength=persons.size).tolist()
+        for mask in (
+            dynamic,
+            dynamic & (calls.direction == EXPANDING),
+            dynamic & (calls.direction == CONTRACTING),
+        )
+    )
     return {
-        person: PersonCounts(n_dynamic=row[0], n_expanding=row[1], n_contracting=row[2])
-        for person, row in sorted(tallies.items())
+        p: PersonCounts(n_dynamic=d, n_expanding=e, n_contracting=c)
+        for p, d, e, c in zip(persons.tolist(), *tallies)
     }
 
 

@@ -15,7 +15,7 @@ per failure class:
 from __future__ import annotations
 
 import argparse
-import math
+import itertools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,20 +24,32 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .classify import (
+    CONTRACTING,
+    EXPANDING,
+    NOT_APPLICABLE,
     Call,
+    CallTable,
     CloneCall,
     Direction,
+    as_calls,
     associate,
     classify,
     dynamic_counts_per_person,
     operating_characteristics,
+    truth_of,
 )
 from .cohort import (
+    _float_values,
+    _int_values,
+    _key_columns,
     _parse_int,
-    _read_rows,
+    _read_columns,
+    _repeats,
     atomic_write_text,
     filter_clones,
     format_float,
+    format_floats,
+    format_ints,
     ingest,
     offsets_from_series,
     read_strata,
@@ -183,8 +195,8 @@ def write_responsibilities(path: str | Path, result: FitResult) -> None:
         zip(
             cohort.person_id.tolist(),
             cohort.clone_id.tolist(),
-            map(str, cohort.n_times.tolist()),
-            map(format_float, result.prob_dynamic.tolist()),
+            format_ints(cohort.n_times),
+            format_floats(result.prob_dynamic),
         ),
     )
 
@@ -203,38 +215,44 @@ class Responsibilities:
 
 
 def read_responsibilities(path: str | Path) -> Responsibilities:
-    keys: dict[tuple[str, str], None] = {}
-    n_times: list[int] = []
-    prob: list[float] = []
-    for (person, clone, n, value), lineno in _read_rows(path, RESPONSIBILITIES_COLUMNS):
-        if (person, clone) in keys:
-            raise ParseError(f"duplicate clone {(person, clone)}", lineno)
-        keys[(person, clone)] = None
+    """responsibilities.tsv: one row per clone, n_times an integer >= 1 and
+    prob_dynamic in [0, 1]."""
+    cols, lines = _read_columns(path, RESPONSIBILITIES_COLUMNS)
+    person, clone = _key_columns(cols)
+    n_times, bad_n = _int_values(cols[2], minimum=1)
+    prob = _float_values(cols[3])
+    repeated = _repeats(person, clone)
+    failing = np.flatnonzero(repeated | bad_n | ~((prob >= 0.0) & (prob <= 1.0)))
+    if failing.size:
+        i = failing[0]
+        line, value = int(lines[i]), cols[3][i]
+        if repeated[i]:
+            raise ParseError(f"duplicate clone {(person[i], clone[i])}", line)
         try:
-            prob.append(float(value))
+            float(value)
         except ValueError:
-            raise ParseError(f"prob_dynamic is not a number: {value!r}", lineno) from None
-        n_times.append(_parse_int(n, "n_times", lineno, minimum=1))
-        if not (math.isfinite(prob[-1]) and 0.0 <= prob[-1] <= 1.0):
-            raise ParseError(f"prob_dynamic must lie in [0, 1], got {value!r}", lineno)
-    return Responsibilities(
-        np.array([p for p, _ in keys], dtype=object),
-        np.array([c for _, c in keys], dtype=object),
-        np.array(n_times, dtype=np.int64),
-        np.array(prob, dtype=np.float64),
-    )
+            raise ParseError(f"prob_dynamic is not a number: {value!r}", line) from None
+        _parse_int(cols[2][i], "n_times", line, minimum=1)
+        raise ParseError(f"prob_dynamic must lie in [0, 1], got {value!r}", line)
+    return Responsibilities(person, clone, n_times, prob)
 
 
 def align_responsibilities(table: Responsibilities, cohort: PackedCohort) -> np.ndarray:
     """prob_dynamic of each clone of a canonical cohort, after checking that the
     table has exactly the cohort's clones with the cohort's n_times."""
-    order = np.lexsort((table.clone_id, table.person_id))
-    person, clone = table.person_id[order], table.clone_id[order]
-    if not (np.array_equal(person, cohort.person_id) and np.array_equal(clone, cohort.clone_id)):
-        mismatched = set(zip(person.tolist(), clone.tolist())) ^ set(cohort.keys)
-        raise ValidationError(
-            f"responsibilities and series keys do not align ({len(mismatched)} mismatched)"
-        )
+
+    def aligned(person, clone):
+        return np.array_equal(person, cohort.person_id) and np.array_equal(clone, cohort.clone_id)
+
+    order = slice(None)  # fit writes the clones in canonical order
+    if not aligned(table.person_id, table.clone_id):
+        order = np.lexsort((table.clone_id, table.person_id))
+        person, clone = table.person_id[order], table.clone_id[order]
+        if not aligned(person, clone):
+            mismatched = set(zip(person.tolist(), clone.tolist())) ^ set(cohort.keys)
+            raise ValidationError(
+                f"responsibilities and series keys do not align ({len(mismatched)} mismatched)"
+            )
     n_times = table.n_times[order]
     differ = np.flatnonzero(n_times != cohort.n_times)
     if differ.size:
@@ -299,70 +317,91 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def write_calls(path: str | Path, calls: Sequence[CloneCall]) -> None:
+def write_calls(path: str | Path, calls: CallTable | Sequence[CloneCall]) -> None:
+    calls = as_calls(calls)
     write_table(
         path,
         CALLS_COLUMNS,
-        (
-            (c.person_id, c.clone_id, format_float(c.prob_dynamic), c.call.value, c.direction.value)
-            for c in calls
+        zip(
+            calls.person_id.tolist(),
+            calls.clone_id.tolist(),
+            format_floats(calls.prob_dynamic),
+            calls.call_text().tolist(),
+            calls.direction_text().tolist(),
         ),
     )
 
 
-# the (call, direction) pairs classify writes
+# the (call, direction) pairs classify writes, each with its direction code
 CALL_KINDS = {
-    (call.value, direction.value): (call, direction)
-    for call, direction in (
-        (Call.DYNAMIC, Direction.EXPANDING),
-        (Call.DYNAMIC, Direction.CONTRACTING),
-        (Call.STATIC, Direction.NOT_APPLICABLE),
-    )
+    (Call.DYNAMIC.value, Direction.EXPANDING.value): EXPANDING,
+    (Call.DYNAMIC.value, Direction.CONTRACTING.value): CONTRACTING,
+    (Call.STATIC.value, Direction.NOT_APPLICABLE.value): NOT_APPLICABLE,
 }
 
 
-def read_calls(path: str | Path) -> list[CloneCall]:
+def read_calls(path: str | Path) -> CallTable:
     """calls.tsv as classify writes it: one row per clone, a prob_dynamic in
     [0, 1], a direction on every dynamic call and none on a static one."""
-    calls = []
-    keys = set()
-    for (person, clone, prob, call, direction), lineno in _read_rows(path, CALLS_COLUMNS):
-        if (person, clone) in keys:
-            raise ParseError(f"duplicate clone {(person, clone)}", lineno)
-        keys.add((person, clone))
-        kind = CALL_KINDS.get((call, direction))
-        if kind is None:
+    cols, lines = _read_columns(path, CALLS_COLUMNS)
+    person, clone = _key_columns(cols)
+    prob = _float_values(cols[2])
+    kinds = map(CALL_KINDS.get, zip(cols[3], cols[4]), itertools.repeat(-1))
+    direction = np.fromiter(kinds, np.int8, lines.size)
+    repeated = _repeats(person, clone)
+    failing = np.flatnonzero(repeated | (direction < 0) | ~((prob >= 0.0) & (prob <= 1.0)))
+    if failing.size:
+        i = failing[0]
+        line, value = int(lines[i]), cols[2][i]
+        if repeated[i]:
+            raise ParseError(f"duplicate clone {(person[i], clone[i])}", line)
+        if direction[i] < 0:
             raise ParseError(
-                f"call {call!r} with direction {direction!r}: expected dynamic with "
+                f"call {cols[3][i]!r} with direction {cols[4][i]!r}: expected dynamic with "
                 "expanding or contracting, or static with na",
-                lineno,
+                line,
             )
         try:
-            value = float(prob)
+            float(value)
         except ValueError:
-            raise ParseError(f"prob_dynamic is not a number: {prob!r}", lineno) from None
-        if not 0.0 <= value <= 1.0:  # also false for nan
-            raise ParseError(f"prob_dynamic must lie in [0, 1], got {prob!r}", lineno)
-        calls.append(CloneCall(person, clone, value, *kind))
-    return calls
+            raise ParseError(f"prob_dynamic is not a number: {value!r}", line) from None
+        raise ParseError(f"prob_dynamic must lie in [0, 1], got {value!r}", line)
+    return CallTable(person, clone, prob, direction != NOT_APPLICABLE, direction)
 
 
-def _proportions(counts: np.ndarray, offsets: np.ndarray) -> list[float]:
+def _proportions(counts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """counts / offsets as Python's int division would round them."""
-    values = (counts / offsets).tolist()
+    values = counts / offsets
     # int64 -> float64 is exact below 2**53, so only larger offsets need int division
     for i in np.flatnonzero(offsets > 2**53).tolist():
         values[i] = int(counts[i]) / int(offsets[i])
     return values
 
 
+def _mean_proportions(cohort: PackedCohort) -> np.ndarray:
+    """Per clone, sum(counts) / sum(offsets) as Python's int division would round it."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # wrapped int64 sums are redone below
+        values = cohort.segment_sums(cohort.counts) / cohort.segment_sums(cohort.offsets)
+    # the int64 sums are exact, and exact in float64, below 2**53 (counts <= offsets);
+    # float sums flag the clones whose offsets may sum to more
+    large = cohort.segment_sums(cohort.offsets.astype(np.float64)) >= 2.0**52
+    for i in np.flatnonzero(large).tolist():
+        span = slice(int(cohort.starts[i]), int(cohort.starts[i] + cohort.n_times[i]))
+        values[i] = sum(cohort.counts[span].tolist()) / sum(cohort.offsets[span].tolist())
+    return values
+
+
+_TRUTH_TEXT = np.array(["0", "1"], dtype=object)
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     opts = _Options(args)
     out = _ensure_output_dir(opts)
     cohort = _load_series(opts)
-    responsibilities = read_responsibilities(opts.get("responsibilities", str, required=True))
+    responsibilities = opts.get("responsibilities", str, required=True)
+    prob_dynamic = align_responsibilities(read_responsibilities(responsibilities), cohort)
     threshold = opts.get("threshold", float, 0.75)
-    calls = classify(align_responsibilities(responsibilities, cohort), cohort, threshold)
+    calls = classify(prob_dynamic, cohort, threshold)
 
     calls_path = out / "calls.tsv"
     write_calls(calls_path, calls)
@@ -379,48 +418,41 @@ def cmd_classify(args: argparse.Namespace) -> int:
     )
 
     truth_path_in = opts.get("truth", str)
-    truth_labels = read_truth_labels(truth_path_in) if truth_path_in else None
-    if truth_labels is None:
+    truth = truth_of(calls, read_truth_labels(truth_path_in)) if truth_path_in else None
+    if truth is None:
         truth_column = ["NA"] * len(calls)
     else:
-        uncovered = [c.key for c in calls if c.key not in truth_labels]
-        if uncovered:
-            raise ValidationError(f"truth does not cover clone {uncovered[0]}")
-        truth_column = [str(int(truth_labels[c.key])) for c in calls]
+        truth_column = _TRUTH_TEXT[truth.astype(np.intp)].tolist()
 
-    persons, clones = cohort.person_id.tolist(), cohort.clone_id.tolist()
-    csum = cohort.segment_sums(cohort.counts).tolist()
-    osum = cohort.segment_sums(cohort.offsets).tolist()
     points_path = out / "membership_points.tsv"
     write_table(
         points_path,
         ("person_id", "clone_id", "mean_proportion", "prob_dynamic", "truth_dynamic"),
         zip(
-            persons,
-            clones,
-            (format_float(float(c) / float(o)) for c, o in zip(csum, osum)),
-            (format_float(c.prob_dynamic) for c in calls),
+            cohort.person_id.tolist(),
+            cohort.clone_id.tolist(),
+            format_floats(_mean_proportions(cohort)),
+            format_floats(calls.prob_dynamic),
             truth_column,
         ),
     )
 
     traj_path = out / "trajectories.tsv"
-    call_values = np.array([c.call.value for c in calls])
     write_table(
         traj_path,
         ("person_id", "clone_id", "time_index", "proportion", "call"),
         zip(
             np.repeat(cohort.person_id, cohort.n_times).tolist(),
             np.repeat(cohort.clone_id, cohort.n_times).tolist(),
-            map(str, cohort.times.tolist()),
-            map(format_float, _proportions(cohort.counts, cohort.offsets)),
-            np.repeat(call_values, cohort.n_times).tolist(),
+            format_ints(cohort.times),
+            format_floats(_proportions(cohort.counts, cohort.offsets)),
+            np.repeat(calls.call_text(), cohort.n_times).tolist(),
         ),
     )
 
     outputs = [calls_path, person_path, points_path, traj_path]
-    if truth_labels is not None:
-        oc = operating_characteristics(calls, truth_labels, threshold)
+    if truth is not None:
+        oc = operating_characteristics(calls, truth, threshold)
         oc_path = out / "operating_characteristics.txt"
         write_keyvalues(
             oc_path,

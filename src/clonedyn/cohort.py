@@ -23,6 +23,7 @@ import csv
 import io
 import itertools
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -171,13 +172,14 @@ def _read_blocks(
         raise ValidationError(f"{path}: no data rows")
 
 
-def _read_rows(path: str | Path, columns: Sequence[str]) -> list[tuple[tuple[str, ...], int]]:
-    """Every data record with its line number; for small sidecar tables."""
-    return [
-        (fields, line)
-        for cols, lines in _read_blocks(path, columns)
-        for fields, line in zip(zip(*cols), lines.tolist())
-    ]
+def _read_columns(path: str | Path, columns: Sequence[str]) -> tuple[list[list[str]], np.ndarray]:
+    """Every data record of a TSV with a header, as one list of fields per
+    column, and the records' line numbers."""
+    blocks = list(_read_blocks(path, columns))
+    return (
+        [list(itertools.chain.from_iterable(b[0][j] for b in blocks)) for j in range(len(columns))],
+        np.concatenate([b[1] for b in blocks]),
+    )
 
 
 def _parse_int(value: str, what: str, lineno: int, minimum: int = 0) -> int:
@@ -214,6 +216,53 @@ def _first_bad_record(cols, lines: np.ndarray, checks) -> tuple[int, ParseError]
     raise AssertionError("no record fails the checks")  # pragma: no cover
 
 
+def _int_values(values: Sequence[str], minimum: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """int64 of every value, and a mask of the values that are not integers in
+    [minimum, INT64_MAX] (0 there)."""
+    try:
+        parsed = _int_column(values, minimum)
+        return parsed, np.zeros(parsed.size, dtype=bool)
+    except ValueError:
+        parsed = np.zeros(len(values), dtype=np.int64)
+        bad = np.zeros(len(values), dtype=bool)
+        for i, value in enumerate(values):
+            try:
+                parsed[i] = _parse_int(value, "", 0, minimum)
+            except ParseError:
+                bad[i] = True
+        return parsed, bad
+
+
+def _float_values(values: Sequence[str]) -> np.ndarray:
+    """float() of every value; nan where float() fails."""
+    try:
+        return np.fromiter(map(float, values), np.float64, len(values))
+    except ValueError:
+        parsed = np.full(len(values), np.nan)
+        for i, value in enumerate(values):
+            try:
+                parsed[i] = float(value)
+            except ValueError:
+                pass
+        return parsed
+
+
+def _repeats(person: np.ndarray, clone: np.ndarray) -> np.ndarray:
+    """Mask of the records whose (person, clone) key an earlier record has."""
+    p, c = person, clone
+    if np.all((p[1:] > p[:-1]) | ((p[1:] == p[:-1]) & (c[1:] > c[:-1]))):
+        return np.zeros(p.size, dtype=bool)  # strictly increasing, as fit and classify write
+    # setdefault gives each record the position of its key's first record
+    first: dict[tuple[str, str], int] = {}
+    positions = map(first.setdefault, zip(p.tolist(), c.tolist()), range(p.size))
+    return np.fromiter(positions, np.int64, p.size) != np.arange(p.size)
+
+
+def _key_columns(cols: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """The person_id and clone_id columns (the first two) as object arrays."""
+    return np.array(cols[0], dtype=object), np.array(cols[1], dtype=object)
+
+
 def _segment_sums(values: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-segment int64 sums of non-negative values, saturated at INT64_MAX, and
     a mask of the segments whose exact sum does not fit in int64."""
@@ -229,7 +278,8 @@ def _segment_sums(values: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, n
 
 def read_strata(path: str | Path) -> dict[str, int]:
     strata: dict[str, int] = {}
-    for (person, stratum), lineno in _read_rows(path, STRATA_COLUMNS):
+    cols, lines = _read_columns(path, STRATA_COLUMNS)
+    for person, stratum, lineno in zip(*cols, lines.tolist()):
         value = _parse_int(stratum, "stratum", lineno)
         if value not in (0, 1):
             raise ParseError(f"stratum must be 0 or 1, got {value}", lineno)
@@ -241,7 +291,8 @@ def read_strata(path: str | Path) -> dict[str, int]:
 
 def read_offsets(path: str | Path) -> dict[tuple[str, int], int]:
     offsets: dict[tuple[str, int], int] = {}
-    for (person, time, total), lineno in _read_rows(path, OFFSETS_COLUMNS):
+    cols, lines = _read_columns(path, OFFSETS_COLUMNS)
+    for person, time, total, lineno in zip(*cols, lines.tolist()):
         key = (person, _parse_int(time, "time_index", lineno))
         if key in offsets:
             raise ParseError(f"duplicate person-time {key}", lineno)
@@ -250,13 +301,20 @@ def read_offsets(path: str | Path) -> dict[tuple[str, int], int]:
 
 
 def read_truth_labels(path: str | Path) -> dict[tuple[str, str], bool]:
-    labels: dict[tuple[str, str], bool] = {}
-    for (person, clone, dynamic), lineno in _read_rows(path, TRUTH_COLUMNS):
-        key = (person, clone)
-        if key in labels:
-            raise ParseError(f"duplicate clone {key}", lineno)
-        labels[key] = bool(_parse_int(dynamic, "dynamic", lineno))
-    return labels
+    """truth.tsv: one row per clone, dynamic 0 or 1."""
+    cols, lines = _read_columns(path, TRUTH_COLUMNS)
+    person, clone = _key_columns(cols)
+    dynamic, bad = _int_values(cols[2])
+    repeated = _repeats(person, clone)
+    failing = np.flatnonzero(repeated | bad | (dynamic > 1))
+    if failing.size:
+        i = failing[0]
+        line = int(lines[i])
+        if repeated[i]:
+            raise ParseError(f"duplicate clone {(person[i], clone[i])}", line)
+        value = _parse_int(cols[2][i], "dynamic", line)
+        raise ParseError(f"dynamic must be 0 or 1, got {value}", line)
+    return dict(zip(zip(cols[0], cols[1]), (dynamic == 1).tolist()))
 
 
 def _ranked(values: np.ndarray, first: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -443,9 +501,11 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Replace path with text in one rename, creating it as open() would:
-    mode 0o666 less the process umask."""
+@contextmanager
+def _atomic_file(path: str | Path) -> Iterator[io.TextIOBase]:
+    """A text handle on a temporary file that replaces path in one rename when
+    the block completes, created as open() would: mode 0o666 less the process
+    umask."""
     path = Path(path)
     while True:
         tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
@@ -456,17 +516,46 @@ def atomic_write_text(path: str | Path, text: str) -> None:
             continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Replace path with text in one rename."""
+    with _atomic_file(path) as handle:
+        handle.write(text)
+
+
 def write_table(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    lines = ["\t".join(columns)]
-    lines.extend("\t".join(row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Replace path with a header and tab-joined rows, written BLOCK_RECORDS at a
+    time; rows are typically a zip of whole columns of strings."""
+    rows = iter(rows)
+    with _atomic_file(path) as handle:
+        handle.write("\t".join(columns) + "\n")
+        while block := list(itertools.islice(rows, BLOCK_RECORDS)):
+            handle.write("\n".join(map("\t".join, block)) + "\n")
+
+
+def format_floats(values: np.ndarray) -> list[str]:
+    """format_float of every value; each distinct value (bit pattern) is
+    formatted once, which pays where values repeat, as proportions do."""
+    bits, inverse = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True
+    )
+    return _gather(map(repr, bits.view(np.float64).tolist()), inverse)
+
+
+def format_ints(values: np.ndarray) -> list[str]:
+    """str of every integer; each distinct value is formatted once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return _gather(map(str, distinct.tolist()), inverse)
+
+
+def _gather(text: Iterable[str], inverse: np.ndarray) -> list[str]:
+    return np.array(list(text), dtype=object)[inverse].tolist()
 
 
 def _person_ranks(cohort: PackedCohort) -> np.ndarray:
@@ -483,11 +572,11 @@ def write_cohort(
     order = np.lexsort((cohort.times, _person_ranks(cohort)))
     rows = zip(
         np.repeat(cohort.person_id, cohort.n_times)[order].tolist(),
-        cohort.times[order].tolist(),
+        format_ints(cohort.times[order]),
         np.repeat(cohort.clone_id, cohort.n_times)[order].tolist(),
-        cohort.counts[order].tolist(),
+        format_ints(cohort.counts[order]),
     )
-    write_table(path, COHORT_COLUMNS, ((p, str(t), c, str(n)) for p, t, c, n in rows))
+    write_table(path, COHORT_COLUMNS, rows)
 
 
 def write_offsets(path: str | Path, offsets: Mapping[tuple[str, int], int]) -> None:
@@ -521,7 +610,3 @@ def write_truth(path: str | Path, truth: SimTruth) -> None:
         TRUTH_COLUMNS,
         ((p, c, str(int(truth.labels[(p, c)]))) for p, c in sorted(truth.labels)),
     )
-
-
-def write_strata(path: str | Path, strata: Mapping[str, int]) -> None:
-    write_table(path, STRATA_COLUMNS, ((p, str(int(strata[p]))) for p in sorted(strata)))

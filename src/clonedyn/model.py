@@ -15,6 +15,10 @@ batch's distinct values.
 
 Every operation here is a pure function of its arguments and safe to map
 over clones in parallel.
+
+scipy.special is imported inside the few functions that evaluate it, so
+only fitting pays for its import; simulate, classify and summarize use
+this module's cohort types without it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.special import digamma, expit, gammaln
 
 from .errors import ValidationError
 
@@ -239,6 +242,8 @@ class SeriesBatch:
     """
 
     def __init__(self, series: Iterable[CloneSeries] | PackedCohort):
+        from scipy.special import gammaln
+
         cohort = as_packed(series)
         if not len(cohort):
             raise ValidationError("need at least one clone series")
@@ -269,6 +274,8 @@ class SeriesBatch:
         """Per-series static and dynamic marginal log-densities at (alpha, beta)."""
         if not (alpha > 0 and beta > 0):
             raise ValidationError(f"alpha and beta must be positive, got {alpha}, {beta}")
+        from scipy.special import gammaln
+
         log_beta = math.log(beta)
         gl_alpha = float(gammaln(alpha))
 
@@ -302,6 +309,8 @@ class SeriesBatch:
         """
         if not (alpha > 0 and beta > 0):
             raise ValidationError(f"alpha and beta must be positive, got {alpha}, {beta}")
+        from scipy.special import digamma
+
         log_beta = math.log(beta)
         dg_alpha = float(digamma(alpha))
         a_over_b = alpha / beta
@@ -373,6 +382,8 @@ class ExpectedLoglik:
 
     def value_and_grad(self, alpha: float, beta: float) -> tuple[float, float, float]:
         """Q and its partial derivatives in alpha and beta."""
+        from scipy.special import digamma, gammaln
+
         s = self._n_draws
         log_beta = math.log(beta)
         b_o, b_osum = self._o + beta, self._osum + beta
@@ -424,6 +435,8 @@ def stable_responsibility(ls, ld, pi: float):
     posterior is pinned to the prior there (also makes single-timepoint
     series return pi exactly).
     """
+    from scipy.special import expit
+
     delta = np.asarray(ld) - np.asarray(ls)
     log_odds_prior = math.log(pi) - math.log1p(-pi)
     return np.where(delta == 0.0, pi, expit(log_odds_prior + delta))

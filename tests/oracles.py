@@ -356,3 +356,72 @@ def cohort_text_by_sort(series) -> str:
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     header = "person_id\ttime_index\tclone_id\tcount\n"
     return header + "".join(f"{p}\t{t}\t{c}\t{n}\n" for p, t, c, n in rows)
+
+
+def write_strata(path, strata) -> None:
+    """strata.tsv with one row per person, in person order."""
+    lines = ["person_id\tstratum"] + [f"{p}\t{int(strata[p])}" for p in sorted(strata)]
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def read_responsibilities_by_row(path):
+    """(person_id, clone_id, n_times, prob_dynamic) lists of responsibilities.tsv,
+    checked one record at a time."""
+    keys, n_times, prob = {}, [], []
+    for (person, clone, n, value), line in _row_records(path, 4):
+        if (person, clone) in keys:
+            raise RowParseError(f"duplicate clone {(person, clone)}", line)
+        keys[(person, clone)] = None
+        try:
+            prob.append(float(value))
+        except ValueError:
+            raise RowParseError(f"prob_dynamic is not a number: {value!r}", line) from None
+        n_times.append(_row_int(n, "n_times", line, minimum=1))
+        if not (math.isfinite(prob[-1]) and 0.0 <= prob[-1] <= 1.0):
+            raise RowParseError(f"prob_dynamic must lie in [0, 1], got {value!r}", line)
+    return [p for p, _ in keys], [c for _, c in keys], n_times, prob
+
+
+def read_calls_by_row(path):
+    """The CloneCall of each record of calls.tsv, checked one record at a time."""
+    from clonedyn.classify import Call, CloneCall, Direction
+
+    kinds = {
+        ("dynamic", "expanding"): (Call.DYNAMIC, Direction.EXPANDING),
+        ("dynamic", "contracting"): (Call.DYNAMIC, Direction.CONTRACTING),
+        ("static", "na"): (Call.STATIC, Direction.NOT_APPLICABLE),
+    }
+    calls, keys = [], set()
+    for (person, clone, prob, call, direction), line in _row_records(path, 5):
+        if (person, clone) in keys:
+            raise RowParseError(f"duplicate clone {(person, clone)}", line)
+        keys.add((person, clone))
+        kind = kinds.get((call, direction))
+        if kind is None:
+            raise RowParseError(
+                f"call {call!r} with direction {direction!r}: expected dynamic with "
+                "expanding or contracting, or static with na",
+                line,
+            )
+        try:
+            value = float(prob)
+        except ValueError:
+            raise RowParseError(f"prob_dynamic is not a number: {prob!r}", line) from None
+        if not 0.0 <= value <= 1.0:
+            raise RowParseError(f"prob_dynamic must lie in [0, 1], got {prob!r}", line)
+        calls.append(CloneCall(person, clone, value, *kind))
+    return calls
+
+
+def read_truth_labels_by_row(path):
+    """{(person_id, clone_id): dynamic} of truth.tsv, checked one record at a time."""
+    labels = {}
+    for (person, clone, dynamic), line in _row_records(path, 3):
+        if (person, clone) in labels:
+            raise RowParseError(f"duplicate clone {(person, clone)}", line)
+        value = _row_int(dynamic, "dynamic", line)
+        if value not in (0, 1):
+            raise RowParseError(f"dynamic must be 0 or 1, got {value}", line)
+        labels[(person, clone)] = bool(value)
+    return labels

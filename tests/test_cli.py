@@ -323,6 +323,18 @@ class TestRejectedInputs:
         assert self.classify(tmp_path, resp, "--absent-as-zero") == EXIT_VALIDATION
         assert self.classify(tmp_path, resp, "--no-absent-as-zero") == EXIT_OK
 
+    @pytest.mark.parametrize("value", ["7", "2"])
+    def test_truth_dynamic_other_than_0_or_1(self, tmp_path, value, capsys):
+        path = responsibilities_file(
+            tmp_path / "resp.tsv",
+            [("p1", "a", 2, 0.9), ("p1", "b", 2, 0.5), ("p1", "c", 1, 0.5)],
+        )
+        truth = tmp_path / "truth.tsv"
+        truth.write_text(f"person_id\tclone_id\tdynamic\np1\ta\t1\np1\tb\t{value}\np1\tc\t0\n")
+        code = self.classify(tmp_path, path, "--no-absent-as-zero", "--truth", truth)
+        assert code == EXIT_VALIDATION
+        assert f"line 3: dynamic must be 0 or 1, got {value}" in capsys.readouterr().err
+
     def test_truth_that_misses_a_clone(self, tmp_path):
         path = responsibilities_file(
             tmp_path / "resp.tsv",
@@ -332,6 +344,20 @@ class TestRejectedInputs:
         truth.write_text("person_id\tclone_id\tdynamic\np1\ta\t1\np1\tb\t0\n")
         code = self.classify(tmp_path, path, "--no-absent-as-zero", "--truth", truth)
         assert code == EXIT_VALIDATION
+
+
+def test_classify_accepts_responsibilities_in_any_order(tmp_path):
+    cohort = tmp_path / "cohort.tsv"
+    cohort.write_text(COHORT)
+    rows = [("p1", "a", 2, 0.9), ("p1", "b", 2, 0.5), ("p1", "c", 1, 0.8)]
+    outputs = []
+    for name, order in (("sorted", rows), ("shuffled", [rows[2], rows[0], rows[1]])):
+        resp = responsibilities_file(tmp_path / f"{name}.tsv", order)
+        assert run("classify", "--input", cohort, "--responsibilities", resp,
+                   "--min-total-reads", 0, "--no-absent-as-zero",
+                   "--output-dir", tmp_path / name) == EXIT_OK
+        outputs.append(sorted((f.name, f.read_bytes()) for f in (tmp_path / name).iterdir()))
+    assert outputs[0] == outputs[1]
 
 
 CALLS_HEADER = "person_id\tclone_id\tprob_dynamic\tcall\tdirection\n"
@@ -423,3 +449,74 @@ def test_summarize_warns_about_persons_without_calls(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("warning: 2 persons") and "['p5', 'p6']" in err[0]
     per_person = (tmp_path / "sum" / "per_person.tsv").read_text().splitlines()
     assert [row.split("\t")[0] for row in per_person[1:]] == ["p1", "p2", "p3", "p4"]
+
+
+def test_mean_proportion_is_exact_beyond_2_to_the_53(tmp_path):
+    """Offsets of 4e18 overflow int64 when summed over three times; every
+    mean_proportion must still be sum(counts) / sum(offsets), correctly rounded."""
+    big = 4 * 10**18
+    cohort = ["person_id\ttime_index\tclone_id\tcount"]
+    offsets = ["person_id\ttime_index\ttotal_reads"]
+    counts = {}
+    for p in range(4):
+        for t in range(3):
+            offsets.append(f"p{p}\t{t}\t{big}")
+            for c in range(30):
+                n = 1 + (7 * p + 3 * c + 5 * t * (c % 4)) % 40
+                cohort.append(f"p{p}\t{t}\tc{c:02d}\t{n}")
+                counts.setdefault((f"p{p}", f"c{c:02d}"), []).append(n)
+    (tmp_path / "cohort.tsv").write_text("\n".join(cohort) + "\n")
+    (tmp_path / "offsets.tsv").write_text("\n".join(offsets) + "\n")
+    inputs = ("--input", tmp_path / "cohort.tsv", "--offsets", tmp_path / "offsets.tsv",
+              "--min-total-reads", 0)
+    assert run("fit", *inputs, "--output-dir", tmp_path / "fit") == EXIT_OK
+    assert run("classify", *inputs, "--responsibilities", tmp_path / "fit" / "responsibilities.tsv",
+               "--output-dir", tmp_path / "cls") == EXIT_OK
+    rows = (tmp_path / "cls" / "membership_points.tsv").read_text().splitlines()[1:]
+    assert len(rows) == 120
+    for row in rows:
+        person, clone, mean, *_ = row.split("\t")
+        assert float(mean) == sum(counts[(person, clone)]) / (3 * big), row
+
+
+STAGE_IMPORTS = """
+import sys
+from clonedyn.cli import main
+loaded = ["scipy" in sys.modules]
+for argv in sys.argv[1:]:
+    assert main(argv.split("|")) == 0, argv
+    loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+
+
+def scipy_loaded(*stages):
+    """Whether scipy is in sys.modules after importing clonedyn.cli in a fresh
+    interpreter, and after each stage (argv joined by |) run in it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import clonedyn
+
+    env = dict(os.environ, PYTHONPATH=str(Path(clonedyn.__file__).parent.parent))
+    argv = [sys.executable, "-c", STAGE_IMPORTS, *("|".join(map(str, s)) for s in stages)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def test_only_fit_imports_scipy(tmp_path):
+    sim, fit, cls = tmp_path / "sim", tmp_path / "fit", tmp_path / "cls"
+    inputs = ("--input", sim / "cohort.tsv", "--offsets", sim / "offsets.tsv",
+              "--min-total-reads", 0)
+    strata = tmp_path / "strata.tsv"
+    strata.write_text("person_id\tstratum\n" + "".join(f"p{i:03d}\t{i % 2}\n" for i in range(4)))
+    simulate = ("simulate", "--n-clones", 400, "--n-persons", 4, "--seed", 3, "--output-dir", sim)
+    assert scipy_loaded(simulate) == "[False, False]"
+    assert scipy_loaded(("fit", *inputs, "--output-dir", fit)) == "[False, True]"
+    classify_ = ("classify", *inputs, "--responsibilities", fit / "responsibilities.tsv",
+                 "--truth", sim / "truth.tsv", "--output-dir", cls)
+    summarize = ("summarize", "--input", cls / "calls.tsv", "--strata", strata,
+                 "--output-dir", tmp_path / "sum")
+    assert scipy_loaded(classify_, summarize) == "[False, False, False]"

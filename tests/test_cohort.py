@@ -15,10 +15,11 @@ from clonedyn.cohort import (
     read_truth_labels,
     write_cohort,
     write_offsets,
-    write_strata,
     write_table,
     write_truth,
 )
+
+from oracles import write_strata
 
 
 def write(path, text):
