@@ -26,15 +26,7 @@ from .classify import (
     operating_characteristics,
 )
 from .cohort import CohortTable, filter_clones, ingest
-from .em import (
-    FitConfig,
-    FitResult,
-    convergence_stat,
-    e_step,
-    fit_em,
-    m_step,
-    observed_loglik,
-)
+from .em import FitConfig, FitResult, convergence_stat, fit_em, m_step
 from .errors import (
     CloneDynError,
     IdentifiabilityError,
@@ -42,18 +34,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .model import (
-    CloneSeries,
-    Hyperparams,
-    PackedCohort,
-    PosteriorGamma,
-    SeriesBatch,
-    dynamic_log_pmf,
-    log_component_quotient,
-    posterior_gamma_params,
-    responsibility,
-    static_log_pmf,
-)
+from .model import CloneSeries, Hyperparams, PackedCohort, SeriesBatch
 from .simulate import SimConfig, SimTruth, simulate
 
 __all__ = [
@@ -76,7 +57,6 @@ __all__ = [
     "PackedCohort",
     "ParseError",
     "PersonCounts",
-    "PosteriorGamma",
     "SeriesBatch",
     "SimConfig",
     "SimTruth",
@@ -86,18 +66,11 @@ __all__ = [
     "classify",
     "convergence_stat",
     "dynamic_counts_per_person",
-    "dynamic_log_pmf",
-    "e_step",
     "filter_clones",
     "fit_em",
     "ingest",
-    "log_component_quotient",
     "loglinear_rate_ratio",
     "m_step",
-    "observed_loglik",
     "operating_characteristics",
-    "posterior_gamma_params",
-    "responsibility",
     "simulate",
-    "static_log_pmf",
 ]

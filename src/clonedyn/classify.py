@@ -114,17 +114,6 @@ class CallTable:
         self.dynamic = np.asarray(dynamic, dtype=bool)
         self.direction = np.asarray(direction, dtype=np.int8)
 
-    @classmethod
-    def from_calls(cls, calls: Iterable[CloneCall]) -> CallTable:
-        calls = list(calls)
-        return cls(
-            [c.person_id for c in calls],
-            [c.clone_id for c in calls],
-            [c.prob_dynamic for c in calls],
-            [c.call is Call.DYNAMIC for c in calls],
-            [DIRECTIONS.index(c.direction) for c in calls],
-        )
-
     def __len__(self) -> int:
         return int(self.person_id.size)
 
@@ -152,10 +141,6 @@ class CallTable:
     def direction_text(self) -> np.ndarray:
         """Each call's Direction value, as an object array."""
         return _DIRECTION_TEXT[self.direction]
-
-
-def as_calls(calls: CallTable | Iterable[CloneCall]) -> CallTable:
-    return calls if isinstance(calls, CallTable) else CallTable.from_calls(calls)
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -243,13 +228,11 @@ def classify(
     return CallTable(cohort.person_id, cohort.clone_id, probs, dynamic, direction)
 
 
-def truth_of(
-    calls: CallTable | Iterable[CloneCall], truth: SimTruth | Mapping[tuple[str, str], bool]
-) -> np.ndarray:
+def truth_of(calls: CallTable, truth: SimTruth | Mapping[tuple[str, str], bool]) -> np.ndarray:
     """Each call's true label, in call order; ValidationError when truth
     misses a clone."""
     labels = truth.labels if isinstance(truth, SimTruth) else truth
-    keys = as_calls(calls).keys
+    keys = calls.keys
     found = list(map(labels.get, keys))
     if None in found:
         raise ValidationError(f"truth does not cover clone {keys[found.index(None)]}")
@@ -257,13 +240,12 @@ def truth_of(
 
 
 def operating_characteristics(
-    calls: CallTable | Iterable[CloneCall],
+    calls: CallTable,
     truth: SimTruth | Mapping[tuple[str, str], bool] | np.ndarray,
     threshold: float,
 ) -> OperatingCharacteristics:
     """Confusion-matrix rates of the calls against ground-truth labels, given
     as a mapping from clone key or as an array of booleans in call order."""
-    calls = as_calls(calls)
     if isinstance(truth, np.ndarray):
         actual = truth.astype(bool)
         if actual.shape != (len(calls),):
@@ -288,9 +270,8 @@ def _codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(values, return_inverse=True)
 
 
-def dynamic_counts_per_person(calls: CallTable | Iterable[CloneCall]) -> dict[str, PersonCounts]:
+def dynamic_counts_per_person(calls: CallTable) -> dict[str, PersonCounts]:
     """Per-person totals of dynamic, expanding and contracting calls."""
-    calls = as_calls(calls)
     persons, person = _codes(calls.person_id)
     dynamic = calls.dynamic
     tallies = (

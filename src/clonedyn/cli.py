@@ -17,9 +17,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,9 +29,7 @@ from .classify import (
     NOT_APPLICABLE,
     Call,
     CallTable,
-    CloneCall,
     Direction,
-    as_calls,
     associate,
     classify,
     dynamic_counts_per_person,
@@ -79,18 +77,30 @@ RESPONSIBILITIES_COLUMNS = ("person_id", "clone_id", "n_times", "prob_dynamic")
 CALLS_COLUMNS = ("person_id", "clone_id", "prob_dynamic", "call", "direction")
 
 
-def read_keyvalues(path: str | Path) -> dict[str, str]:
-    """Flat `key = value` document; # comments and blank lines allowed."""
+def read_keyvalues(path: str | Path, keys: Collection[str] | None = None) -> dict[str, str]:
+    """Flat `key = value` document; # comments and blank lines allowed.
+
+    A repeated key is a ParseError, and so is, when keys are given, a key
+    outside them.
+    """
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}: expected 'key = value'", lineno)
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ParseError(f"{path}: expected 'key = value'", lineno)
+                key, _, value = line.partition("=")
+                key = key.strip()
+                if key in values:
+                    raise ParseError(f"{path}: key {key!r} repeats an earlier line", lineno)
+                if keys is not None and key not in keys:
+                    raise ParseError(f"{path}: no subcommand takes the key {key!r}", lineno)
+                values[key] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return values
 
 
@@ -121,7 +131,7 @@ class _Options:
 
     def __init__(self, args: argparse.Namespace):
         self._args = args
-        self._config = read_keyvalues(args.config) if getattr(args, "config", None) else {}
+        self._config = read_keyvalues(args.config, args.config_keys) if args.config else {}
 
     def get(self, name: str, cast, default=None, required: bool = False):
         flag_value = getattr(self._args, name, None)
@@ -136,6 +146,12 @@ class _Options:
         if required:
             raise ValidationError(f"missing required option {name!r} (flag or config)")
         return default
+
+    def build(self, cls):
+        """The dataclass cls with each field a flag or the config sets; every
+        other field keeps the default cls declares."""
+        given = {f.name: self.get(f.name, type(f.default)) for f in fields(cls)}
+        return cls(**{name: value for name, value in given.items() if value is not None})
 
 
 def _ensure_output_dir(opts: _Options) -> Path:
@@ -165,17 +181,7 @@ def _load_series(opts: _Options) -> PackedCohort:
 def cmd_simulate(args: argparse.Namespace) -> int:
     opts = _Options(args)
     out = _ensure_output_dir(opts)
-    cfg = SimConfig(
-        n_clones=opts.get("n_clones", int, 60_000),
-        alpha=opts.get("alpha", float, 1.0),
-        beta=opts.get("beta", float, 100.0),
-        pi=opts.get("pi", float, 0.2),
-        n_followups=opts.get("n_followups", int, 3),
-        offset_mean=opts.get("offset_mean", float, SimConfig.offset_mean),
-        missing_rate=opts.get("missing_rate", float, 0.0),
-        n_persons=opts.get("n_persons", int, 100),
-        seed=opts.get("seed", int, 0),
-    )
+    cfg = opts.build(SimConfig)
     cohort, truth = simulate(cfg)
     cohort_path = out / "cohort.tsv"
     offsets_path = out / "offsets.tsv"
@@ -269,13 +275,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     opts = _Options(args)
     out = _ensure_output_dir(opts)
     series = _load_series(opts)
-    cfg = FitConfig(
-        epsilon=opts.get("epsilon", float, 1e-8),
-        max_em_iters=opts.get("max_em_iters", int, 500),
-        inner_opt_tol=opts.get("inner_opt_tol", float, 1e-8),
-        inner_opt_max_iters=opts.get("inner_opt_max_iters", int, 200),
-        seed=opts.get("seed", int, 0),
-    )
+    cfg = opts.build(FitConfig)
     result = fit_em(series, cfg)
     if not result.converged:
         msq = float(result.msq_change_trace[-1])
@@ -317,8 +317,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def write_calls(path: str | Path, calls: CallTable | Sequence[CloneCall]) -> None:
-    calls = as_calls(calls)
+def write_calls(path: str | Path, calls: CallTable) -> None:
     write_table(
         path,
         CALLS_COLUMNS,
@@ -606,6 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--cutoff-direction", type=int, dest="cutoff_direction")
     p_sum.set_defaults(func=cmd_summarize)
 
+    # a config file may hold any subcommand's options, so fit and classify can share one
+    subcommands = (p_sim, p_fit, p_cls, p_sum)
+    keys = set().union(*(vars(p.parse_args([])) for p in subcommands)) - {"config", "func"}
+    parser.set_defaults(config_keys=frozenset(keys))
     return parser
 
 

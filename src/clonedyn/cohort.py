@@ -25,7 +25,6 @@ import itertools
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
@@ -86,12 +85,6 @@ class CohortTable:
     @property
     def rows(self) -> CohortRows:
         return CohortRows(self.observed)
-
-    @cached_property
-    def offsets(self) -> dict[tuple[str, int], int]:
-        """Total reads per (person_id, time_index), built on first use."""
-        keys = zip(self.pt_person.tolist(), self.pt_time.tolist())
-        return dict(zip(keys, self.pt_total.tolist()))
 
 
 def _columns(records: list[list[str]], lines: np.ndarray, width: int, path: Path):
@@ -159,15 +152,17 @@ def _read_blocks(
     any_rows = False
     with open(path, encoding="utf-8", newline="") as handle:
         try:
-            header = next(csv.reader(handle, delimiter="\t"))
-        except StopIteration:
-            raise ValidationError(f"{path}: file is empty") from None
-        if header != list(columns):
-            raise ParseError(f"{path}: expected header {list(columns)}, got {header}", line=1)
-        for block in _blocks(handle, len(columns), path):
-            if len(block[1]):
-                any_rows = True
-                yield block
+            header = next(csv.reader(handle, delimiter="\t"), None)
+            if header is None:
+                raise ValidationError(f"{path}: file is empty")
+            if header != list(columns):
+                raise ParseError(f"{path}: expected header {list(columns)}, got {header}", line=1)
+            for block in _blocks(handle, len(columns), path):
+                if len(block[1]):
+                    any_rows = True
+                    yield block
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not any_rows:
         raise ValidationError(f"{path}: no data rows")
 

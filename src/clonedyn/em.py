@@ -79,38 +79,15 @@ class FitResult:
         return dict(zip(self.cohort.keys, self.prob_dynamic.tolist()))
 
 
-Clones = Iterable[CloneSeries] | PackedCohort
-
-
-def _as_batch(clones: Clones | SeriesBatch) -> SeriesBatch:
-    if isinstance(clones, SeriesBatch):
-        return clones
-    return SeriesBatch(as_packed(clones).sorted())
-
-
 def _mixture_loglik(ls: np.ndarray, ld: np.ndarray, pi: float) -> float:
-    per_clone = np.logaddexp(math.log(pi) + ld, math.log1p(-pi) + ls)
-    return math.fsum(per_clone.tolist())
-
-
-def observed_loglik(clones: Clones | SeriesBatch, hp: Hyperparams) -> float:
     """Total log-likelihood of the two-component mixture over all clones.
 
     Each clone contributes log(pi * exp(ld) + (1 - pi) * exp(ls)) via
     log-sum-exp; the clone total is accumulated with exact compensated
     summation, so it does not depend on clone order.
     """
-    batch = _as_batch(clones)
-    ls, ld = batch.log_pmfs(hp.alpha, hp.beta)
-    return _mixture_loglik(ls, ld, hp.pi)
-
-
-def e_step(clones: Clones | SeriesBatch, hp: Hyperparams) -> np.ndarray:
-    """Responsibilities for every clone, ordered by (person_id, clone_id).
-
-    A pre-built SeriesBatch is evaluated in its own order.
-    """
-    return _as_batch(clones).responsibilities(hp)
+    per_clone = np.logaddexp(math.log(pi) + ld, math.log1p(-pi) + ls)
+    return math.fsum(per_clone.tolist())
 
 
 def convergence_stat(r_prev, r_next) -> float:
@@ -123,22 +100,20 @@ def convergence_stat(r_prev, r_next) -> float:
 
 
 def m_step(
-    clones: Clones | SeriesBatch,
+    batch: SeriesBatch,
     responsibilities,
     hp_current: Hyperparams,
     cfg: FitConfig,
 ) -> Hyperparams:
     """One maximization step of the expected complete-data log-likelihood.
 
-    responsibilities must align with the clones in canonical
-    (person_id, clone_id) order (or the batch's own order).  The mixing
+    responsibilities must align with the batch's clones.  The mixing
     weight update is the responsibility mean, clamped away from 0 and 1;
     (alpha, beta) are maximized by BFGS in log coordinates with the
     current values as the warm start, on the histogram form of
     ExpectedLoglik.  Never returns hyperparameters with a lower expected
     complete-data value than hp_current.
     """
-    batch = _as_batch(clones)
     r = np.asarray(responsibilities, dtype=np.float64)
     if r.shape != (batch.n,):
         raise ValidationError(f"expected {batch.n} responsibilities, got shape {r.shape}")
@@ -184,7 +159,7 @@ def _moment_start(batch: SeriesBatch, pi: float) -> Hyperparams:
     return Hyperparams(alpha0, beta0, pi)
 
 
-def fit_em(clones: Clones, cfg: FitConfig) -> FitResult:
+def fit_em(clones: Iterable[CloneSeries] | PackedCohort, cfg: FitConfig) -> FitResult:
     """Fit (alpha, beta, pi) and per-clone responsibilities by EM.
 
     Initialization draws a hard 50/50 component label per clone from the

@@ -107,14 +107,6 @@ class Hyperparams:
             raise ValidationError(f"pi must lie strictly inside (0, 1), got {self.pi}")
 
 
-@dataclass(frozen=True)
-class PosteriorGamma:
-    """Conjugate posterior over a clone's shared proportion."""
-
-    alpha_post: float
-    beta_post: float
-
-
 def _log_per_value(values: np.ndarray) -> np.ndarray:
     # libm log once per distinct value; keeps results identical no matter
     # how many series are packed together (array-level np.log may take a
@@ -271,7 +263,18 @@ class SeriesBatch:
         self._sum_c_log_o = self._segment_sum(np.where(flat_c > 0.0, flat_c * log_o, 0.0))
 
     def log_pmfs(self, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-series static and dynamic marginal log-densities at (alpha, beta)."""
+        """Per-series static and dynamic marginal log-densities at (alpha, beta).
+
+        With S_C and S_O a series' count and offset sums, the static
+        log-density (a negative multinomial) is
+
+            lgamma(S_C + alpha) - lgamma(alpha) - sum_k lgamma(c_k + 1)
+            + alpha * (log beta - log(beta + S_O))
+            + sum_k c_k * log(o_k) - S_C * log(beta + S_O)
+
+        and the dynamic one (a product of negative binomials) is the sum of
+        that expression over the observations, each taken alone.
+        """
         if not (alpha > 0 and beta > 0):
             raise ValidationError(f"alpha and beta must be positive, got {alpha}, {beta}")
         from scipy.special import gammaln
@@ -330,10 +333,6 @@ class SeriesBatch:
         )
         dld_db = self.t * a_over_b - self._segment_sum((self._flat_c + alpha) / b_o[self._inv_o])
         return dls_da, dls_db, dld_da, dld_db
-
-    def responsibilities(self, hp: Hyperparams) -> np.ndarray:
-        ls, ld = self.log_pmfs(hp.alpha, hp.beta)
-        return stable_responsibility(ls, ld, hp.pi)
 
 
 def _dot(w: np.ndarray, x: np.ndarray) -> float:
@@ -429,7 +428,8 @@ class ExpectedLoglik:
 
 
 def stable_responsibility(ls, ld, pi: float):
-    """P(dynamic) from the two log-densities via a logistic of the log-odds.
+    """P(dynamic) from the two log-densities via a logistic of the prior
+    log-odds plus ld - ls, never by exponentiating either density.
 
     Exactly equal component densities carry no information, so the
     posterior is pinned to the prior there (also makes single-timepoint
@@ -440,57 +440,3 @@ def stable_responsibility(ls, ld, pi: float):
     delta = np.asarray(ld) - np.asarray(ls)
     log_odds_prior = math.log(pi) - math.log1p(-pi)
     return np.where(delta == 0.0, pi, expit(log_odds_prior + delta))
-
-
-def _single(series: CloneSeries) -> SeriesBatch:
-    return SeriesBatch([series])
-
-
-def static_log_pmf(series: CloneSeries, hp: Hyperparams) -> float:
-    """Log marginal density of the series under a single shared proportion.
-
-    This is the negative multinomial form: with S_C = sum of counts and
-    S_O = sum of offsets,
-
-        lgamma(S_C + alpha) - lgamma(alpha) - sum_k lgamma(c_k + 1)
-        + alpha * (log beta - log(beta + S_O))
-        + sum_k c_k * log(o_k) - S_C * log(beta + S_O)
-    """
-    ls, _ = _single(series).log_pmfs(hp.alpha, hp.beta)
-    return float(ls[0])
-
-
-def dynamic_log_pmf(series: CloneSeries, hp: Hyperparams) -> float:
-    """Log marginal density under an independent proportion per time point
-    (a sum of negative binomial log-pmfs, one per observation)."""
-    _, ld = _single(series).log_pmfs(hp.alpha, hp.beta)
-    return float(ld[0])
-
-
-def log_component_quotient(series: CloneSeries, hp: Hyperparams) -> float:
-    """static_log_pmf minus dynamic_log_pmf; higher favors static behavior.
-
-    Computed from the two marginal evaluations directly; there is no
-    separate algebraic path.
-    """
-    ls, ld = _single(series).log_pmfs(hp.alpha, hp.beta)
-    return float(ls[0] - ld[0])
-
-
-def posterior_gamma_params(series: CloneSeries, hp: Hyperparams) -> PosteriorGamma:
-    """Conjugate update of the shared-proportion Gamma: shape + sum(counts),
-    rate + sum(offsets)."""
-    return PosteriorGamma(
-        alpha_post=float(np.sum(series.counts)) + hp.alpha,
-        beta_post=float(np.sum(series.offsets)) + hp.beta,
-    )
-
-
-def responsibility(series: CloneSeries, hp: Hyperparams) -> float:
-    """Posterior probability that the clone is dynamic given the data.
-
-    Evaluated as a numerically stable logistic of the prior log-odds plus
-    the dynamic-minus-static log-density difference; never by
-    exponentiating the two densities separately.
-    """
-    return float(_single(series).responsibilities(hp)[0])

@@ -48,9 +48,8 @@ def _rate_free_terms(counts, offsets, alpha: float, beta: float) -> float:
     return k
 
 
-def _log_moment_integral(a_tot: float, b_tot: float, order: int = 0) -> float:
-    """log of integral exp((a_tot + order)*u - b_tot*exp(u)) du over the real line."""
-    a = a_tot + order
+def _log_integral(a: float, b_tot: float) -> float:
+    """log of integral exp(a*u - b_tot*exp(u)) du over the real line."""
     u_star = math.log(a / b_tot)
 
     def g(u: float) -> float:
@@ -72,7 +71,7 @@ def log_shared_rate_marginal(counts, offsets, alpha: float, beta: float) -> floa
     """log integral of prod_k Poisson(c_k; rate*o_k) * Gamma(rate; alpha, beta) d rate."""
     a_tot = float(sum(counts)) + alpha
     b_tot = float(sum(offsets)) + beta
-    return _log_moment_integral(a_tot, b_tot) + _rate_free_terms(counts, offsets, alpha, beta)
+    return _log_integral(a_tot, b_tot) + _rate_free_terms(counts, offsets, alpha, beta)
 
 
 def log_per_time_marginal(counts, offsets, alpha: float, beta: float) -> float:
@@ -80,13 +79,6 @@ def log_per_time_marginal(counts, offsets, alpha: float, beta: float) -> float:
     return math.fsum(
         log_shared_rate_marginal([c], [o], alpha, beta) for c, o in zip(counts, offsets)
     )
-
-
-def posterior_rate_mean(counts, offsets, alpha: float, beta: float) -> float:
-    """Posterior mean of the shared rate, as a ratio of quadrature moments."""
-    a_tot = float(sum(counts)) + alpha
-    b_tot = float(sum(offsets)) + beta
-    return math.exp(_log_moment_integral(a_tot, b_tot, order=1) - _log_moment_integral(a_tot, b_tot))
 
 
 def mp_log_shared_rate_marginal(counts, offsets, alpha, beta, dps: int = 40) -> mp.mpf:

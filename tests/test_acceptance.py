@@ -22,14 +22,12 @@ from clonedyn import (
     chi_square_dichotomized,
     classify,
     dynamic_counts_per_person,
-    dynamic_log_pmf,
     fit_em,
     loglinear_rate_ratio,
     operating_characteristics,
-    responsibility,
     simulate,
-    static_log_pmf,
 )
+from clonedyn.model import stable_responsibility
 
 from oracles import log_per_time_marginal, log_shared_rate_marginal, random_series_cases
 
@@ -202,14 +200,10 @@ def test_oracle_equivalence_suite():
     worst = 0.0
     for counts, offsets, alpha, beta in random_series_cases(rng, 1000):
         s = CloneSeries(clone_id="c", person_id="p", counts=counts, offsets=offsets)
-        hp = Hyperparams(alpha, beta, 0.5)
+        (ls,), (ld,) = SeriesBatch([s]).log_pmfs(alpha, beta)
         ls_ref = log_shared_rate_marginal(counts, offsets, alpha, beta)
         ld_ref = log_per_time_marginal(counts, offsets, alpha, beta)
-        worst = max(
-            worst,
-            abs(static_log_pmf(s, hp) - ls_ref) / abs(ls_ref),
-            abs(dynamic_log_pmf(s, hp) - ld_ref) / abs(ld_ref),
-        )
+        worst = max(worst, abs(ls - ls_ref) / abs(ls_ref), abs(ld - ld_ref) / abs(ld_ref))
     ok = worst <= 1e-6
 
     coincidence = True
@@ -220,8 +214,9 @@ def test_oracle_equivalence_suite():
         hp = Hyperparams(
             float(rng.uniform(0.1, 5.0)), float(rng.uniform(10.0, 1000.0)), 0.37
         )
-        coincidence &= static_log_pmf(s, hp) == dynamic_log_pmf(s, hp)
-        coincidence &= responsibility(s, hp) == 0.37
+        ls, ld = SeriesBatch([s]).log_pmfs(hp.alpha, hp.beta)
+        coincidence &= bool(ls[0] == ld[0])
+        coincidence &= float(stable_responsibility(ls, ld, hp.pi)[0]) == 0.37
     ok &= coincidence
 
     stable = True
@@ -235,7 +230,8 @@ def test_oracle_equivalence_suite():
             float(rng.uniform(10.0, 1000.0)),
             float(rng.uniform(1e-4, 1.0 - 1e-4)),
         )
-        value = responsibility(s, hp)
+        ls, ld = SeriesBatch([s]).log_pmfs(hp.alpha, hp.beta)
+        value = float(stable_responsibility(ls, ld, hp.pi)[0])
         stable &= math.isfinite(value) and 0.0 <= value <= 1.0
     ok &= stable
     report(

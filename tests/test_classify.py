@@ -7,7 +7,7 @@ import pytest
 
 from clonedyn import (
     Call,
-    CloneCall,
+    CallTable,
     CloneSeries,
     Direction,
     FitConfig,
@@ -21,6 +21,7 @@ from clonedyn import (
     operating_characteristics,
     simulate,
 )
+from clonedyn.classify import DIRECTIONS
 
 
 def series(counts, offsets, clone="c", person="p", times=None):
@@ -29,8 +30,11 @@ def series(counts, offsets, clone="c", person="p", times=None):
     )
 
 
-def call(person, clone, prob, c, d):
-    return CloneCall(person, clone, prob, c, d)
+def table(*calls):
+    """CallTable of (person_id, clone_id, prob_dynamic, Call, Direction) rows."""
+    person, clone, prob, call, direction = zip(*calls)
+    dynamic = [c is Call.DYNAMIC for c in call]
+    return CallTable(person, clone, prob, dynamic, [DIRECTIONS.index(d) for d in direction])
 
 
 class TestClassify:
@@ -92,10 +96,10 @@ class TestClassify:
 
 class TestOperatingCharacteristics:
     def test_perfect_calls(self):
-        calls = [
-            call("p", "a", 0.9, Call.DYNAMIC, Direction.EXPANDING),
-            call("p", "b", 0.1, Call.STATIC, Direction.NOT_APPLICABLE),
-        ]
+        calls = table(
+            ("p", "a", 0.9, Call.DYNAMIC, Direction.EXPANDING),
+            ("p", "b", 0.1, Call.STATIC, Direction.NOT_APPLICABLE),
+        )
         truth = {("p", "a"): True, ("p", "b"): False}
         oc = operating_characteristics(calls, truth, 0.75)
         assert (oc.sensitivity, oc.specificity) == (1.0, 1.0)
@@ -103,20 +107,21 @@ class TestOperatingCharacteristics:
 
     def test_matches_direct_recount(self):
         rng = np.random.default_rng(44)
-        calls = []
+        rows = []
         truth = {}
         for i in range(200):
             key = ("p", f"c{i}")
             predicted = bool(rng.random() < 0.4)
             truth[key] = bool(rng.random() < 0.5)
-            calls.append(
-                call(
+            rows.append(
+                (
                     *key,
                     0.9 if predicted else 0.1,
                     Call.DYNAMIC if predicted else Call.STATIC,
                     Direction.EXPANDING if predicted else Direction.NOT_APPLICABLE,
                 )
             )
+        calls = table(*rows)
         oc = operating_characteristics(calls, truth, 0.75)
         tp = sum(1 for c in calls if c.call is Call.DYNAMIC and truth[c.key])
         fp = sum(1 for c in calls if c.call is Call.DYNAMIC and not truth[c.key])
@@ -127,30 +132,30 @@ class TestOperatingCharacteristics:
         assert oc.specificity == pytest.approx(tn / (tn + fp))
 
     def test_uncovered_truth_raises(self):
-        calls = [call("p", "a", 0.9, Call.DYNAMIC, Direction.EXPANDING)]
+        calls = table(("p", "a", 0.9, Call.DYNAMIC, Direction.EXPANDING))
         with pytest.raises(ValidationError):
             operating_characteristics(calls, {}, 0.75)
 
 
 class TestDynamicCounts:
     def test_no_dynamic_calls(self):
-        calls = [call("p", "a", 0.1, Call.STATIC, Direction.NOT_APPLICABLE)]
+        calls = table(("p", "a", 0.1, Call.STATIC, Direction.NOT_APPLICABLE))
         counts = dynamic_counts_per_person(calls)
         assert counts["p"].n_dynamic == 0
         assert counts["p"].n_expanding == 0
         assert counts["p"].n_contracting == 0
 
     def test_mixed_calls(self):
-        calls = [
-            call("p", "a", 0.9, Call.DYNAMIC, Direction.EXPANDING),
-            call("p", "b", 0.8, Call.DYNAMIC, Direction.CONTRACTING),
-            call("p", "c", 0.1, Call.STATIC, Direction.NOT_APPLICABLE),
-        ]
+        calls = table(
+            ("p", "a", 0.9, Call.DYNAMIC, Direction.EXPANDING),
+            ("p", "b", 0.8, Call.DYNAMIC, Direction.CONTRACTING),
+            ("p", "c", 0.1, Call.STATIC, Direction.NOT_APPLICABLE),
+        )
         counts = dynamic_counts_per_person(calls)
         assert (counts["p"].n_dynamic, counts["p"].n_expanding, counts["p"].n_contracting) == (2, 1, 1)
 
     def test_dynamic_call_without_direction_is_not_contracting(self):
-        calls = [call("p", "a", 0.9, Call.DYNAMIC, Direction.NOT_APPLICABLE)]
+        calls = table(("p", "a", 0.9, Call.DYNAMIC, Direction.NOT_APPLICABLE))
         counts = dynamic_counts_per_person(calls)
         assert (counts["p"].n_dynamic, counts["p"].n_expanding, counts["p"].n_contracting) == (1, 0, 0)
 

@@ -180,6 +180,32 @@ class TestConfigHandling:
         config.write_text("this is not a key value line\n")
         assert run("simulate", "--config", config, "--output-dir", tmp_path / "y") == EXIT_VALIDATION
 
+    def test_key_no_subcommand_takes_is_rejected(self, tmp_path, capsys):
+        config = tmp_path / "typo.cfg"
+        config.write_text("n_clones = 300\nmin_total_read = 0\n")
+        assert run("simulate", "--config", config, "--output-dir", tmp_path / "y") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"line 2: {config}: no subcommand takes the key 'min_total_read'" in err
+
+    def test_repeated_key_is_rejected(self, tmp_path, capsys):
+        config = tmp_path / "twice.cfg"
+        config.write_text("n_clones = 300\n# again\nn_clones = 400\n")
+        assert run("simulate", "--config", config, "--output-dir", tmp_path / "y") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"line 3: {config}: key 'n_clones' repeats an earlier line" in err
+
+    def test_another_subcommands_key_is_allowed(self, tmp_path):
+        # fit and classify share one config: each ignores what only the other takes
+        config = tmp_path / "shared.cfg"
+        config.write_text("n_clones = 300\nn_persons = 3\nthreshold = 0.9\nmin_total_reads = 5\n")
+        assert run("simulate", "--config", config, "--output-dir", tmp_path / "y") == EXIT_OK
+
+    def test_config_that_is_not_utf8_is_rejected(self, tmp_path, capsys):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(b"n_clones = 300\n# caf\xe9\n")
+        assert run("simulate", "--config", config, "--output-dir", tmp_path / "y") == EXIT_VALIDATION
+        assert f"{config}: not UTF-8 text" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_parse_failure(self, tmp_path):
@@ -206,6 +232,12 @@ class TestExitCodes:
             )
             == EXIT_IDENTIFIABILITY
         )
+
+    def test_cohort_that_is_not_utf8_is_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.tsv"
+        bad.write_bytes(b"person_id\ttime_index\tclone_id\tcount\np1\t0\tcaf\xe9\t3\n")
+        assert run("fit", "--input", bad, "--output-dir", tmp_path / "out") == EXIT_VALIDATION
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path):
         assert (

@@ -37,8 +37,8 @@ class TestIngest:
             HEADER + "p1\t0\ta\t3\np1\t0\tb\t7\np1\t1\ta\t5\n",
         )
         table = ingest(path)
-        assert table.offsets[("p1", 0)] == 10
-        assert table.offsets[("p1", 1)] == 5
+        assert (table.pt_person.tolist(), table.pt_time.tolist()) == (["p1", "p1"], [0, 1])
+        assert table.pt_total.tolist() == [10, 5]
 
     def test_empty_file_is_an_error(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -117,7 +117,8 @@ class TestIngest:
             tmp_path / "offsets.tsv", "person_id\ttime_index\ttotal_reads\np1\t0\t5000\n"
         )
         table = ingest(cohort, offsets_path=offsets)
-        assert table.offsets[("p1", 0)] == 5000
+        assert (table.pt_person.tolist(), table.pt_time.tolist()) == (["p1"], [0])
+        assert table.pt_total.tolist() == [5000]
 
     def test_explicit_offsets_must_cover_and_dominate(self, tmp_path):
         cohort = write(tmp_path / "cohort.tsv", HEADER + "p1\t0\ta\t3\np1\t1\ta\t9\n")

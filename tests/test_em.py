@@ -16,15 +16,12 @@ from clonedyn import (
     SimConfig,
     ValidationError,
     convergence_stat,
-    dynamic_log_pmf,
-    e_step,
     fit_em,
     m_step,
-    observed_loglik,
-    responsibility,
     simulate,
-    static_log_pmf,
 )
+from clonedyn.em import _mixture_loglik
+from clonedyn.model import stable_responsibility
 
 
 def series(counts, offsets, clone="c", person="p"):
@@ -45,20 +42,30 @@ def small_cohort(n=120, seed=5, **overrides):
     return simulate(cfg)
 
 
+def loglik(clones, hp):
+    """The mixture log-likelihood of the clones."""
+    ls, ld = SeriesBatch(clones).log_pmfs(hp.alpha, hp.beta)
+    return _mixture_loglik(ls, ld, hp.pi)
+
+
+def prob_dynamic(batch, hp):
+    """The E-step: each clone's responsibility, in batch order."""
+    ls, ld = batch.log_pmfs(hp.alpha, hp.beta)
+    return stable_responsibility(ls, ld, hp.pi)
+
+
 class TestObservedLoglik:
     def test_single_timepoint_clone_ignores_pi(self):
         s = series([4], [100])
-        values = {
-            observed_loglik([s], Hyperparams(1.0, 50.0, pi)) for pi in (0.05, 0.4, 0.93)
-        }
+        values = {loglik([s], Hyperparams(1.0, 50.0, pi)) for pi in (0.05, 0.4, 0.93)}
         assert len(values) == 1
-        expected = static_log_pmf(s, Hyperparams(1.0, 50.0, 0.4))
-        assert values.pop() == pytest.approx(expected, rel=1e-14)
+        expected, _ = SeriesBatch([s]).log_pmfs(1.0, 50.0)
+        assert values.pop() == pytest.approx(expected[0], rel=1e-14)
 
     def test_two_identical_clones_double_the_value(self):
         hp = Hyperparams(1.0, 80.0, 0.3)
-        one = observed_loglik([series([3, 9], [50, 60], clone="a")], hp)
-        two = observed_loglik(
+        one = loglik([series([3, 9], [50, 60], clone="a")], hp)
+        two = loglik(
             [series([3, 9], [50, 60], clone="a"), series([3, 9], [50, 60], clone="b")], hp
         )
         assert two == 2.0 * one
@@ -66,39 +73,37 @@ class TestObservedLoglik:
     def test_matches_extended_precision_resummation(self):
         clones, _ = small_cohort(n=100, seed=21)
         hp = Hyperparams(1.0, 200.0, 0.2)
-        total = observed_loglik(clones, hp)
+        total = loglik(clones, hp)
+        ls, ld = SeriesBatch(clones).log_pmfs(hp.alpha, hp.beta)
         with mp.workdps(50):
             pi = mp.mpf(0.2)
             reference = mp.fsum(
-                mp.log(
-                    pi * mp.exp(mp.mpf(dynamic_log_pmf(s, hp)))
-                    + (1 - pi) * mp.exp(mp.mpf(static_log_pmf(s, hp)))
-                )
-                for s in clones
+                mp.log(pi * mp.exp(mp.mpf(d)) + (1 - pi) * mp.exp(mp.mpf(s)))
+                for s, d in zip(ls.tolist(), ld.tolist())
             )
             assert total == pytest.approx(float(reference), rel=1e-9)
 
     def test_empty_input_is_an_error(self):
         with pytest.raises(ValidationError):
-            observed_loglik([], Hyperparams(1.0, 1.0, 0.5))
+            SeriesBatch([])
 
 
 class TestEStep:
     def test_all_single_timepoint_gives_constant_pi(self):
         clones = [series([k], [100], clone=f"c{k}") for k in range(5)]
-        probs = e_step(clones, Hyperparams(1.0, 100.0, 0.37))
+        probs = prob_dynamic(SeriesBatch(clones), Hyperparams(1.0, 100.0, 0.37))
         assert np.all(probs == 0.37)
 
     def test_zero_quotient_at_even_mixing_gives_half(self):
         s = series([8], [500])
-        assert e_step([s], Hyperparams(1.0, 100.0, 0.5))[0] == 0.5
+        assert prob_dynamic(SeriesBatch([s]), Hyperparams(1.0, 100.0, 0.5))[0] == 0.5
 
     def test_batch_equals_scalar_calls_bitwise(self):
         clones, _ = small_cohort(n=80, seed=9, missing_rate=0.25)
         hp = Hyperparams(0.77, 260.0, 0.41)
         ordered = sorted(clones, key=lambda s: s.key)
-        batch = e_step(ordered, hp)
-        scalar = np.array([responsibility(s, hp) for s in ordered])
+        batch = prob_dynamic(SeriesBatch(ordered), hp)
+        scalar = np.array([prob_dynamic(SeriesBatch([s]), hp)[0] for s in ordered])
         assert np.all(batch == scalar)
 
     def test_output_order_is_canonical(self):
@@ -106,30 +111,32 @@ class TestEStep:
             series([1, 2], [10, 10], clone="z", person="p2"),
             series([5, 1], [10, 10], clone="a", person="p1"),
         ]
-        hp = Hyperparams(1.0, 10.0, 0.5)
-        probs = e_step(clones, hp)
-        expected = [responsibility(clones[1], hp), responsibility(clones[0], hp)]
-        assert probs.tolist() == expected
+        result = fit_em(clones, FitConfig())
+        assert result.cohort.keys == [("p1", "a"), ("p2", "z")]
+        hp = result.hyperparams
+        expected = [prob_dynamic(SeriesBatch([s]), hp)[0] for s in (clones[1], clones[0])]
+        assert result.prob_dynamic.tolist() == expected
 
 
 class TestMStep:
     def test_half_ones_gives_half_pi(self):
         clones, _ = small_cohort(n=10, seed=3)
         r = np.array([1.0] * 5 + [0.0] * 5)
-        hp = m_step(clones, r, Hyperparams(1.0, 150.0, 0.5), FitConfig())
+        hp = m_step(SeriesBatch(clones), r, Hyperparams(1.0, 150.0, 0.5), FitConfig())
         assert hp.pi == 0.5
 
     def test_all_zero_responsibilities_fit_static_only(self):
         clones, _ = small_cohort(n=60, seed=8)
         ordered = sorted(clones, key=lambda s: s.key)
+        batch = SeriesBatch(ordered)
         cfg = FitConfig(inner_opt_tol=1e-9)
-        hp = m_step(ordered, np.zeros(len(ordered)), Hyperparams(1.0, 150.0, 0.5), cfg)
+        hp = m_step(batch, np.zeros(len(ordered)), Hyperparams(1.0, 150.0, 0.5), cfg)
         assert hp.pi == pytest.approx(1e-6)
 
         # independent route: direct maximization of the static-only likelihood
         def negative_static(theta):
-            h = Hyperparams(math.exp(theta[0]), math.exp(theta[1]), 0.5)
-            return -sum(static_log_pmf(s, h) for s in ordered)
+            ls, _ = batch.log_pmfs(math.exp(theta[0]), math.exp(theta[1]))
+            return -sum(ls.tolist())
 
         direct = minimize(
             negative_static,
@@ -145,7 +152,7 @@ class TestMStep:
         clones, _ = small_cohort(n=150, seed=13)
         ordered = sorted(clones, key=lambda s: s.key)
         batch = SeriesBatch(ordered)
-        r = e_step(batch, Hyperparams(0.9, 140.0, 0.3))
+        r = prob_dynamic(batch, Hyperparams(0.9, 140.0, 0.3))
         cfg = FitConfig(inner_opt_tol=1e-6)
         hp = m_step(batch, r, Hyperparams(0.9, 140.0, 0.3), cfg)
 
@@ -187,7 +194,7 @@ class TestMStep:
                 r @ (math.log(hp.pi) + ld) + (1.0 - r) @ (math.log1p(-hp.pi) + ls)
             )
 
-        hp = m_step(ordered, r, start, FitConfig())
+        hp = m_step(batch, r, start, FitConfig())
         assert q_full(hp) >= q_full(start)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 1.5])
@@ -195,12 +202,12 @@ class TestMStep:
         clones, _ = small_cohort(n=5, seed=3)
         r = np.array([0.2, 0.4, bad, 0.6, 0.8])
         with pytest.raises(ValidationError, match="responsibilities"):
-            m_step(clones, r, Hyperparams(1.0, 150.0, 0.5), FitConfig())
+            m_step(SeriesBatch(clones), r, Hyperparams(1.0, 150.0, 0.5), FitConfig())
 
     def test_misaligned_responsibilities_raise(self):
         clones, _ = small_cohort(n=10, seed=3)
         with pytest.raises(ValidationError):
-            m_step(clones, np.zeros(4), Hyperparams(1.0, 1.0, 0.5), FitConfig())
+            m_step(SeriesBatch(clones), np.zeros(4), Hyperparams(1.0, 1.0, 0.5), FitConfig())
 
 
 class TestConvergenceStat:
@@ -229,7 +236,7 @@ class TestFitEm:
     def test_matches_grid_search_plus_refinement(self):
         clones, _ = small_cohort(n=50, seed=31, beta=100.0)
         result = fit_em(clones, FitConfig(seed=4, inner_opt_tol=1e-10))
-        ll_em = observed_loglik(clones, result.hyperparams)
+        ll_em = loglik(clones, result.hyperparams)
 
         batch = SeriesBatch(sorted(clones, key=lambda s: s.key))
 

@@ -5,22 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from clonedyn import (
-    CloneSeries,
-    Hyperparams,
-    PackedCohort,
-    ValidationError,
-    dynamic_log_pmf,
-    log_component_quotient,
-    posterior_gamma_params,
-    responsibility,
-    static_log_pmf,
-)
+from clonedyn import CloneSeries, Hyperparams, PackedCohort, SeriesBatch, ValidationError
+from clonedyn.model import stable_responsibility
 
 from oracles import (
     log_per_time_marginal,
     log_shared_rate_marginal,
-    posterior_rate_mean,
     random_series_cases,
 )
 
@@ -29,98 +19,96 @@ def series(counts, offsets, **kwargs):
     return CloneSeries(clone_id="c", person_id="p", counts=counts, offsets=offsets, **kwargs)
 
 
+def log_pmfs(s, hp):
+    """The static and dynamic log-densities of one series, from a batch of one."""
+    ls, ld = SeriesBatch([s]).log_pmfs(hp.alpha, hp.beta)
+    return float(ls[0]), float(ld[0])
+
+
+def prob_dynamic(s, hp):
+    ls, ld = SeriesBatch([s]).log_pmfs(hp.alpha, hp.beta)
+    return float(stable_responsibility(ls, ld, hp.pi)[0])
+
+
 class TestStaticLogPmf:
     def test_zero_count_single_time(self):
         # (beta / (beta + offset)) ** alpha with alpha=1, beta=100, offset=100
-        value = static_log_pmf(series([0], [100]), Hyperparams(1.0, 100.0, 0.5))
+        value = log_pmfs(series([0], [100]), Hyperparams(1.0, 100.0, 0.5))[0]
         assert value == pytest.approx(math.log(0.5), rel=1e-12)
 
     def test_single_timepoint_equals_dynamic(self):
         s = series([7], [1234])
         hp = Hyperparams(0.8, 321.0, 0.4)
-        assert static_log_pmf(s, hp) == dynamic_log_pmf(s, hp)
+        static, dynamic = log_pmfs(s, hp)
+        assert static == dynamic
 
     def test_frozen_quadrature_value(self):
         # independent quadrature over the shared rate (tests/oracles.py)
-        value = static_log_pmf(series([2, 3], [1000, 2000]), Hyperparams(1.0, 500.0, 0.5))
+        value = log_pmfs(series([2, 3], [1000, 2000]), Hyperparams(1.0, 500.0, 0.5))[0]
         assert value == pytest.approx(-3.8276983568582717, rel=1e-8)
 
     def test_does_not_use_pi(self):
         s = series([4, 9], [500, 700])
-        values = {static_log_pmf(s, Hyperparams(1.0, 100.0, pi)) for pi in (0.1, 0.5, 0.9)}
+        values = {log_pmfs(s, Hyperparams(1.0, 100.0, pi))[0] for pi in (0.1, 0.5, 0.9)}
         assert len(values) == 1
 
 
 class TestDynamicLogPmf:
     def test_independent_zero_counts(self):
-        value = dynamic_log_pmf(series([0, 0], [100, 100]), Hyperparams(1.0, 100.0, 0.5))
+        value = log_pmfs(series([0, 0], [100, 100]), Hyperparams(1.0, 100.0, 0.5))[1]
         assert value == pytest.approx(2 * math.log(0.5), rel=1e-12)
 
     def test_frozen_quadrature_value(self):
         # per-time quadrature marginals, summed (tests/oracles.py)
-        value = dynamic_log_pmf(series([2, 3], [1000, 2000]), Hyperparams(1.0, 500.0, 0.5))
+        value = log_pmfs(series([2, 3], [1000, 2000]), Hyperparams(1.0, 500.0, 0.5))[1]
         assert value == pytest.approx(-4.188411071261168, rel=1e-8)
+
+
+def quotient(s, hp):
+    """Static minus dynamic log-density; higher favors static behavior."""
+    static, dynamic = log_pmfs(s, hp)
+    return static - dynamic
 
 
 class TestQuotient:
     def test_single_timepoint_is_zero(self):
-        assert log_component_quotient(series([5], [100]), Hyperparams(1.0, 50.0, 0.5)) == 0.0
+        assert quotient(series([5], [100]), Hyperparams(1.0, 50.0, 0.5)) == 0.0
 
     def test_proportional_counts_beat_concentrated_counts(self):
         # same total reads over the same offsets: a constant proportion
         # profile must look more static than an all-in-one-sample profile
         hp = Hyperparams(1.0, 200.0, 0.5)
-        proportional = log_component_quotient(series([10, 20], [1000, 2000]), hp)
-        concentrated = log_component_quotient(series([30, 0], [1000, 2000]), hp)
+        proportional = quotient(series([10, 20], [1000, 2000]), hp)
+        concentrated = quotient(series([30, 0], [1000, 2000]), hp)
         assert proportional > concentrated
 
     def test_frozen_quadrature_value(self):
-        value = log_component_quotient(series([5, 5], [1000, 1000]), Hyperparams(1.0, 100.0, 0.5))
+        value = quotient(series([5, 5], [1000, 1000]), Hyperparams(1.0, 100.0, 0.5))
         assert value == pytest.approx(0.8144255461342169, rel=1e-8)
-
-    def test_single_code_path(self):
-        s = series([3, 1, 4], [100, 200, 300])
-        hp = Hyperparams(0.6, 77.0, 0.3)
-        assert log_component_quotient(s, hp) == static_log_pmf(s, hp) - dynamic_log_pmf(s, hp)
-
-
-class TestPosteriorGamma:
-    def test_zero_counts(self):
-        post = posterior_gamma_params(series([0, 0], [10, 10]), Hyperparams(2.0, 100.0, 0.5))
-        assert (post.alpha_post, post.beta_post) == (2.0, 120.0)
-
-    def test_direct_sums(self):
-        post = posterior_gamma_params(series([3, 4], [100, 200]), Hyperparams(1.0, 50.0, 0.5))
-        assert (post.alpha_post, post.beta_post) == (8.0, 350.0)
-
-    def test_posterior_mean_matches_quadrature(self):
-        post = posterior_gamma_params(series([3, 4], [100, 200]), Hyperparams(1.0, 50.0, 0.5))
-        mean = posterior_rate_mean([3, 4], [100, 200], 1.0, 50.0)
-        assert post.alpha_post / post.beta_post == pytest.approx(mean, rel=1e-8)
 
 
 class TestResponsibility:
     def test_mixing_weight_limits(self):
         # prior log-odds dominate the data term once pi is extreme enough
         s = series([5, 5], [1000, 1000])
-        low = responsibility(s, Hyperparams(1.0, 200.0, 1e-9))
-        high = responsibility(s, Hyperparams(1.0, 200.0, 1.0 - 1e-9))
+        low = prob_dynamic(s, Hyperparams(1.0, 200.0, 1e-9))
+        high = prob_dynamic(s, Hyperparams(1.0, 200.0, 1.0 - 1e-9))
         assert low < 1e-6
         assert high > 1.0 - 1e-6
 
     def test_single_timepoint_returns_pi_exactly(self):
         for pi in (0.037, 0.2, 0.5, 0.75, 0.9999):
-            assert responsibility(series([9], [100]), Hyperparams(1.0, 100.0, pi)) == pi
+            assert prob_dynamic(series([9], [100]), Hyperparams(1.0, 100.0, pi)) == pi
 
     def test_frozen_quadrature_value(self):
         # 0.2 * exp(ld) / (0.2 * exp(ld) + 0.8 * exp(ls)) at extended precision
-        value = responsibility(series([50, 0], [1000, 1000]), Hyperparams(1.0, 200.0, 0.2))
+        value = prob_dynamic(series([50, 0], [1000, 1000]), Hyperparams(1.0, 200.0, 0.2))
         assert value == pytest.approx(0.9999999999990986, rel=1e-10)
 
     def test_monotone_in_pi(self):
         s = series([5, 40], [2000, 2000])
         values = [
-            responsibility(s, Hyperparams(1.0, 150.0, pi))
+            prob_dynamic(s, Hyperparams(1.0, 150.0, pi))
             for pi in np.linspace(0.01, 0.99, 25)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -136,7 +124,7 @@ class TestResponsibility:
                 float(rng.uniform(10.0, 1000.0)),
                 float(rng.uniform(0.001, 0.999)),
             )
-            value = responsibility(series(counts, offsets), hp)
+            value = prob_dynamic(series(counts, offsets), hp)
             assert math.isfinite(value) and 0.0 <= value <= 1.0
 
 
@@ -145,18 +133,18 @@ class TestConjugacyAgainstQuadrature:
         rng = np.random.default_rng(20240817)
         for counts, offsets, alpha, beta in random_series_cases(rng, 150):
             hp = Hyperparams(alpha, beta, 0.5)
-            s = series(counts, offsets)
-            assert static_log_pmf(s, hp) == pytest.approx(
+            static, dynamic = log_pmfs(series(counts, offsets), hp)
+            assert static == pytest.approx(
                 log_shared_rate_marginal(counts, offsets, alpha, beta), rel=1e-6
             )
-            assert dynamic_log_pmf(s, hp) == pytest.approx(
+            assert dynamic == pytest.approx(
                 log_per_time_marginal(counts, offsets, alpha, beta), rel=1e-6
             )
 
 
 class TestInvariants:
     def test_normalization_univariate(self):
-        # exp(dynamic_log_pmf) over c = 0..n climbs to 1 from below; the cap
+        # the exp of the dynamic log-density over c = 0..n climbs to 1 from below; the cap
         # comes from the negative binomial tail quantile
         from scipy.stats import nbinom
 
@@ -166,7 +154,7 @@ class TestInvariants:
         n_cap = int(nbinom.ppf(1.0 - 1e-9, alpha, p_success)) + 5
         total = 0.0
         for c in range(n_cap + 1):
-            total += math.exp(dynamic_log_pmf(series([c], [max(offset, c)]), hp))
+            total += math.exp(log_pmfs(series([c], [max(offset, c)]), hp)[1])
             assert total <= 1.0 + 1e-12
         assert total >= 1.0 - 1e-6
 
@@ -175,20 +163,18 @@ class TestInvariants:
         counts = rng.integers(0, 30, size=5)
         offsets = rng.integers(50, 5000, size=5)
         hp = Hyperparams(0.9, 140.0, 0.5)
-        base_static = static_log_pmf(series(counts, offsets), hp)
-        base_dynamic = dynamic_log_pmf(series(counts, offsets), hp)
+        base_static, base_dynamic = log_pmfs(series(counts, offsets), hp)
         for _ in range(5):
             perm = rng.permutation(5)
-            s = series(counts[perm], offsets[perm])
-            assert static_log_pmf(s, hp) == pytest.approx(base_static, rel=1e-14)
-            assert dynamic_log_pmf(s, hp) == pytest.approx(base_dynamic, rel=1e-14)
+            static, dynamic = log_pmfs(series(counts[perm], offsets[perm]), hp)
+            assert static == pytest.approx(base_static, rel=1e-14)
+            assert dynamic == pytest.approx(base_dynamic, rel=1e-14)
 
     def test_repeated_evaluation_is_bit_identical(self):
         s = series([3, 14, 0], [500, 1500, 800])
         hp = Hyperparams(1.3, 333.0, 0.21)
-        assert static_log_pmf(s, hp) == static_log_pmf(s, hp)
-        assert dynamic_log_pmf(s, hp) == dynamic_log_pmf(s, hp)
-        assert responsibility(s, hp) == responsibility(s, hp)
+        assert log_pmfs(s, hp) == log_pmfs(s, hp)
+        assert prob_dynamic(s, hp) == prob_dynamic(s, hp)
 
 
 class TestValidation:
