@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import CloneSeries, PackedCohort, as_packed, segment_rows
-from .simulate import SimTruth
+from .simulate import SimTruth, TruthLabels
 
 
 class Call(str, Enum):
@@ -228,24 +228,52 @@ def classify(
     return CallTable(cohort.person_id, cohort.clone_id, probs, dynamic, direction)
 
 
-def truth_of(calls: CallTable, truth: SimTruth | Mapping[tuple[str, str], bool]) -> np.ndarray:
+def truth_of(
+    calls: CallTable, truth: TruthLabels | SimTruth | Mapping[tuple[str, str], bool]
+) -> np.ndarray:
     """Each call's true label, in call order; ValidationError when truth
-    misses a clone."""
-    labels = truth.labels if isinstance(truth, SimTruth) else truth
-    keys = calls.keys
-    found = list(map(labels.get, keys))
-    if None in found:
-        raise ValidationError(f"truth does not cover clone {keys[found.index(None)]}")
-    return np.array(found, dtype=bool)
+    misses a clone.
+
+    truth.tsv lists its clones in the calls' canonical order, so the key
+    columns are compared whole first; otherwise (other order, or clones the
+    calls do not have) one lexsort of both key sets puts each call right
+    after the truth row with its key.
+    """
+    if not isinstance(truth, TruthLabels):
+        labels = truth.labels if isinstance(truth, SimTruth) else truth
+        keys = list(labels)
+        truth = TruthLabels(
+            np.array([p for p, _ in keys], dtype=object),
+            np.array([c for _, c in keys], dtype=object),
+            np.array([labels[key] for key in keys], dtype=bool),
+        )
+    if np.array_equal(truth.person_id, calls.person_id) and np.array_equal(
+        truth.clone_id, calls.clone_id
+    ):
+        return truth.dynamic.copy()
+    n = len(truth)
+    person = np.concatenate([truth.person_id, calls.person_id])
+    clone = np.concatenate([truth.clone_id, calls.clone_id])
+    order = np.lexsort((np.arange(person.size) >= n, clone, person))
+    at = np.flatnonzero(order >= n)  # each call's place in the sorted keys
+    call, before = order[at], order[at - 1]
+    same_key = (person[before] == person[call]) & (clone[before] == clone[call])
+    covered = (at > 0) & (before < n) & same_key
+    if not covered.all():
+        i = int((call[~covered] - n).min())
+        raise ValidationError(f"truth does not cover clone {calls.keys[i]}")
+    dynamic = np.empty(len(calls), dtype=bool)
+    dynamic[call - n] = truth.dynamic[before]
+    return dynamic
 
 
 def operating_characteristics(
     calls: CallTable,
-    truth: SimTruth | Mapping[tuple[str, str], bool] | np.ndarray,
+    truth: TruthLabels | SimTruth | Mapping[tuple[str, str], bool] | np.ndarray,
     threshold: float,
 ) -> OperatingCharacteristics:
     """Confusion-matrix rates of the calls against ground-truth labels, given
-    as a mapping from clone key or as an array of booleans in call order."""
+    as truth_of takes them or as an array of booleans in call order."""
     if isinstance(truth, np.ndarray):
         actual = truth.astype(bool)
         if actual.shape != (len(calls),):

@@ -317,14 +317,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def write_calls(path: str | Path, calls: CallTable) -> None:
+def write_calls(path: str | Path, calls: CallTable, prob_text: list[str]) -> None:
+    """calls.tsv, with prob_text the format_floats of calls.prob_dynamic."""
     write_table(
         path,
         CALLS_COLUMNS,
         zip(
             calls.person_id.tolist(),
             calls.clone_id.tolist(),
-            format_floats(calls.prob_dynamic),
+            prob_text,
             calls.call_text().tolist(),
             calls.direction_text().tolist(),
         ),
@@ -402,8 +403,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     threshold = opts.get("threshold", float, 0.75)
     calls = classify(prob_dynamic, cohort, threshold)
 
+    prob_text = format_floats(calls.prob_dynamic)  # written to calls.tsv and membership_points.tsv
     calls_path = out / "calls.tsv"
-    write_calls(calls_path, calls)
+    write_calls(calls_path, calls, prob_text)
 
     counts = dynamic_counts_per_person(calls)
     person_path = out / "per_person.tsv"
@@ -431,7 +433,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             cohort.person_id.tolist(),
             cohort.clone_id.tolist(),
             format_floats(_mean_proportions(cohort)),
-            format_floats(calls.prob_dynamic),
+            prob_text,
             truth_column,
         ),
     )
@@ -541,7 +543,6 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--output-dir", dest="output_dir", help="directory for output files")
-    sub.add_argument("--seed", type=int, dest="seed", help="random seed override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,6 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic cohort with ground truth")
     _add_common(p_sim)
+    p_sim.add_argument("--seed", type=int, dest="seed", help="random seed of the draws")
     p_sim.add_argument("--n-clones", type=int, dest="n_clones")
     p_sim.add_argument("--alpha", type=float, dest="alpha")
     p_sim.add_argument("--beta", type=float, dest="beta")
@@ -565,6 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit hyperparameters and responsibilities by EM")
     _add_common(p_fit)
+    p_fit.add_argument("--seed", type=int, dest="seed", help="random seed of the EM start")
     p_fit.add_argument("--input", dest="input", help="cohort table (TSV)")
     p_fit.add_argument("--offsets", dest="offsets", help="explicit per-person-time totals (TSV)")
     p_fit.add_argument("--min-total-reads", type=int, dest="min_total_reads")

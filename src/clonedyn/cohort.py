@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .model import CloneSeries, PackedCohort, as_packed, segment_rows
-from .simulate import SimTruth
+from .simulate import SimTruth, TruthLabels
 
 COHORT_COLUMNS = ("person_id", "time_index", "clone_id", "count")
 OFFSETS_COLUMNS = ("person_id", "time_index", "total_reads")
@@ -295,8 +295,8 @@ def read_offsets(path: str | Path) -> dict[tuple[str, int], int]:
     return offsets
 
 
-def read_truth_labels(path: str | Path) -> dict[tuple[str, str], bool]:
-    """truth.tsv: one row per clone, dynamic 0 or 1."""
+def read_truth_labels(path: str | Path) -> TruthLabels:
+    """truth.tsv: one row per clone, dynamic 0 or 1; columns in file order."""
     cols, lines = _read_columns(path, TRUTH_COLUMNS)
     person, clone = _key_columns(cols)
     dynamic, bad = _int_values(cols[2])
@@ -309,7 +309,7 @@ def read_truth_labels(path: str | Path) -> dict[tuple[str, str], bool]:
             raise ParseError(f"duplicate clone {(person[i], clone[i])}", line)
         value = _parse_int(cols[2][i], "dynamic", line)
         raise ParseError(f"dynamic must be 0 or 1, got {value}", line)
-    return dict(zip(zip(cols[0], cols[1]), (dynamic == 1).tolist()))
+    return TruthLabels(person, clone, dynamic == 1)
 
 
 def _ranked(values: np.ndarray, first: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:

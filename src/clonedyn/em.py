@@ -4,7 +4,8 @@ The E-step evaluates each clone's posterior probability of being dynamic
 under the current hyperparameters.  The M-step maximizes the expected
 complete-data log-likelihood: the mixing weight has the closed-form
 update pi = mean(responsibilities), and (alpha, beta) are pushed uphill
-by BFGS in (log alpha, log beta) with analytic digamma gradients.  With
+by BFGS in (log alpha, log beta) with analytic digamma gradients
+(log-gamma and digamma are model's numpy kernels).  With
 the responsibilities fixed, conjugacy makes that objective a weighted
 sum over the distinct counts, offsets, count sums and offset sums
 (model.ExpectedLoglik), so the M-step builds those histograms once and each

@@ -16,9 +16,9 @@ batch's distinct values.
 Every operation here is a pure function of its arguments and safe to map
 over clones in parallel.
 
-scipy.special is imported inside the few functions that evaluate it, so
-only fitting pays for its import; simulate, classify and summarize use
-this module's cohort types without it.
+The three special functions the model needs, log-gamma, digamma and the
+logistic, are small numpy kernels here (_gammaln, _digamma, _expit), so
+the package's only runtime dependency is numpy.
 """
 
 from __future__ import annotations
@@ -112,6 +112,67 @@ def _log_per_value(values: np.ndarray) -> np.ndarray:
     # how many series are packed together (array-level np.log may take a
     # SIMD path whose tail handling differs between batch sizes)
     return np.array([math.log(v) for v in values], dtype=np.float64)
+
+
+# log-gamma and digamma on [0, inf]: a value x below _SHIFT is raised to
+# x + _SHIFT by the recurrence, and the Stirling / asymptotic series in 1/z
+# is truncated where its next term is below 1e-15 relative at z = _SHIFT
+_SHIFT = 8
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_GAMMALN_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+
+
+def _in_series(coefs: tuple[float, ...], s: np.ndarray) -> np.ndarray:
+    """sum_k coefs[k] * s ** (2k + 1)."""
+    s2 = s * s
+    acc = np.full_like(s, coefs[-1])
+    for coef in coefs[-2::-1]:
+        acc = acc * s2 + coef
+    return acc * s
+
+
+def _shifted(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x as a 1-d float64 copy with the values below _SHIFT raised by _SHIFT,
+    the mask of those values, and their original values."""
+    z = np.array(x, dtype=np.float64, ndmin=1)
+    small = z < _SHIFT
+    low = z[small]
+    z[small] += _SHIFT
+    return z, small, low
+
+
+def _gammaln(x):
+    """log Gamma(x) for x in [0, inf], elementwise: inf at 0 and at inf."""
+    z, small, low = _shifted(x)
+    # (z - 1/2)(log z - 1) rather than (z - 1/2) log z - z: inf, not nan, at inf
+    out = (z - 0.5) * (np.log(z) - 1.0) + (_HALF_LOG_2PI - 0.5)
+    out += _in_series(_GAMMALN_SERIES, 1.0 / z)
+    prod = low.copy()
+    for k in range(1, _SHIFT):
+        prod *= low + k
+    with np.errstate(divide="ignore"):  # the pole at 0: log(0) = -inf
+        out[small] -= np.log(prod)
+    return out.reshape(np.shape(x))
+
+
+def _digamma(x):
+    """d/dx log Gamma(x) for x in [0, inf], elementwise: -inf at 0, inf at inf."""
+    z, small, low = _shifted(x)
+    s = 1.0 / z
+    out = np.log(z) - 0.5 * s - s * _in_series(_DIGAMMA_SERIES, s)
+    with np.errstate(divide="ignore"):  # the pole at 0: 1 / 0 = inf
+        recip = 1.0 / (low + (_SHIFT - 1))
+        for k in range(_SHIFT - 2, -1, -1):  # smallest terms first
+            recip += 1.0 / (low + k)
+    out[small] -= recip
+    return out.reshape(np.shape(x))
+
+
+def _expit(x):
+    """1 / (1 + exp(-x)), elementwise: exactly 0 and 1 where exp saturates."""
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives exactly 0
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -234,8 +295,6 @@ class SeriesBatch:
     """
 
     def __init__(self, series: Iterable[CloneSeries] | PackedCohort):
-        from scipy.special import gammaln
-
         cohort = as_packed(series)
         if not len(cohort):
             raise ValidationError("need at least one clone series")
@@ -250,10 +309,10 @@ class SeriesBatch:
 
         self.csum = self._segment_sum(flat_c)
         self.osum = self._segment_sum(flat_o)
-        self._sum_lgamma_c1 = self._segment_sum(gammaln(flat_c + 1.0))
 
         # distinct-value tables for the (alpha, beta)-dependent terms
         self._uniq_c, self._inv_c = np.unique(flat_c, return_inverse=True)
+        self._sum_lgamma_c1 = self._segment_sum(_gammaln(self._uniq_c + 1.0)[self._inv_c])
         self._uniq_o, self._inv_o = np.unique(flat_o, return_inverse=True)
         self._uniq_csum, self._inv_csum = np.unique(self.csum, return_inverse=True)
         self._uniq_osum, self._inv_osum = np.unique(self.osum, return_inverse=True)
@@ -277,14 +336,12 @@ class SeriesBatch:
         """
         if not (alpha > 0 and beta > 0):
             raise ValidationError(f"alpha and beta must be positive, got {alpha}, {beta}")
-        from scipy.special import gammaln
-
         log_beta = math.log(beta)
-        gl_alpha = float(gammaln(alpha))
+        gl_alpha = float(_gammaln(alpha))
 
         log_b_osum = _log_per_value(self._uniq_osum + beta)[self._inv_osum]
         ls = (
-            gammaln(self._uniq_csum + alpha)[self._inv_csum]
+            _gammaln(self._uniq_csum + alpha)[self._inv_csum]
             - gl_alpha
             - self._sum_lgamma_c1
             + alpha * (log_beta - log_b_osum)
@@ -294,7 +351,7 @@ class SeriesBatch:
 
         log_b_o = _log_per_value(self._uniq_o + beta)[self._inv_o]
         ld = (
-            self._segment_sum(gammaln(self._uniq_c + alpha)[self._inv_c])
+            self._segment_sum(_gammaln(self._uniq_c + alpha)[self._inv_c])
             - self.t * gl_alpha
             - self._sum_lgamma_c1
             + alpha * (self.t * log_beta - self._segment_sum(log_b_o))
@@ -312,21 +369,19 @@ class SeriesBatch:
         """
         if not (alpha > 0 and beta > 0):
             raise ValidationError(f"alpha and beta must be positive, got {alpha}, {beta}")
-        from scipy.special import digamma
-
         log_beta = math.log(beta)
-        dg_alpha = float(digamma(alpha))
+        dg_alpha = float(_digamma(alpha))
         a_over_b = alpha / beta
 
         b_osum = self._uniq_osum + beta
         log_b_osum = _log_per_value(b_osum)[self._inv_osum]
-        dls_da = digamma(self._uniq_csum + alpha)[self._inv_csum] - dg_alpha + log_beta - log_b_osum
+        dls_da = _digamma(self._uniq_csum + alpha)[self._inv_csum] - dg_alpha + log_beta - log_b_osum
         dls_db = a_over_b - (self.csum + alpha) / b_osum[self._inv_osum]
 
         b_o = self._uniq_o + beta
         log_b_o = _log_per_value(b_o)[self._inv_o]
         dld_da = (
-            self._segment_sum(digamma(self._uniq_c + alpha)[self._inv_c])
+            self._segment_sum(_digamma(self._uniq_c + alpha)[self._inv_c])
             - self.t * dg_alpha
             + self.t * log_beta
             - self._segment_sum(log_b_o)
@@ -381,8 +436,6 @@ class ExpectedLoglik:
 
     def value_and_grad(self, alpha: float, beta: float) -> tuple[float, float, float]:
         """Q and its partial derivatives in alpha and beta."""
-        from scipy.special import digamma, gammaln
-
         s = self._n_draws
         log_beta = math.log(beta)
         b_o, b_osum = self._o + beta, self._osum + beta
@@ -391,16 +444,16 @@ class ExpectedLoglik:
             w_o = alpha * self._w_o + self._wc_o
             w_osum = alpha * self._v_osum + self._vc_osum
         value = (
-            _dot(self._w_c, gammaln(self._c + alpha))
-            + _dot(self._v_csum, gammaln(self._csum + alpha))
-            - s * (float(gammaln(alpha)) - alpha * log_beta)
+            _dot(self._w_c, _gammaln(self._c + alpha))
+            + _dot(self._v_csum, _gammaln(self._csum + alpha))
+            - s * (float(_gammaln(alpha)) - alpha * log_beta)
             - _dot(w_o, log_b_o)
             - _dot(w_osum, log_b_osum)
         )
         d_alpha = (
-            _dot(self._w_c, digamma(self._c + alpha))
-            + _dot(self._v_csum, digamma(self._csum + alpha))
-            - s * (float(digamma(alpha)) - log_beta)
+            _dot(self._w_c, _digamma(self._c + alpha))
+            + _dot(self._v_csum, _digamma(self._csum + alpha))
+            - s * (float(_digamma(alpha)) - log_beta)
             - _dot(self._w_o, log_b_o)
             - _dot(self._v_osum, log_b_osum)
         )
@@ -435,8 +488,6 @@ def stable_responsibility(ls, ld, pi: float):
     posterior is pinned to the prior there (also makes single-timepoint
     series return pi exactly).
     """
-    from scipy.special import expit
-
     delta = np.asarray(ld) - np.asarray(ls)
     log_odds_prior = math.log(pi) - math.log1p(-pi)
-    return np.where(delta == 0.0, pi, expit(log_odds_prior + delta))
+    return np.where(delta == 0.0, pi, _expit(log_odds_prior + delta))

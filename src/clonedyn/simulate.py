@@ -53,6 +53,19 @@ class SimConfig:
             raise ValidationError("seed must be a 64-bit unsigned integer")
 
 
+@dataclass(frozen=True, eq=False)
+class TruthLabels:
+    """Per-clone ground truth as columns, as truth.tsv holds it: person_id and
+    clone_id (object arrays of str) and dynamic (bool), one row per clone."""
+
+    person_id: np.ndarray
+    clone_id: np.ndarray
+    dynamic: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.person_id.size)
+
+
 @dataclass(frozen=True)
 class SimTruth:
     """Ground truth for scoring: per-clone labels (True = dynamic) and the

@@ -407,7 +407,7 @@ def read_calls_by_row(path):
 
 
 def read_truth_labels_by_row(path):
-    """{(person_id, clone_id): dynamic} of truth.tsv, checked one record at a time."""
+    """[person_id, clone_id, dynamic] lists of truth.tsv, checked one record at a time."""
     labels = {}
     for (person, clone, dynamic), line in _row_records(path, 3):
         if (person, clone) in labels:
@@ -416,4 +416,4 @@ def read_truth_labels_by_row(path):
         if value not in (0, 1):
             raise RowParseError(f"dynamic must be 0 or 1, got {value}", line)
         labels[(person, clone)] = bool(value)
-    return labels
+    return [[p for p, _ in labels], [c for _, c in labels], list(labels.values())]

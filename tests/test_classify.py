@@ -1,6 +1,7 @@
 """Thresholded calls, per-person counts, and the two association tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from clonedyn import (
     operating_characteristics,
     simulate,
 )
-from clonedyn.classify import DIRECTIONS
+from clonedyn.classify import DIRECTIONS, truth_of
+from clonedyn.simulate import TruthLabels
 
 
 def series(counts, offsets, clone="c", person="p", times=None):
@@ -130,6 +132,26 @@ class TestOperatingCharacteristics:
         assert (oc.tp, oc.fp, oc.tn, oc.fn) == (tp, fp, tn, fn)
         assert oc.sensitivity == pytest.approx(tp / (tp + fn))
         assert oc.specificity == pytest.approx(tn / (tn + fp))
+
+    def test_truth_columns_align_in_any_order_and_with_extra_clones(self):
+        rng = np.random.default_rng(45)
+        keys = [(f"p{i % 7}", f"c{i:03d}") for i in range(300)]
+        labels = {key: bool(rng.random() < 0.3) for key in sorted(keys)}
+        kept = sorted(k for k in keys if rng.random() < 0.8)
+        calls = table(*((*k, 0.5, Call.STATIC, Direction.NOT_APPLICABLE) for k in kept))
+        expected = [labels[k] for k in kept]
+        for order in (kept, sorted(keys), list(rng.permutation(np.array(keys, dtype=object)))):
+            truth = TruthLabels(
+                np.array([p for p, _ in order], dtype=object),
+                np.array([c for _, c in order], dtype=object),
+                np.array([labels[tuple(k)] for k in order]),
+            )
+            assert truth_of(calls, truth).tolist() == expected
+        missing = kept[len(kept) // 2]
+        del labels[missing]
+        message = re.escape(f"truth does not cover clone {missing}")
+        with pytest.raises(ValidationError, match=message):
+            truth_of(calls, labels)
 
     def test_uncovered_truth_raises(self):
         calls = table(("p", "a", 0.9, Call.DYNAMIC, Direction.EXPANDING))

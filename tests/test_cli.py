@@ -9,6 +9,7 @@ from clonedyn.cli import (
     EXIT_OK,
     EXIT_OPTIMIZER,
     EXIT_VALIDATION,
+    build_parser,
     main,
     read_calls,
     read_keyvalues,
@@ -199,6 +200,15 @@ class TestConfigHandling:
         config = tmp_path / "shared.cfg"
         config.write_text("n_clones = 300\nn_persons = 3\nthreshold = 0.9\nmin_total_reads = 5\n")
         assert run("simulate", "--config", config, "--output-dir", tmp_path / "y") == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["classify", "summarize"])
+    def test_seed_is_rejected_where_no_draw_reads_it(self, tmp_path, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run(command, "--seed", 1, "--output-dir", tmp_path / "y")
+        assert exited.value.code == EXIT_VALIDATION
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        # a config file shared with fit may still hold the seed
+        assert "seed" in build_parser().parse_args([command]).config_keys
 
     def test_config_that_is_not_utf8_is_rejected(self, tmp_path, capsys):
         config = tmp_path / "latin1.cfg"
@@ -538,7 +548,7 @@ def scipy_loaded(*stages):
     return done.stdout.strip()
 
 
-def test_only_fit_imports_scipy(tmp_path):
+def test_no_stage_imports_scipy(tmp_path):
     sim, fit, cls = tmp_path / "sim", tmp_path / "fit", tmp_path / "cls"
     inputs = ("--input", sim / "cohort.tsv", "--offsets", sim / "offsets.tsv",
               "--min-total-reads", 0)
@@ -546,7 +556,7 @@ def test_only_fit_imports_scipy(tmp_path):
     strata.write_text("person_id\tstratum\n" + "".join(f"p{i:03d}\t{i % 2}\n" for i in range(4)))
     simulate = ("simulate", "--n-clones", 400, "--n-persons", 4, "--seed", 3, "--output-dir", sim)
     assert scipy_loaded(simulate) == "[False, False]"
-    assert scipy_loaded(("fit", *inputs, "--output-dir", fit)) == "[False, True]"
+    assert scipy_loaded(("fit", *inputs, "--output-dir", fit)) == "[False, False]"
     classify_ = ("classify", *inputs, "--responsibilities", fit / "responsibilities.tsv",
                  "--truth", sim / "truth.tsv", "--output-dir", cls)
     summarize = ("summarize", "--input", cls / "calls.tsv", "--strata", strata,

@@ -221,7 +221,9 @@ class TestRoundTrips:
             assert np.array_equal(a.times, b.times)
 
         labels = read_truth_labels(truth_path)
-        assert labels == truth.labels
+        keys = list(zip(labels.person_id.tolist(), labels.clone_id.tolist()))
+        assert keys == sorted(truth.labels)
+        assert labels.dynamic.tolist() == [truth.labels[key] for key in keys]
 
     def test_offsets_and_strata_round_trip(self, tmp_path):
         offsets = {("p1", 0): 100, ("p1", 1): 250, ("p2", 0): 70}

@@ -93,7 +93,10 @@ READERS = {
         read_responsibilities_by_row,
     ),
     "calls": (lambda path: list(read_calls(path)), read_calls_by_row),
-    "truth": (read_truth_labels, read_truth_labels_by_row),
+    "truth": (
+        lambda path: [a.tolist() for a in vars(read_truth_labels(path)).values()],
+        read_truth_labels_by_row,
+    ),
 }
 
 
