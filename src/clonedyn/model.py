@@ -107,13 +107,6 @@ class Hyperparams:
             raise ValidationError(f"pi must lie strictly inside (0, 1), got {self.pi}")
 
 
-def _log_per_value(values: np.ndarray) -> np.ndarray:
-    # libm log once per distinct value; keeps results identical no matter
-    # how many series are packed together (array-level np.log may take a
-    # SIMD path whose tail handling differs between batch sizes)
-    return np.array([math.log(v) for v in values], dtype=np.float64)
-
-
 # log-gamma and digamma on [0, inf]: a value x below _SHIFT is raised to
 # x + _SHIFT by the recurrence, and the Stirling / asymptotic series in 1/z
 # is truncated where its next term is below 1e-15 relative at z = _SHIFT
@@ -142,31 +135,51 @@ def _shifted(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return z, small, low
 
 
-def _gammaln(x):
-    """log Gamma(x) for x in [0, inf], elementwise: inf at 0 and at inf."""
-    z, small, low = _shifted(x)
+def _gammaln_from(z, small, low, log_z, s) -> np.ndarray:
+    """log Gamma of _shifted's output, given log(z) and s = 1 / z."""
     # (z - 1/2)(log z - 1) rather than (z - 1/2) log z - z: inf, not nan, at inf
-    out = (z - 0.5) * (np.log(z) - 1.0) + (_HALF_LOG_2PI - 0.5)
-    out += _in_series(_GAMMALN_SERIES, 1.0 / z)
+    out = (z - 0.5) * (log_z - 1.0) + (_HALF_LOG_2PI - 0.5)
+    out += _in_series(_GAMMALN_SERIES, s)
     prod = low.copy()
     for k in range(1, _SHIFT):
         prod *= low + k
     with np.errstate(divide="ignore"):  # the pole at 0: log(0) = -inf
         out[small] -= np.log(prod)
-    return out.reshape(np.shape(x))
+    return out
 
 
-def _digamma(x):
-    """d/dx log Gamma(x) for x in [0, inf], elementwise: -inf at 0, inf at inf."""
-    z, small, low = _shifted(x)
-    s = 1.0 / z
-    out = np.log(z) - 0.5 * s - s * _in_series(_DIGAMMA_SERIES, s)
+def _digamma_from(z, small, low, log_z, s) -> np.ndarray:
+    """Digamma of _shifted's output, given log(z) and s = 1 / z."""
+    out = log_z - 0.5 * s - s * _in_series(_DIGAMMA_SERIES, s)
     with np.errstate(divide="ignore"):  # the pole at 0: 1 / 0 = inf
         recip = 1.0 / (low + (_SHIFT - 1))
         for k in range(_SHIFT - 2, -1, -1):  # smallest terms first
             recip += 1.0 / (low + k)
     out[small] -= recip
-    return out.reshape(np.shape(x))
+    return out
+
+
+def _gammaln(x):
+    """log Gamma(x) for x in [0, inf], elementwise: inf at 0 and at inf."""
+    z, small, low = _shifted(x)
+    return _gammaln_from(z, small, low, np.log(z), 1.0 / z).reshape(np.shape(x))
+
+
+def _digamma(x):
+    """d/dx log Gamma(x) for x in [0, inf], elementwise: -inf at 0, inf at inf."""
+    z, small, low = _shifted(x)
+    return _digamma_from(z, small, low, np.log(z), 1.0 / z).reshape(np.shape(x))
+
+
+def _gammaln_digamma(x) -> tuple[np.ndarray, np.ndarray]:
+    """(_gammaln(x), _digamma(x)), bit for bit, from one shift, log and reciprocal."""
+    z, small, low = _shifted(x)
+    log_z, s = np.log(z), 1.0 / z
+    shape = np.shape(x)
+    return (
+        _gammaln_from(z, small, low, log_z, s).reshape(shape),
+        _digamma_from(z, small, low, log_z, s).reshape(shape),
+    )
 
 
 def _expit(x):
@@ -318,7 +331,7 @@ class SeriesBatch:
         self._uniq_osum, self._inv_osum = np.unique(self.osum, return_inverse=True)
 
         # sum_k c_k * log(o_k), with 0 * log(o) pinned to zero for zero counts
-        log_o = _log_per_value(self._uniq_o)[self._inv_o]
+        log_o = np.log(self._uniq_o)[self._inv_o]
         self._sum_c_log_o = self._segment_sum(np.where(flat_c > 0.0, flat_c * log_o, 0.0))
 
     def log_pmfs(self, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -339,7 +352,7 @@ class SeriesBatch:
         log_beta = math.log(beta)
         gl_alpha = float(_gammaln(alpha))
 
-        log_b_osum = _log_per_value(self._uniq_osum + beta)[self._inv_osum]
+        log_b_osum = np.log(self._uniq_osum + beta)[self._inv_osum]
         ls = (
             _gammaln(self._uniq_csum + alpha)[self._inv_csum]
             - gl_alpha
@@ -349,7 +362,7 @@ class SeriesBatch:
             - self.csum * log_b_osum
         )
 
-        log_b_o = _log_per_value(self._uniq_o + beta)[self._inv_o]
+        log_b_o = np.log(self._uniq_o + beta)[self._inv_o]
         ld = (
             self._segment_sum(_gammaln(self._uniq_c + alpha)[self._inv_c])
             - self.t * gl_alpha
@@ -374,12 +387,12 @@ class SeriesBatch:
         a_over_b = alpha / beta
 
         b_osum = self._uniq_osum + beta
-        log_b_osum = _log_per_value(b_osum)[self._inv_osum]
+        log_b_osum = np.log(b_osum)[self._inv_osum]
         dls_da = _digamma(self._uniq_csum + alpha)[self._inv_csum] - dg_alpha + log_beta - log_b_osum
         dls_db = a_over_b - (self.csum + alpha) / b_osum[self._inv_osum]
 
         b_o = self._uniq_o + beta
-        log_b_o = _log_per_value(b_o)[self._inv_o]
+        log_b_o = np.log(b_o)[self._inv_o]
         dld_da = (
             self._segment_sum(_digamma(self._uniq_c + alpha)[self._inv_c])
             - self.t * dg_alpha
@@ -443,17 +456,20 @@ class ExpectedLoglik:
         with np.errstate(over="ignore", invalid="ignore"):  # far out: inf, then -inf to BFGS
             w_o = alpha * self._w_o + self._wc_o
             w_osum = alpha * self._v_osum + self._vc_osum
+        gl_c, dg_c = _gammaln_digamma(self._c + alpha)
+        gl_csum, dg_csum = _gammaln_digamma(self._csum + alpha)
+        gl_alpha, dg_alpha = _gammaln_digamma(alpha)
         value = (
-            _dot(self._w_c, _gammaln(self._c + alpha))
-            + _dot(self._v_csum, _gammaln(self._csum + alpha))
-            - s * (float(_gammaln(alpha)) - alpha * log_beta)
+            _dot(self._w_c, gl_c)
+            + _dot(self._v_csum, gl_csum)
+            - s * (float(gl_alpha) - alpha * log_beta)
             - _dot(w_o, log_b_o)
             - _dot(w_osum, log_b_osum)
         )
         d_alpha = (
-            _dot(self._w_c, _digamma(self._c + alpha))
-            + _dot(self._v_csum, _digamma(self._csum + alpha))
-            - s * (float(_digamma(alpha)) - log_beta)
+            _dot(self._w_c, dg_c)
+            + _dot(self._v_csum, dg_csum)
+            - s * (float(dg_alpha) - log_beta)
             - _dot(self._w_o, log_b_o)
             - _dot(self._v_osum, log_b_osum)
         )

@@ -238,12 +238,7 @@ def row_ingest(path, offsets_path=None):
                     f"person-time {pt} has zero total reads; supply an explicit offsets file"
                 )
         return rows, derived
-    offsets = {}
-    for (person, time, total), line in _row_records(offsets_path, 3):
-        key = (person, _row_int(time, "time_index", line))
-        if key in offsets:
-            raise RowParseError(f"duplicate person-time {key}", line)
-        offsets[key] = _row_int(total, "total_reads", line, minimum=1)
+    offsets = read_offsets_by_row(offsets_path)
     for person, time_index, clone, count in rows:
         total = offsets.get((person, time_index))
         if total is None:
@@ -256,6 +251,30 @@ def row_ingest(path, offsets_path=None):
                 f"at {(person, time_index)}"
             )
     return rows, offsets
+
+
+def read_offsets_by_row(path):
+    """offsets.tsv as a dict of total reads per (person, time), checked one record at a time."""
+    offsets = {}
+    for (person, time, total), line in _row_records(path, 3):
+        key = (person, _row_int(time, "time_index", line))
+        if key in offsets:
+            raise RowParseError(f"duplicate person-time {key}", line)
+        offsets[key] = _row_int(total, "total_reads", line, minimum=1)
+    return offsets
+
+
+def read_strata_by_row(path):
+    """strata.tsv as a dict of stratum per person, checked one record at a time."""
+    strata = {}
+    for (person, stratum), line in _row_records(path, 2):
+        value = _row_int(stratum, "stratum", line)
+        if value not in (0, 1):
+            raise RowParseError(f"stratum must be 0 or 1, got {value}", line)
+        if person in strata:
+            raise RowParseError(f"duplicate person {person!r}", line)
+        strata[person] = value
+    return strata
 
 
 def row_filter(rows, offsets, min_total_reads: int, absent_as_zero: bool):

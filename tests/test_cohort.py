@@ -3,11 +3,13 @@
 import os
 import stat
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from clonedyn import CloneSeries, ParseError, SimConfig, ValidationError, filter_clones, ingest, simulate
+from clonedyn import cohort as cohort_module
 from clonedyn.cohort import (
     offsets_from_series,
     read_offsets,
@@ -19,7 +21,7 @@ from clonedyn.cohort import (
     write_truth,
 )
 
-from oracles import write_strata
+from oracles import row_filter, row_ingest, write_strata
 
 
 def write(path, text):
@@ -99,6 +101,33 @@ class TestIngest:
         assert [s.key for s in kept] == expected
         outlier = kept[[s.clone_id for s in kept].index("C" * 20_000)]
         assert outlier.counts.tolist() == [1500 % 7, 1500 % 7 + 1]
+
+    @pytest.mark.parametrize("block_chars", [4096, cohort_module.BLOCK_CHARS])
+    def test_plain_ascii_cohort_needs_neither_csv_reader_nor_int(self, tmp_path, block_chars):
+        # shaped like a sequenced repertoire: per person and time, tracked
+        # clones with many reads among rare one- or two-read ones
+        rng = np.random.default_rng(3)
+        rows = []
+        for p in range(4):
+            for t in range(3):
+                reads = rng.integers(5, 900, 40).tolist()
+                tracked = [(f"c{p:03d}{i:03d}", n) for i, n in enumerate(reads)]
+                rare = [(f"r{p:03d}{t}{i:04d}", int(rng.integers(1, 3))) for i in range(300)]
+                rows += [f"p{p:03d}\t{t}\t{c}\t{n}" for c, n in sorted(tracked + rare)]
+        path = write(tmp_path / "cohort.tsv", HEADER + "\n".join(rows) + "\n")
+        expected = row_filter(*row_ingest(path), 8, True)
+        with (
+            mock.patch.object(cohort_module, "BLOCK_CHARS", block_chars),
+            mock.patch.object(cohort_module, "_columns", side_effect=AssertionError("csv ran")),
+            mock.patch.object(cohort_module, "_csv_blocks", side_effect=AssertionError("csv ran")),
+            mock.patch.object(cohort_module, "_int_values", side_effect=AssertionError("int ran")),
+        ):
+            kept = filter_clones(ingest(path), min_total_reads=8)
+        actual = [
+            (s.person_id, s.clone_id, s.times.tolist(), s.counts.tolist(), s.offsets.tolist())
+            for s in kept
+        ]
+        assert actual == expected
 
     def test_negative_count_reports_line(self, tmp_path):
         path = write(tmp_path / "neg.tsv", HEADER + "p1\t0\ta\t-3\n")
@@ -229,7 +258,9 @@ class TestRoundTrips:
         offsets = {("p1", 0): 100, ("p1", 1): 250, ("p2", 0): 70}
         opath = tmp_path / "offsets.tsv"
         write_offsets(opath, offsets)
-        assert read_offsets(opath) == offsets
+        person, time, total = read_offsets(opath)
+        assert list(zip(person.tolist(), time.tolist())) == sorted(offsets)
+        assert total.tolist() == [offsets[key] for key in sorted(offsets)]
 
         strata = {"p1": 0, "p2": 1}
         spath = tmp_path / "strata.tsv"

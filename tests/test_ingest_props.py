@@ -16,7 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from clonedyn import CloneSeries, PackedCohort, ParseError, ValidationError, filter_clones, ingest
@@ -35,7 +35,8 @@ from oracles import (
 
 HEADER = "person_id\ttime_index\tclone_id\tcount\n"
 IDS = st.text(alphabet="abAB_1é", min_size=1, max_size=4)
-BLOCK_CHARS = st.sampled_from([8, 64, 1 << 20])
+BLOCK_SIZES = [8, 64, 1 << 20]
+BLOCK_CHARS = st.sampled_from(BLOCK_SIZES)
 SETTINGS = settings(
     max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -234,6 +235,81 @@ def test_malformed_records_fail_on_the_same_line_as_the_row_reference(
         with mock.patch.object(cohort_module, "BLOCK_CHARS", block_chars):
             actual = outcome(lambda: packed_clones(path, offsets_path, 0, True))
     assert actual == expected
+
+
+# ids that are byte-prefixes of one another (also ones that fill a word
+# exactly), are empty, hold NUL, sort by code point beyond ASCII, or are
+# wider than one word or than the fixed-width sort keys
+EDGE_IDS = st.sampled_from(
+    ["a", "ab", "a\x00", "a\x00b", "\x00", "", "é", "z", "😀", "zé"]
+    + ["abcdefgh", "abcdefghi", "abcdefghijklmnop", "abcdefghijklmnopq"]
+    + ["y" * 20, "y" * 20 + "\x00", "y" * 20 + "z", "x" * 70, "x" * 70 + "é", "x" * 71]
+)
+# a NUL-ended id right after the same id without it, as person and as
+# clone, and two ids of one length that differ only in their third word
+NEIGHBOURS = HEADER + "".join(
+    f"{p}\t{t}\t{c}\t{n}\n"
+    for p, t, c, n in [
+        ("p", 0, "a", 1),
+        ("p", 0, "a\x00", 2),
+        ("p", 1, "a", 3),
+        ("a", 0, "z", 1),
+        ("a\x00", 0, "z", 2),
+        ("p", 2, "y" * 20 + "\x00", 1),
+        ("p", 2, "y" * 20 + "z", 2),
+    ]
+)
+
+
+def word_prefixes(same_person_time):
+    """An 8-byte id and its 9-byte extension, as clones at one person-time
+    or at different ones, and a 16-byte person id with its 17-byte extension."""
+    time = 0 if same_person_time else 1
+    return HEADER + "".join(
+        f"{p}\t{t}\t{c}\t{n}\n"
+        for p, t, c, n in [
+            ("p", 0, "clone_12", 1),
+            ("p", time, "clone_123", 2),
+            ("abcdefghijklmnop", 0, "clone_12", 3),
+            ("abcdefghijklmnopq", 0, "clone_12", 4),
+        ]
+    )
+
+
+# spellings int() accepts that are not plain ASCII digits, and the int64 edge
+SPELLED = ["+7", " 7", "7 ", "0_7", "٧", "007", "9223372036854775807"]
+EDGE_TIMES = st.one_of(st.integers(0, 40).map(str), st.sampled_from(SPELLED + ["0", "-0"]))
+EDGE_COUNTS = st.one_of(st.integers(1, 40).map(str), st.sampled_from(SPELLED))
+TOO_BIG = "9223372036854775808"
+
+
+@st.composite
+def edge_cohorts(draw):
+    """Text of a cohort with edge-case ids and integer spellings, records in
+    random order, with or without a final newline."""
+    keys = draw(st.lists(st.tuples(EDGE_IDS, EDGE_TIMES, EDGE_IDS), min_size=1, max_size=12))
+    records = [f"{p}\t{t}\t{c}\t{draw(EDGE_COUNTS)}" for p, t, c in keys]
+    if draw(st.booleans()):
+        records.insert(draw(st.integers(0, len(records))), f"a\t0\tb\t{TOO_BIG}")
+    text = HEADER + "\n".join(records)
+    return text + "\n" if draw(st.booleans()) else text
+
+
+@SETTINGS
+@given(edge_cohorts(), st.booleans())
+@example(NEIGHBOURS, False)
+@example(word_prefixes(same_person_time=True), False)
+@example(word_prefixes(same_person_time=False), True)
+@example(HEADER + f"a\t0\tb\t{TOO_BIG}\n", True)
+@example(HEADER + "a\t9223372036854775807\tb\t9223372036854775807", True)
+def test_byte_path_edge_cases_match_the_row_reference_at_every_block_size(text, absent_as_zero):
+    with tempfile.TemporaryDirectory() as root:
+        path, _ = write_inputs(Path(root), text, None)
+        expected = outcome(lambda: row_filter(*row_ingest(path), 0, absent_as_zero))
+        for block_chars in BLOCK_SIZES:
+            with mock.patch.object(cohort_module, "BLOCK_CHARS", block_chars):
+                actual = outcome(lambda: packed_clones(path, None, 0, absent_as_zero))
+            assert actual == expected, block_chars
 
 
 def shuffled_series(rows, rnd, bumps=0):

@@ -1,10 +1,10 @@
 """Property tests of the columnar sidecar readers and of vectorized slope signs.
 
-responsibilities.tsv, calls.tsv and truth.tsv tables are made from random
-cohorts, written in canonical or shuffled order, and damaged with
-malformed records; the columnar readers must return what the per-row
-references in oracles.py return, or fail with the same message on the
-same line.  Call directions of many series classified at once must equal
+responsibilities.tsv, calls.tsv, truth.tsv, offsets.tsv and strata.tsv
+tables are made from random cohorts, written in canonical or shuffled
+order, and damaged with malformed records; the columnar readers must
+return what the per-row references in oracles.py return, or fail with
+the same message on the same line.  Call directions of many series classified at once must equal
 the sign of _ols_slope on each series alone.
 """
 
@@ -20,10 +20,16 @@ from hypothesis import strategies as st
 from clonedyn import CloneSeries, Direction, PackedCohort, classify
 from clonedyn.classify import _ols_slope
 from clonedyn.cli import read_calls, read_responsibilities
-from clonedyn.cohort import read_truth_labels
+from clonedyn.cohort import read_offsets, read_strata, read_truth_labels
 
-from oracles import read_calls_by_row, read_responsibilities_by_row, read_truth_labels_by_row
-from test_ingest_props import SETTINGS, cohorts, outcome
+from oracles import (
+    read_calls_by_row,
+    read_offsets_by_row,
+    read_responsibilities_by_row,
+    read_strata_by_row,
+    read_truth_labels_by_row,
+)
+from test_ingest_props import IDS, SETTINGS, cohorts, outcome
 
 PROBS = st.one_of(
     st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 0.75, 5e-324, 1.0 - 2.0**-53])
@@ -130,6 +136,76 @@ def test_malformed_records_fail_on_the_same_line_as_the_row_reference(kind, data
             record = lines[position % len(lines)]
         lines.insert(position % (len(lines) + 1), record)
     actual, expected = read_both(kind, header, lines)
+    assert actual == expected
+
+
+@st.composite
+def person_tables(draw, kind: str):
+    """(header, record lines) of a random offsets or strata table with at least
+    two records, in canonical, reversed or shuffled order."""
+    persons = draw(st.lists(IDS, min_size=2, max_size=5, unique=True))
+    if kind == "offsets":
+        header = "person_id\ttime_index\ttotal_reads"
+        times = st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True)
+        lines = [
+            f"{p}\t{t}\t{draw(st.integers(1, 10**6))}" for p in persons for t in draw(times)
+        ]
+    else:
+        header = "person_id\tstratum"
+        lines = [f"{p}\t{draw(st.sampled_from('01'))}" for p in persons]
+    lines.sort()
+    order = draw(st.sampled_from(["canonical", "reversed", "shuffled"]))
+    if order == "reversed":  # never canonical, however few the records
+        lines.reverse()
+    elif order == "shuffled":
+        lines = draw(st.permutations(lines))
+    return header, list(lines)
+
+
+PERSON_MALFORMED = {
+    "offsets": [
+        "p\tx\t5",  # time not an integer
+        "p\t-1\t5",
+        "p\t99999999999999999999\t5",
+        "p\t0\t0",  # total_reads below 1
+        "p\t0\tx",
+        "p\t0\t99999999999999999999",
+        "p\tx\t0",  # two faults: the time's message wins
+    ],
+    "strata": ["p\t2", "p\t-1", "p\tx", "p\t99999999999999999999"],
+}
+def offsets_columns_by_row(path):
+    """read_offsets_by_row as sorted person, time and total columns."""
+    rows = sorted((p, t, n) for (p, t), n in read_offsets_by_row(path).items())
+    return [[row[j] for row in rows] for j in range(3)]
+
+
+PERSON_READERS = {
+    "offsets": (lambda path: [a.tolist() for a in read_offsets(path)], offsets_columns_by_row),
+    "strata": (
+        lambda path: list(read_strata(path).items()),
+        lambda path: list(read_strata_by_row(path).items()),
+    ),
+}
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(PERSON_READERS)), st.data(), st.booleans())
+def test_offsets_and_strata_readers_match_the_row_references(kind, data, damaged):
+    header, lines = data.draw(person_tables(kind))
+    if damaged:
+        records = st.sampled_from(PERSON_MALFORMED[kind] + ["duplicate"])
+        damage = st.lists(st.tuples(st.integers(0, 10_000), records), min_size=1, max_size=3)
+        for position, record in data.draw(damage):
+            if record == "duplicate":
+                record = lines[position % len(lines)]
+            lines.insert(position % (len(lines) + 1), record)
+    columnar, by_row = PERSON_READERS[kind]
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "table.tsv"
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        actual, expected = outcome(lambda: columnar(path)), outcome(lambda: by_row(path))
+    assert damaged or expected[0] == "ok"
     assert actual == expected
 
 

@@ -16,7 +16,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonedyn.model import _digamma, _expit, _gammaln
+from clonedyn.model import _digamma, _expit, _gammaln, _gammaln_digamma
 
 TOL = 1e-14
 DIGAMMA_ROOT = 1.4616321449683622
@@ -78,6 +78,13 @@ def test_kernels_match_mpmath_on_drawn_floats(values):
     x = np.array(values)
     assert worst_error(_gammaln(x), exact(mpmath.loggamma, x)) <= TOL
     assert worst_error(_digamma(x), exact(mpmath.digamma, x)) <= TOL
+
+
+def test_the_joint_kernel_gives_the_bits_of_each_kernel():
+    for x in (GRID, COUNT_PLUS_ALPHA, np.array([0.0, np.inf, np.nan]), 2.5):
+        gammaln, digamma = _gammaln_digamma(x)
+        np.testing.assert_array_equal(gammaln.view(np.int64), _gammaln(x).view(np.int64))
+        np.testing.assert_array_equal(digamma.view(np.int64), _digamma(x).view(np.int64))
 
 
 def test_logistic_matches_scipy():
