@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .model import CloneSeries, Hyperparams, PackedCohort, SeriesBatch
-from .simulate import SimConfig, SimTruth, simulate
+from .simulate import SimConfig, TruthLabels, simulate
 
 __all__ = [
     "AssociationResult",
@@ -59,7 +59,7 @@ __all__ = [
     "PersonCounts",
     "SeriesBatch",
     "SimConfig",
-    "SimTruth",
+    "TruthLabels",
     "ValidationError",
     "associate",
     "chi_square_dichotomized",

@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import CloneSeries, PackedCohort, as_packed, segment_rows
-from .simulate import SimTruth, TruthLabels
+from .model import PackedCohort, segment_rows
+from .simulate import TruthLabels
 
 
 class Call(str, Enum):
@@ -188,16 +188,13 @@ def _contracting(cohort: PackedCohort, index: np.ndarray) -> np.ndarray:
     return contracting
 
 
-def classify(
-    responsibilities: Mapping[tuple[str, str], float] | np.ndarray,
-    series_by_clone: Iterable[CloneSeries] | PackedCohort,
-    threshold: float,
-) -> CallTable:
+def classify(prob_dynamic: np.ndarray, cohort: PackedCohort, threshold: float) -> CallTable:
     """Hard calls: dynamic iff prob_dynamic > threshold (strictly).
 
-    Calls come in canonical (person_id, clone_id) order.  responsibilities
-    maps each clone's key to its prob_dynamic, or is an array of them in
-    that order.  Dynamic calls get a direction from the sign of the
+    cohort must be in canonical (person_id, clone_id) order without
+    repeated keys, as ingest and fit_em give it, and prob_dynamic holds
+    each of its clones' probability in that order; the calls come in the
+    same order.  Dynamic calls get a direction from the sign of the
     least-squares slope of count/offset against the observed time index;
     a zero slope (including single-timepoint series) counts as expanding.
     With two time points this is the sign of the follow-up minus baseline
@@ -205,21 +202,11 @@ def classify(
     """
     if not 0.0 < threshold < 1.0:
         raise ValidationError(f"threshold must lie in (0, 1), got {threshold}")
-    cohort = as_packed(series_by_clone).sorted()
-    if cohort.has_duplicate_keys():
-        raise ValidationError("duplicate (person_id, clone_id) keys in input")
-    if isinstance(responsibilities, Mapping):
-        keys = cohort.keys
-        if set(keys) != set(responsibilities):
-            missing = set(responsibilities) ^ set(keys)
-            raise ValidationError(
-                f"responsibilities and series keys do not align ({len(missing)} mismatched)"
-            )
-        probs = np.array([float(responsibilities[key]) for key in keys], dtype=np.float64)
-    else:
-        probs = np.asarray(responsibilities, dtype=np.float64)
-        if probs.shape != (len(cohort),):
-            raise ValidationError(f"expected {len(cohort)} responsibilities, got {probs.shape}")
+    if cohort.sorted() is not cohort or cohort.has_duplicate_keys():
+        raise ValidationError("clones must be in (person_id, clone_id) order without duplicates")
+    probs = np.asarray(prob_dynamic, dtype=np.float64)
+    if probs.shape != (len(cohort),):
+        raise ValidationError(f"expected {len(cohort)} responsibilities, got {probs.shape}")
 
     dynamic = probs > threshold
     direction = np.full(len(cohort), NOT_APPLICABLE, dtype=np.int8)
@@ -228,9 +215,7 @@ def classify(
     return CallTable(cohort.person_id, cohort.clone_id, probs, dynamic, direction)
 
 
-def truth_of(
-    calls: CallTable, truth: TruthLabels | SimTruth | Mapping[tuple[str, str], bool]
-) -> np.ndarray:
+def truth_of(calls: CallTable, truth: TruthLabels) -> np.ndarray:
     """Each call's true label, in call order; ValidationError when truth
     misses a clone.
 
@@ -239,14 +224,6 @@ def truth_of(
     calls do not have) one lexsort of both key sets puts each call right
     after the truth row with its key.
     """
-    if not isinstance(truth, TruthLabels):
-        labels = truth.labels if isinstance(truth, SimTruth) else truth
-        keys = list(labels)
-        truth = TruthLabels(
-            np.array([p for p, _ in keys], dtype=object),
-            np.array([c for _, c in keys], dtype=object),
-            np.array([labels[key] for key in keys], dtype=bool),
-        )
     if np.array_equal(truth.person_id, calls.person_id) and np.array_equal(
         truth.clone_id, calls.clone_id
     ):
@@ -268,18 +245,13 @@ def truth_of(
 
 
 def operating_characteristics(
-    calls: CallTable,
-    truth: TruthLabels | SimTruth | Mapping[tuple[str, str], bool] | np.ndarray,
-    threshold: float,
+    calls: CallTable, actual: np.ndarray, threshold: float
 ) -> OperatingCharacteristics:
-    """Confusion-matrix rates of the calls against ground-truth labels, given
-    as truth_of takes them or as an array of booleans in call order."""
-    if isinstance(truth, np.ndarray):
-        actual = truth.astype(bool)
-        if actual.shape != (len(calls),):
-            raise ValidationError(f"expected {len(calls)} truth labels, got {actual.shape}")
-    else:
-        actual = truth_of(calls, truth)
+    """Confusion-matrix rates of the calls against the true labels in call
+    order, as truth_of gives them."""
+    actual = np.asarray(actual, dtype=bool)
+    if actual.shape != (len(calls),):
+        raise ValidationError(f"expected {len(calls)} truth labels, got {actual.shape}")
     predicted = calls.dynamic
     tp = int(np.count_nonzero(predicted & actual))
     fp = int(np.count_nonzero(predicted & ~actual))

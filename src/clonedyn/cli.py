@@ -182,7 +182,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     opts = _Options(args)
     out = _ensure_output_dir(opts)
     cfg = opts.build(SimConfig)
-    cohort, truth = simulate(cfg)
+    cohort, truth, _ = simulate(cfg)
     cohort_path = out / "cohort.tsv"
     offsets_path = out / "offsets.tsv"
     truth_path = out / "truth.tsv"

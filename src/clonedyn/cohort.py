@@ -24,8 +24,11 @@ those of the clones it keeps.  Validation runs once over whole columns;
 when a check fails, the offending record is looked up again so the
 error names it.
 
-All writers emit a canonical row order and shortest round-trip float
-formatting, and replace the target file atomically.
+Writers take columns: write_cohort emits canonical (person, time, clone)
+row order, the others keep the order of the columns they are given
+(offsets_from_series and simulate give canonical order).  Floats get
+shortest round-trip formatting, and every target file is replaced
+atomically.
 """
 
 from __future__ import annotations
@@ -37,13 +40,13 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .model import CloneSeries, PackedCohort, as_packed, segment_rows
-from .simulate import SimTruth, TruthLabels
+from .model import PackedCohort, segment_rows
+from .simulate import TruthLabels
 
 COHORT_COLUMNS = ("person_id", "time_index", "clone_id", "count")
 OFFSETS_COLUMNS = ("person_id", "time_index", "total_reads")
@@ -787,13 +790,9 @@ def _person_ranks(cohort: PackedCohort) -> np.ndarray:
     return np.repeat(np.unique(cohort.person_id, return_inverse=True)[1], cohort.n_times)
 
 
-def write_cohort(
-    path: str | Path, cohort: CohortTable | PackedCohort | Iterable[CloneSeries]
-) -> None:
+def write_cohort(path: str | Path, cohort: PackedCohort) -> None:
     """Write cohort rows in canonical (person, time, clone) order."""
-    if isinstance(cohort, CohortTable):
-        cohort = filter_clones(cohort, 0, absent_as_zero=False)
-    cohort = as_packed(cohort).sorted()
+    cohort = cohort.sorted()
     # stable: the clones are in (person, clone) order, which stays within a person-time
     order = np.lexsort((cohort.times, _person_ranks(cohort)))
     rows = zip(
@@ -805,17 +804,16 @@ def write_cohort(
     write_table(path, COHORT_COLUMNS, rows)
 
 
-def write_offsets(path: str | Path, offsets: Mapping[tuple[str, int], int]) -> None:
-    write_table(
-        path,
-        OFFSETS_COLUMNS,
-        ((p, str(t), str(offsets[(p, t)])) for p, t in sorted(offsets)),
-    )
+def write_offsets(path: str | Path, offsets: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+    """Write (person_id, time_index, total_reads) columns, as read_offsets and
+    offsets_from_series give them, in their order."""
+    person, time, total = offsets
+    write_table(path, OFFSETS_COLUMNS, zip(person.tolist(), format_ints(time), format_ints(total)))
 
 
-def offsets_from_series(series: PackedCohort | Iterable[CloneSeries]) -> dict[tuple[str, int], int]:
-    """Collect the per-person-time totals referenced by a series collection."""
-    cohort = as_packed(series)
+def offsets_from_series(cohort: PackedCohort) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-person-time totals the cohort's offsets record, as the sorted
+    (person_id, time_index, total_reads) columns read_offsets returns."""
     person = _person_ranks(cohort)
     order = np.lexsort((cohort.times, person))  # stable: series order within a person-time
     times, offsets = cohort.times[order], cohort.offsets[order]
@@ -826,13 +824,10 @@ def offsets_from_series(series: PackedCohort | Iterable[CloneSeries]) -> dict[tu
         i = conflicts.min()  # the first disagreement in series order
         key = (person_ids[i], int(cohort.times[i]))
         raise ValidationError(f"conflicting offsets recorded for person-time {key}")
-    keys = zip(person_ids[order[leads]].tolist(), times[leads].tolist())
-    return dict(zip(keys, offsets[leads].tolist()))
+    return person_ids[order[leads]], times[leads], offsets[leads]
 
 
-def write_truth(path: str | Path, truth: SimTruth) -> None:
-    write_table(
-        path,
-        TRUTH_COLUMNS,
-        ((p, c, str(int(truth.labels[(p, c)]))) for p, c in sorted(truth.labels)),
-    )
+def write_truth(path: str | Path, truth: TruthLabels) -> None:
+    """Write the labels in their order, dynamic as 0 or 1."""
+    dynamic = format_ints(truth.dynamic.astype(np.int8))
+    write_table(path, TRUTH_COLUMNS, zip(truth.person_id.tolist(), truth.clone_id.tolist(), dynamic))

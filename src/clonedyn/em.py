@@ -19,21 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
 from .errors import IdentifiabilityError, OptimizerError, ValidationError
-from .model import (
-    CloneSeries,
-    ExpectedLoglik,
-    Hyperparams,
-    PackedCohort,
-    SeriesBatch,
-    as_packed,
-    stable_responsibility,
-)
+from .model import ExpectedLoglik, Hyperparams, PackedCohort, SeriesBatch, stable_responsibility
 from .optim import maximize_bfgs
 
 PI_FLOOR = 1e-6
@@ -74,10 +64,6 @@ class FitResult:
     converged: bool
     msq_change_trace: np.ndarray
     n_single_timepoint: int  # clones observed once; their responsibility is pi
-
-    @cached_property
-    def responsibilities(self) -> dict[tuple[str, str], float]:
-        return dict(zip(self.cohort.keys, self.prob_dynamic.tolist()))
 
 
 def _mixture_loglik(ls: np.ndarray, ld: np.ndarray, pi: float) -> float:
@@ -160,7 +146,7 @@ def _moment_start(batch: SeriesBatch, pi: float) -> Hyperparams:
     return Hyperparams(alpha0, beta0, pi)
 
 
-def fit_em(clones: Iterable[CloneSeries] | PackedCohort, cfg: FitConfig) -> FitResult:
+def fit_em(cohort: PackedCohort, cfg: FitConfig) -> FitResult:
     """Fit (alpha, beta, pi) and per-clone responsibilities by EM.
 
     Initialization draws a hard 50/50 component label per clone from the
@@ -168,9 +154,10 @@ def fit_em(clones: Iterable[CloneSeries] | PackedCohort, cfg: FitConfig) -> FitR
     first M-step, with a method-of-moments (alpha, beta) warm start.
     Iterations then alternate E- and M-steps until the mean squared
     responsibility change falls below cfg.epsilon or max_em_iters is
-    reached.  Deterministic given (clones, cfg.seed).
+    reached.  Deterministic given (cohort, cfg.seed); the clones may come
+    in any order, and the result holds them in canonical order.
     """
-    cohort = as_packed(clones).sorted()
+    cohort = cohort.sorted()
     if len(cohort) < 2:
         raise ValidationError("need at least two clone series to fit")
     if cohort.has_duplicate_keys():

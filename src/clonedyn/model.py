@@ -227,13 +227,6 @@ class PackedCohort:
         self.n_times = _frozen(n_times, np.int64)
 
     @classmethod
-    def from_series(cls, series: Iterable[CloneSeries]) -> PackedCohort:
-        """Pack series in the order given."""
-        return cls.from_clones(
-            (s.person_id, s.clone_id, s.counts, s.offsets, s.times) for s in series
-        )
-
-    @classmethod
     def from_clones(cls, clones: Iterable[tuple]) -> PackedCohort:
         """Pack (person_id, clone_id, counts, offsets, times) tuples in the order given."""
         person_id, clone_id, counts, offsets, times = list(zip(*clones)) or [()] * 5
@@ -293,10 +286,6 @@ class PackedCohort:
         return bool(np.any((p[1:] == p[:-1]) & (c[1:] == c[:-1])))
 
 
-def as_packed(clones: Iterable[CloneSeries] | PackedCohort) -> PackedCohort:
-    return clones if isinstance(clones, PackedCohort) else PackedCohort.from_series(clones)
-
-
 class SeriesBatch:
     """Column-packed view of many clone series for vectorized evaluation.
 
@@ -307,8 +296,7 @@ class SeriesBatch:
     clones it is given.
     """
 
-    def __init__(self, series: Iterable[CloneSeries] | PackedCohort):
-        cohort = as_packed(series)
+    def __init__(self, cohort: PackedCohort):
         if not len(cohort):
             raise ValidationError("need at least one clone series")
         self.cohort = cohort

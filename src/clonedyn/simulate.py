@@ -7,6 +7,10 @@ one Gamma proportion shared across their observed times, dynamic clones
 redraw it independently at every observed time.  Counts are Poisson
 around proportion * offset.  The baseline time is never dropped;
 missingness removes later follow-ups independently per clone-time.
+
+The ground truth comes back as columns aligned with the cohort: a
+TruthLabels row per clone, as truth.tsv holds it, and the proportion
+behind each count.
 """
 
 from __future__ import annotations
@@ -66,25 +70,17 @@ class TruthLabels:
         return int(self.person_id.size)
 
 
-@dataclass(frozen=True)
-class SimTruth:
-    """Ground truth for scoring: per-clone labels (True = dynamic) and the
-    generating proportion draws (one value for static clones, one per
-    observed time for dynamic clones)."""
-
-    labels: dict[tuple[str, str], bool]
-    lambdas: dict[tuple[str, str], np.ndarray]
-
-
-def simulate(cfg: SimConfig) -> tuple[PackedCohort, SimTruth]:
+def simulate(cfg: SimConfig) -> tuple[PackedCohort, TruthLabels, np.ndarray]:
     """Generate a cohort and its ground truth, deterministically per seed.
 
     Per-person generator streams are split off the root seed, so output
     is independent of any parallel scheduling of the person blocks.
 
-    The cohort is a PackedCohort in canonical (person_id, clone_id)
-    order; len(), integer indexing and iteration give CloneSeries, and
-    list(cohort) makes a list of them.
+    Returns (cohort, truth, lambdas).  The cohort is a PackedCohort in
+    canonical (person_id, clone_id) order; truth labels its clones in that
+    order; lambdas (float64, aligned with cohort.counts) is the proportion
+    each count was drawn around, a static clone's single draw repeated at
+    each of its times.
     """
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_persons)
     base, extra = divmod(cfg.n_clones, cfg.n_persons)
@@ -93,8 +89,8 @@ def simulate(cfg: SimConfig) -> tuple[PackedCohort, SimTruth]:
     person_width = max(3, len(str(cfg.n_persons - 1)))
 
     clones: list[tuple] = []
-    labels: dict[tuple[str, str], bool] = {}
-    lambdas: dict[tuple[str, str], np.ndarray] = {}
+    labels: list[bool] = []
+    lambdas: list[np.ndarray] = []
     clone_index = 0
     for j, child in enumerate(children):
         rng = np.random.default_rng(child)
@@ -115,16 +111,16 @@ def simulate(cfg: SimConfig) -> tuple[PackedCohort, SimTruth]:
             else:
                 times = np.arange(cfg.n_followups)
             n_obs = times.size
-            lams = rng.gamma(cfg.alpha, 1.0 / cfg.beta, size=n_obs if dynamic else 1)
-            lams.flags.writeable = False
+            draws = rng.gamma(cfg.alpha, 1.0 / cfg.beta, size=n_obs if dynamic else 1)
+            lams = draws if dynamic else np.repeat(draws, n_obs)
             obs_offsets = offsets[times]
-            means = (lams if dynamic else lams[0]) * obs_offsets
-            counts = np.minimum(rng.poisson(means), obs_offsets)
+            counts = np.minimum(rng.poisson(lams * obs_offsets), obs_offsets)
 
-            key = (person_id, clone_id)
             clones.append((person_id, clone_id, counts, obs_offsets, times))
-            labels[key] = dynamic
-            lambdas[key] = lams
+            labels.append(dynamic)
+            lambdas.append(lams)
 
     # ids are zero-padded, so generation order is canonical order
-    return PackedCohort.from_clones(clones), SimTruth(labels=labels, lambdas=lambdas)
+    cohort = PackedCohort.from_clones(clones)
+    truth = TruthLabels(cohort.person_id, cohort.clone_id, np.array(labels, dtype=bool))
+    return cohort, truth, np.concatenate(lambdas)

@@ -306,6 +306,14 @@ def row_filter(rows, offsets, min_total_reads: int, absent_as_zero: bool):
     return out
 
 
+def pack(series):
+    """The CloneSeries packed into a PackedCohort, in the order given."""
+    from clonedyn.model import PackedCohort
+
+    clones = ((s.person_id, s.clone_id, s.counts, s.offsets, s.times) for s in series)
+    return PackedCohort.from_clones(clones)
+
+
 def simulate_series(cfg):
     """(series, labels, lambdas): the cohort drawn by cfg as one CloneSeries
     per clone, with the same generator calls in the same order as
@@ -354,6 +362,17 @@ def offsets_by_walk(series):
             if offsets.setdefault(key, int(o)) != int(o):
                 raise RowValidationError(f"conflicting offsets recorded for person-time {key}")
     return offsets
+
+
+def offset_columns(totals):
+    """A {(person_id, time_index): total} dict as the (person_id, time_index,
+    total_reads) columns, sorted on (person, time), that write_offsets takes."""
+    keys = sorted(totals)
+    return (
+        np.array([p for p, _t in keys], dtype=object),
+        np.array([t for _p, t in keys], dtype=np.int64),
+        np.array([totals[key] for key in keys], dtype=np.int64),
+    )
 
 
 def cohort_text_by_sort(series) -> str:

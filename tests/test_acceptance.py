@@ -27,9 +27,10 @@ from clonedyn import (
     operating_characteristics,
     simulate,
 )
+from clonedyn.classify import truth_of
 from clonedyn.model import stable_responsibility
 
-from oracles import log_per_time_marginal, log_shared_rate_marginal, random_series_cases
+from oracles import log_per_time_marginal, log_shared_rate_marginal, pack, random_series_cases
 
 N_CLONES = 60_000
 FIT_SEED = 7
@@ -45,11 +46,11 @@ class Lab:
 
     def __init__(self):
         self._fits = {}
-        self._cohorts = {}
+        self._truths = {}
 
-    def fit(self, alpha, beta, pi, n_followups, missing_rate, sim_seed, keep_cohort=False):
+    def fit(self, alpha, beta, pi, n_followups, missing_rate, sim_seed, keep_truth=False):
         key = (alpha, beta, pi, n_followups, missing_rate, sim_seed)
-        if key not in self._fits or (keep_cohort and key not in self._cohorts):
+        if key not in self._fits or (keep_truth and key not in self._truths):
             cfg = SimConfig(
                 n_clones=N_CLONES,
                 alpha=alpha,
@@ -59,15 +60,15 @@ class Lab:
                 missing_rate=missing_rate,
                 seed=sim_seed,
             )
-            series, truth = simulate(cfg)
+            series, truth, _ = simulate(cfg)
             if key not in self._fits:
                 self._fits[key] = fit_em(series, FitConfig(seed=FIT_SEED))
-            if keep_cohort:
-                self._cohorts[key] = (series, truth)
+            if keep_truth:
+                self._truths[key] = truth
         return self._fits[key]
 
-    def cohort(self, key):
-        return self._cohorts[key]
+    def truth(self, key):
+        return self._truths[key]
 
     def all_fits(self):
         return dict(self._fits)
@@ -85,7 +86,7 @@ def followup_fits(lab):
     fits = {}
     for fu, n_reps in reps.items():
         fits[fu] = [
-            lab.fit(1.0, 200.0, 0.2, fu, 0.0, 1000 + rep, keep_cohort=(rep == 0))
+            lab.fit(1.0, 200.0, 0.2, fu, 0.0, 1000 + rep, keep_truth=(rep == 0))
             for rep in range(n_reps)
         ]
     return fits
@@ -156,10 +157,10 @@ def test_operating_characteristics(lab, followup_fits):
     for fu in (2, 3, 4):
         key = (1.0, 200.0, 0.2, fu, 0.0, 1000)
         result = lab.fit(1.0, 200.0, 0.2, fu, 0.0, 1000)
-        series, truth = lab.cohort(key)
+        truth = lab.truth(key)
         for threshold in (0.75, 0.95):
-            calls = classify(result.responsibilities, series, threshold)
-            oc = operating_characteristics(calls, truth, threshold)
+            calls = classify(result.prob_dynamic, result.cohort, threshold)
+            oc = operating_characteristics(calls, truth_of(calls, truth), threshold)
             sens[(threshold, fu)] = oc.sensitivity
             spec[(threshold, fu)] = oc.specificity
 
@@ -200,7 +201,7 @@ def test_oracle_equivalence_suite():
     worst = 0.0
     for counts, offsets, alpha, beta in random_series_cases(rng, 1000):
         s = CloneSeries(clone_id="c", person_id="p", counts=counts, offsets=offsets)
-        (ls,), (ld,) = SeriesBatch([s]).log_pmfs(alpha, beta)
+        (ls,), (ld,) = SeriesBatch(pack([s])).log_pmfs(alpha, beta)
         ls_ref = log_shared_rate_marginal(counts, offsets, alpha, beta)
         ld_ref = log_per_time_marginal(counts, offsets, alpha, beta)
         worst = max(worst, abs(ls - ls_ref) / abs(ls_ref), abs(ld - ld_ref) / abs(ld_ref))
@@ -214,7 +215,7 @@ def test_oracle_equivalence_suite():
         hp = Hyperparams(
             float(rng.uniform(0.1, 5.0)), float(rng.uniform(10.0, 1000.0)), 0.37
         )
-        ls, ld = SeriesBatch([s]).log_pmfs(hp.alpha, hp.beta)
+        ls, ld = SeriesBatch(pack([s])).log_pmfs(hp.alpha, hp.beta)
         coincidence &= bool(ls[0] == ld[0])
         coincidence &= float(stable_responsibility(ls, ld, hp.pi)[0]) == 0.37
     ok &= coincidence
@@ -230,7 +231,7 @@ def test_oracle_equivalence_suite():
             float(rng.uniform(10.0, 1000.0)),
             float(rng.uniform(1e-4, 1.0 - 1e-4)),
         )
-        ls, ld = SeriesBatch([s]).log_pmfs(hp.alpha, hp.beta)
+        ls, ld = SeriesBatch(pack([s])).log_pmfs(hp.alpha, hp.beta)
         value = float(stable_responsibility(ls, ld, hp.pi)[0])
         stable &= math.isfinite(value) and 0.0 <= value <= 1.0
     ok &= stable
@@ -258,7 +259,7 @@ def test_em_properties():
             n_persons=int(rng.integers(2, 8)),
             seed=int(rng.integers(0, 2**32)),
         )
-        series, _ = simulate(cfg)
+        series = simulate(cfg)[0]
         result = fit_em(series, FitConfig(seed=int(rng.integers(0, 2**32))))
         monotone &= bool(np.all(np.diff(result.loglik_trace) >= -1e-6))
 
@@ -273,8 +274,7 @@ def test_em_properties():
             n_persons=4,
             seed=int(rng.integers(0, 2**32)),
         )
-        series, _ = simulate(cfg)
-        batch = SeriesBatch(sorted(series, key=lambda s: s.key))
+        batch = SeriesBatch(simulate(cfg)[0])
         r = rng.random(batch.n)
         alpha = float(rng.uniform(0.3, 3.0))
         beta = float(rng.uniform(30.0, 600.0))
@@ -292,12 +292,13 @@ def test_em_properties():
         grads_ok &= abs(ga - fd_a) <= 1e-4 * abs(fd_a)
         grads_ok &= abs(gb - fd_b) <= 1e-4 * abs(fd_b)
 
-    series, _ = simulate(SimConfig(n_clones=150, n_persons=4, seed=314))
+    series = simulate(SimConfig(n_clones=150, n_persons=4, seed=314))[0]
     a = fit_em(series, FitConfig(seed=2718))
     b = fit_em(series, FitConfig(seed=2718))
     identical = (
         a.hyperparams == b.hyperparams
-        and a.responsibilities == b.responsibilities
+        and a.cohort.keys == b.cohort.keys
+        and np.array_equal(a.prob_dynamic, b.prob_dynamic)
         and np.array_equal(a.loglik_trace, b.loglik_trace)
         and np.array_equal(a.msq_change_trace, b.msq_change_trace)
     )
@@ -317,7 +318,7 @@ def test_cli_pipeline_consistency(lab, followup_fits, tmp_path):
 
     key = (1.0, 200.0, 0.2, 2, 0.0, 1000)
     library_fit = lab.fit(*key[:4], key[4], key[5])
-    series, truth = lab.cohort(key)
+    truth = lab.truth(key)
 
     sim_dir, fit_dir, cls_dir = tmp_path / "sim", tmp_path / "fit", tmp_path / "cls"
     argv = [
@@ -356,8 +357,8 @@ def test_cli_pipeline_consistency(lab, followup_fits, tmp_path):
         and int(doc["iterations"]) == library_fit.iterations
     )
 
-    calls = classify(library_fit.responsibilities, series, 0.75)
-    oc = operating_characteristics(calls, truth, 0.75)
+    calls = classify(library_fit.prob_dynamic, library_fit.cohort, 0.75)
+    oc = operating_characteristics(calls, truth_of(calls, truth), 0.75)
     cli_oc = read_keyvalues(cls_dir / "operating_characteristics.txt")
     oc_exact = (
         float(cli_oc["sensitivity"]) == oc.sensitivity
@@ -404,7 +405,7 @@ def test_association_procedures():
             n_clones=12_500, pi=pi, alpha=1.0, beta=200.0, n_followups=3,
             n_persons=50, seed=seed,
         )
-        series, _ = simulate(cfg)
+        series = simulate(cfg)[0]
         return [
             CloneSeries(
                 clone_id=f"{tag}{s.clone_id}",
@@ -418,9 +419,8 @@ def test_association_procedures():
 
     high = stratum("h", 0.30, 8801)
     low = stratum("l", 0.15, 8802)
-    pooled = high + low
-    result = fit_em(pooled, FitConfig(seed=9))
-    calls = classify(result.responsibilities, pooled, 0.75)
+    result = fit_em(pack(high + low), FitConfig(seed=9))
+    calls = classify(result.prob_dynamic, result.cohort, 0.75)
     per_person = dynamic_counts_per_person(calls)
     stratum_map = {p: (1 if p.startswith("h") else 0) for p in per_person}
     dynamic_counts = {p: c.n_dynamic for p, c in per_person.items()}

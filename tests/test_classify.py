@@ -25,6 +25,8 @@ from clonedyn import (
 from clonedyn.classify import DIRECTIONS, truth_of
 from clonedyn.simulate import TruthLabels
 
+from oracles import pack
+
 
 def series(counts, offsets, clone="c", person="p", times=None):
     return CloneSeries(
@@ -42,56 +44,70 @@ def table(*calls):
 class TestClassify:
     def test_threshold_is_strict(self):
         s = series([1, 2], [10, 10])
-        calls = classify({s.key: 0.75}, [s], threshold=0.75)
+        calls = classify(np.array([0.75]), pack([s]), threshold=0.75)
         assert calls[0].call is Call.STATIC
         assert calls[0].direction is Direction.NOT_APPLICABLE
-        calls = classify({s.key: 0.7500001}, [s], threshold=0.75)
+        calls = classify(np.array([0.7500001]), pack([s]), threshold=0.75)
         assert calls[0].call is Call.DYNAMIC
 
     def test_rising_proportions_expand(self):
         s = series([1, 4], [1000, 1000])
-        calls = classify({s.key: 0.9}, [s], threshold=0.75)
+        calls = classify(np.array([0.9]), pack([s]), threshold=0.75)
         assert calls[0].direction is Direction.EXPANDING
 
     def test_falling_proportions_contract(self):
         s = series([40, 4], [1000, 1000])
-        calls = classify({s.key: 0.9}, [s], threshold=0.75)
+        calls = classify(np.array([0.9]), pack([s]), threshold=0.75)
         assert calls[0].direction is Direction.CONTRACTING
 
     def test_two_timepoints_use_last_minus_first_even_with_gaps(self):
         s = series([10, 4], [1000, 1000], times=[0, 3])
-        calls = classify({s.key: 0.9}, [s], threshold=0.75)
+        calls = classify(np.array([0.9]), pack([s]), threshold=0.75)
         assert calls[0].direction is Direction.CONTRACTING
 
     def test_flat_slope_counts_as_expanding(self):
         s = series([5, 5], [1000, 1000])
-        calls = classify({s.key: 0.9}, [s], threshold=0.75)
+        calls = classify(np.array([0.9]), pack([s]), threshold=0.75)
         assert calls[0].direction is Direction.EXPANDING
 
     def test_slope_uses_observed_times(self):
         # same counts, different spacing: slope sign is set by the trend
         # across the actual time indices
         s = series([2, 10, 3], [1000, 1000, 1000], times=[0, 1, 5])
-        calls = classify({s.key: 0.9}, [s], threshold=0.75)
+        calls = classify(np.array([0.9]), pack([s]), threshold=0.75)
         assert calls[0].direction is Direction.CONTRACTING
 
-    def test_key_mismatch_raises(self):
+    def test_probability_count_mismatch_raises(self):
         s = series([1, 2], [10, 10])
         with pytest.raises(ValidationError):
-            classify({("p", "other"): 0.5}, [s], threshold=0.75)
+            classify(np.array([0.5, 0.5]), pack([s]), threshold=0.75)
+
+    def test_unsorted_or_repeated_clones_raise(self):
+        # sorting the clones but not their probabilities would pair 0.9 with "a"
+        b = series([5, 1], [10, 10], clone="b")
+        a = series([1, 5], [10, 10], clone="a")
+        with pytest.raises(ValidationError, match="order"):
+            classify(np.array([0.9, 0.1]), pack([b, a]), threshold=0.75)
+        with pytest.raises(ValidationError, match="duplicates"):
+            classify(np.array([0.9, 0.1]), pack([a, a]), threshold=0.75)
+        calls = classify(np.array([0.1, 0.9]), pack([a, b]), threshold=0.75)
+        assert [(c.clone_id, c.call, c.direction) for c in calls] == [
+            ("a", Call.STATIC, Direction.NOT_APPLICABLE),
+            ("b", Call.DYNAMIC, Direction.CONTRACTING),
+        ]
 
     def test_threshold_bounds(self):
         s = series([1, 2], [10, 10])
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValidationError):
-                classify({s.key: 0.5}, [s], threshold=bad)
+                classify(np.array([0.5]), pack([s]), threshold=bad)
 
     def test_raising_threshold_never_adds_dynamic_calls(self):
-        clones, _ = simulate(SimConfig(n_clones=400, n_persons=4, seed=15))
+        clones = simulate(SimConfig(n_clones=400, n_persons=4, seed=15))[0]
         result = fit_em(clones, FitConfig(seed=1))
         counts = []
         for threshold in (0.5, 0.65, 0.75, 0.9, 0.95, 0.99):
-            calls = classify(result.responsibilities, clones, threshold)
+            calls = classify(result.prob_dynamic, result.cohort, threshold)
             counts.append(sum(1 for c in calls if c.call is Call.DYNAMIC))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
@@ -102,8 +118,7 @@ class TestOperatingCharacteristics:
             ("p", "a", 0.9, Call.DYNAMIC, Direction.EXPANDING),
             ("p", "b", 0.1, Call.STATIC, Direction.NOT_APPLICABLE),
         )
-        truth = {("p", "a"): True, ("p", "b"): False}
-        oc = operating_characteristics(calls, truth, 0.75)
+        oc = operating_characteristics(calls, np.array([True, False]), 0.75)
         assert (oc.sensitivity, oc.specificity) == (1.0, 1.0)
         assert (oc.tp, oc.fp, oc.tn, oc.fn) == (1, 0, 1, 0)
 
@@ -124,7 +139,7 @@ class TestOperatingCharacteristics:
                 )
             )
         calls = table(*rows)
-        oc = operating_characteristics(calls, truth, 0.75)
+        oc = operating_characteristics(calls, np.array([truth[c.key] for c in calls]), 0.75)
         tp = sum(1 for c in calls if c.call is Call.DYNAMIC and truth[c.key])
         fp = sum(1 for c in calls if c.call is Call.DYNAMIC and not truth[c.key])
         fn = sum(1 for c in calls if c.call is Call.STATIC and truth[c.key])
@@ -148,15 +163,26 @@ class TestOperatingCharacteristics:
             )
             assert truth_of(calls, truth).tolist() == expected
         missing = kept[len(kept) // 2]
-        del labels[missing]
+        rest = [k for k in sorted(keys) if k != missing]
+        truth = TruthLabels(
+            np.array([p for p, _ in rest], dtype=object),
+            np.array([c for _, c in rest], dtype=object),
+            np.array([labels[k] for k in rest]),
+        )
         message = re.escape(f"truth does not cover clone {missing}")
         with pytest.raises(ValidationError, match=message):
-            truth_of(calls, labels)
+            truth_of(calls, truth)
 
     def test_uncovered_truth_raises(self):
         calls = table(("p", "a", 0.9, Call.DYNAMIC, Direction.EXPANDING))
+        empty = np.array([], dtype=object)
         with pytest.raises(ValidationError):
-            operating_characteristics(calls, {}, 0.75)
+            truth_of(calls, TruthLabels(empty, empty, np.array([], dtype=bool)))
+
+    def test_misaligned_truth_array_raises(self):
+        calls = table(("p", "a", 0.9, Call.DYNAMIC, Direction.EXPANDING))
+        with pytest.raises(ValidationError):
+            operating_characteristics(calls, np.array([True, False]), 0.75)
 
 
 class TestDynamicCounts:
@@ -182,9 +208,9 @@ class TestDynamicCounts:
         assert (counts["p"].n_dynamic, counts["p"].n_expanding, counts["p"].n_contracting) == (1, 0, 0)
 
     def test_partition_identity(self):
-        clones, _ = simulate(SimConfig(n_clones=500, n_persons=5, seed=16))
+        clones = simulate(SimConfig(n_clones=500, n_persons=5, seed=16))[0]
         result = fit_em(clones, FitConfig(seed=2))
-        calls = classify(result.responsibilities, clones, 0.5)
+        calls = classify(result.prob_dynamic, result.cohort, 0.5)
         for person, counts in dynamic_counts_per_person(calls).items():
             assert counts.n_dynamic == counts.n_expanding + counts.n_contracting
 

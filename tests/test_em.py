@@ -23,6 +23,8 @@ from clonedyn import (
 from clonedyn.em import _mixture_loglik
 from clonedyn.model import stable_responsibility
 
+from oracles import pack
+
 
 def series(counts, offsets, clone="c", person="p"):
     return CloneSeries(clone_id=clone, person_id=person, counts=counts, offsets=offsets)
@@ -39,12 +41,12 @@ def small_cohort(n=120, seed=5, **overrides):
         seed=seed,
         **overrides,
     )
-    return simulate(cfg)
+    return simulate(cfg)[0]
 
 
-def loglik(clones, hp):
-    """The mixture log-likelihood of the clones."""
-    ls, ld = SeriesBatch(clones).log_pmfs(hp.alpha, hp.beta)
+def loglik(cohort, hp):
+    """The mixture log-likelihood of the cohort's clones."""
+    ls, ld = SeriesBatch(cohort).log_pmfs(hp.alpha, hp.beta)
     return _mixture_loglik(ls, ld, hp.pi)
 
 
@@ -57,21 +59,21 @@ def prob_dynamic(batch, hp):
 class TestObservedLoglik:
     def test_single_timepoint_clone_ignores_pi(self):
         s = series([4], [100])
-        values = {loglik([s], Hyperparams(1.0, 50.0, pi)) for pi in (0.05, 0.4, 0.93)}
+        values = {loglik(pack([s]), Hyperparams(1.0, 50.0, pi)) for pi in (0.05, 0.4, 0.93)}
         assert len(values) == 1
-        expected, _ = SeriesBatch([s]).log_pmfs(1.0, 50.0)
+        expected, _ = SeriesBatch(pack([s])).log_pmfs(1.0, 50.0)
         assert values.pop() == pytest.approx(expected[0], rel=1e-14)
 
     def test_two_identical_clones_double_the_value(self):
         hp = Hyperparams(1.0, 80.0, 0.3)
-        one = loglik([series([3, 9], [50, 60], clone="a")], hp)
+        one = loglik(pack([series([3, 9], [50, 60], clone="a")]), hp)
         two = loglik(
-            [series([3, 9], [50, 60], clone="a"), series([3, 9], [50, 60], clone="b")], hp
+            pack([series([3, 9], [50, 60], clone="a"), series([3, 9], [50, 60], clone="b")]), hp
         )
         assert two == 2.0 * one
 
     def test_matches_extended_precision_resummation(self):
-        clones, _ = small_cohort(n=100, seed=21)
+        clones = small_cohort(n=100, seed=21)
         hp = Hyperparams(1.0, 200.0, 0.2)
         total = loglik(clones, hp)
         ls, ld = SeriesBatch(clones).log_pmfs(hp.alpha, hp.beta)
@@ -85,25 +87,24 @@ class TestObservedLoglik:
 
     def test_empty_input_is_an_error(self):
         with pytest.raises(ValidationError):
-            SeriesBatch([])
+            SeriesBatch(pack([]))
 
 
 class TestEStep:
     def test_all_single_timepoint_gives_constant_pi(self):
         clones = [series([k], [100], clone=f"c{k}") for k in range(5)]
-        probs = prob_dynamic(SeriesBatch(clones), Hyperparams(1.0, 100.0, 0.37))
+        probs = prob_dynamic(SeriesBatch(pack(clones)), Hyperparams(1.0, 100.0, 0.37))
         assert np.all(probs == 0.37)
 
     def test_zero_quotient_at_even_mixing_gives_half(self):
         s = series([8], [500])
-        assert prob_dynamic(SeriesBatch([s]), Hyperparams(1.0, 100.0, 0.5))[0] == 0.5
+        assert prob_dynamic(SeriesBatch(pack([s])), Hyperparams(1.0, 100.0, 0.5))[0] == 0.5
 
     def test_batch_equals_scalar_calls_bitwise(self):
-        clones, _ = small_cohort(n=80, seed=9, missing_rate=0.25)
+        clones = small_cohort(n=80, seed=9, missing_rate=0.25)
         hp = Hyperparams(0.77, 260.0, 0.41)
-        ordered = sorted(clones, key=lambda s: s.key)
-        batch = prob_dynamic(SeriesBatch(ordered), hp)
-        scalar = np.array([prob_dynamic(SeriesBatch([s]), hp)[0] for s in ordered])
+        batch = prob_dynamic(SeriesBatch(clones), hp)
+        scalar = np.array([prob_dynamic(SeriesBatch(pack([s])), hp)[0] for s in clones])
         assert np.all(batch == scalar)
 
     def test_output_order_is_canonical(self):
@@ -111,26 +112,25 @@ class TestEStep:
             series([1, 2], [10, 10], clone="z", person="p2"),
             series([5, 1], [10, 10], clone="a", person="p1"),
         ]
-        result = fit_em(clones, FitConfig())
+        result = fit_em(pack(clones), FitConfig())
         assert result.cohort.keys == [("p1", "a"), ("p2", "z")]
         hp = result.hyperparams
-        expected = [prob_dynamic(SeriesBatch([s]), hp)[0] for s in (clones[1], clones[0])]
+        expected = [prob_dynamic(SeriesBatch(pack([s])), hp)[0] for s in (clones[1], clones[0])]
         assert result.prob_dynamic.tolist() == expected
 
 
 class TestMStep:
     def test_half_ones_gives_half_pi(self):
-        clones, _ = small_cohort(n=10, seed=3)
+        clones = small_cohort(n=10, seed=3)
         r = np.array([1.0] * 5 + [0.0] * 5)
         hp = m_step(SeriesBatch(clones), r, Hyperparams(1.0, 150.0, 0.5), FitConfig())
         assert hp.pi == 0.5
 
     def test_all_zero_responsibilities_fit_static_only(self):
-        clones, _ = small_cohort(n=60, seed=8)
-        ordered = sorted(clones, key=lambda s: s.key)
-        batch = SeriesBatch(ordered)
+        clones = small_cohort(n=60, seed=8)
+        batch = SeriesBatch(clones)
         cfg = FitConfig(inner_opt_tol=1e-9)
-        hp = m_step(batch, np.zeros(len(ordered)), Hyperparams(1.0, 150.0, 0.5), cfg)
+        hp = m_step(batch, np.zeros(len(clones)), Hyperparams(1.0, 150.0, 0.5), cfg)
         assert hp.pi == pytest.approx(1e-6)
 
         # independent route: direct maximization of the static-only likelihood
@@ -149,9 +149,8 @@ class TestMStep:
         )
 
     def test_gradient_norm_at_optimum_and_finite_differences(self):
-        clones, _ = small_cohort(n=150, seed=13)
-        ordered = sorted(clones, key=lambda s: s.key)
-        batch = SeriesBatch(ordered)
+        clones = small_cohort(n=150, seed=13)
+        batch = SeriesBatch(clones)
         r = prob_dynamic(batch, Hyperparams(0.9, 140.0, 0.3))
         cfg = FitConfig(inner_opt_tol=1e-6)
         hp = m_step(batch, r, Hyperparams(0.9, 140.0, 0.3), cfg)
@@ -181,11 +180,10 @@ class TestMStep:
         assert gb == pytest.approx(fd_b, rel=1e-4)
 
     def test_never_decreases_expected_complete_loglik(self):
-        clones, _ = small_cohort(n=40, seed=2)
-        ordered = sorted(clones, key=lambda s: s.key)
+        clones = small_cohort(n=40, seed=2)
         rng = np.random.default_rng(0)
-        r = rng.random(len(ordered))
-        batch = SeriesBatch(ordered)
+        r = rng.random(len(clones))
+        batch = SeriesBatch(clones)
         start = Hyperparams(0.5, 300.0, 0.5)
 
         def q_full(hp):
@@ -199,13 +197,13 @@ class TestMStep:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 1.5])
     def test_responsibilities_outside_the_unit_interval_raise(self, bad):
-        clones, _ = small_cohort(n=5, seed=3)
+        clones = small_cohort(n=5, seed=3)
         r = np.array([0.2, 0.4, bad, 0.6, 0.8])
         with pytest.raises(ValidationError, match="responsibilities"):
             m_step(SeriesBatch(clones), r, Hyperparams(1.0, 150.0, 0.5), FitConfig())
 
     def test_misaligned_responsibilities_raise(self):
-        clones, _ = small_cohort(n=10, seed=3)
+        clones = small_cohort(n=10, seed=3)
         with pytest.raises(ValidationError):
             m_step(SeriesBatch(clones), np.zeros(4), Hyperparams(1.0, 1.0, 0.5), FitConfig())
 
@@ -234,11 +232,11 @@ class TestConvergenceStat:
 
 class TestFitEm:
     def test_matches_grid_search_plus_refinement(self):
-        clones, _ = small_cohort(n=50, seed=31, beta=100.0)
+        clones = small_cohort(n=50, seed=31, beta=100.0)
         result = fit_em(clones, FitConfig(seed=4, inner_opt_tol=1e-10))
         ll_em = loglik(clones, result.hyperparams)
 
-        batch = SeriesBatch(sorted(clones, key=lambda s: s.key))
+        batch = SeriesBatch(clones)
 
         def negative_loglik(theta):
             alpha, beta = math.exp(theta[0]), math.exp(theta[1])
@@ -266,43 +264,44 @@ class TestFitEm:
         assert ll_em == pytest.approx(-refined, abs=1e-4)
 
     def test_deterministic_given_seed(self):
-        clones, _ = small_cohort(n=60, seed=14, missing_rate=0.1)
+        clones = small_cohort(n=60, seed=14, missing_rate=0.1)
         a = fit_em(clones, FitConfig(seed=123))
         b = fit_em(clones, FitConfig(seed=123))
         assert a.hyperparams == b.hyperparams
-        assert a.responsibilities == b.responsibilities
+        assert a.cohort.keys == b.cohort.keys
+        assert np.array_equal(a.prob_dynamic, b.prob_dynamic)
         assert np.array_equal(a.loglik_trace, b.loglik_trace)
         assert np.array_equal(a.msq_change_trace, b.msq_change_trace)
         assert (a.iterations, a.converged) == (b.iterations, b.converged)
 
     def test_loglik_trace_monotone(self):
         for seed in range(4):
-            clones, _ = small_cohort(n=90, seed=40 + seed)
+            clones = small_cohort(n=90, seed=40 + seed)
             result = fit_em(clones, FitConfig(seed=seed))
             assert np.all(np.diff(result.loglik_trace) >= -1e-6)
 
     def test_single_timepoint_only_design_raises(self):
         clones = [series([k + 1], [100], clone=f"c{k}") for k in range(5)]
         with pytest.raises(IdentifiabilityError):
-            fit_em(clones, FitConfig())
+            fit_em(pack(clones), FitConfig())
 
     def test_fewer_than_two_clones_raises(self):
         with pytest.raises(ValidationError):
-            fit_em([series([1, 2], [10, 10])], FitConfig())
+            fit_em(pack([series([1, 2], [10, 10])]), FitConfig())
 
     def test_duplicate_keys_raise(self):
         clones = [series([1, 2], [10, 10]), series([3, 4], [10, 10])]
         with pytest.raises(ValidationError):
-            fit_em(clones, FitConfig())
+            fit_em(pack(clones), FitConfig())
 
     def test_non_convergence_is_flagged_not_raised(self):
-        clones, _ = small_cohort(n=80, seed=50)
+        clones = small_cohort(n=80, seed=50)
         result = fit_em(clones, FitConfig(seed=1, max_em_iters=1))
         assert result.iterations == 1
         assert not result.converged
 
     def test_offset_scaling_moves_beta_not_alpha(self):
-        clones, _ = small_cohort(n=400, seed=60, n_persons=8)
+        clones = small_cohort(n=400, seed=60, n_persons=8)
         scaled = [
             CloneSeries(
                 clone_id=s.clone_id,
@@ -314,17 +313,16 @@ class TestFitEm:
             for s in clones
         ]
         base = fit_em(clones, FitConfig(seed=2))
-        shifted = fit_em(scaled, FitConfig(seed=2))
+        shifted = fit_em(pack(scaled), FitConfig(seed=2))
         assert shifted.hyperparams.beta == pytest.approx(10 * base.hyperparams.beta, rel=1e-3)
         assert shifted.hyperparams.alpha == pytest.approx(base.hyperparams.alpha, rel=1e-3)
 
     def test_single_timepoint_clones_are_flagged(self):
-        clones, _ = small_cohort(n=50, seed=70, missing_rate=0.4, n_followups=2)
+        clones = small_cohort(n=50, seed=70, missing_rate=0.4, n_followups=2)
         result = fit_em(clones, FitConfig(seed=3))
         expected = sum(1 for s in clones if s.n_times == 1)
         assert result.n_single_timepoint == expected
         assert expected > 0
         # a clone observed once carries no component information
-        for s in clones:
-            if s.n_times == 1:
-                assert result.responsibilities[s.key] == result.hyperparams.pi
+        once = result.prob_dynamic[result.cohort.n_times == 1]
+        assert np.all(once == result.hyperparams.pi)

@@ -11,6 +11,7 @@ from clonedyn.model import stable_responsibility
 from oracles import (
     log_per_time_marginal,
     log_shared_rate_marginal,
+    pack,
     random_series_cases,
 )
 
@@ -21,12 +22,12 @@ def series(counts, offsets, **kwargs):
 
 def log_pmfs(s, hp):
     """The static and dynamic log-densities of one series, from a batch of one."""
-    ls, ld = SeriesBatch([s]).log_pmfs(hp.alpha, hp.beta)
+    ls, ld = SeriesBatch(pack([s])).log_pmfs(hp.alpha, hp.beta)
     return float(ls[0]), float(ld[0])
 
 
 def prob_dynamic(s, hp):
-    ls, ld = SeriesBatch([s]).log_pmfs(hp.alpha, hp.beta)
+    ls, ld = SeriesBatch(pack([s])).log_pmfs(hp.alpha, hp.beta)
     return float(stable_responsibility(ls, ld, hp.pi)[0])
 
 
@@ -238,7 +239,7 @@ class TestPackedCohort:
             CloneSeries("a", "p2", [3], [10], times=[1]),
             CloneSeries("z", "p1", [4, 5, 6], [10, 10, 10]),
         ]
-        cohort = PackedCohort.from_series(clones).sorted()
+        cohort = pack(clones).sorted()
         assert cohort.keys == [("p1", "z"), ("p2", "a"), ("p2", "b")]
         assert cohort.counts.tolist() == [4, 5, 6, 3, 1, 2]
         assert cohort.times.tolist() == [0, 1, 2, 1, 0, 2]

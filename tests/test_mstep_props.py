@@ -18,7 +18,7 @@ from scipy.special import digamma, gammaln
 from clonedyn import CloneSeries, SeriesBatch
 from clonedyn.model import ExpectedLoglik
 
-from oracles import m_step_objective
+from oracles import m_step_objective, pack
 
 SETTINGS = settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -91,7 +91,7 @@ def test_histogram_objective_matches_the_per_observation_reference(
     r = np.array(
         data.draw(st.lists(RESPONSIBILITY, min_size=len(series), max_size=len(series)))
     )
-    batch = SeriesBatch(series)
+    batch = SeriesBatch(pack(series))
     theta, theta0 = np.array([la, lb]), np.array([la0, lb0])
     histogram = ExpectedLoglik(batch, r).in_log_coords
     reference = m_step_objective(batch, r)
@@ -113,8 +113,8 @@ def test_histogram_objective_matches_the_per_observation_reference(
 def test_a_clone_has_the_same_log_densities_alone_and_in_any_batch(series, data, la, lb):
     order = data.draw(st.permutations(range(len(series))))
     alpha, beta = float(np.exp(la)), float(np.exp(lb))
-    ls, ld = SeriesBatch([series[i] for i in order]).log_pmfs(alpha, beta)
+    ls, ld = SeriesBatch(pack([series[i] for i in order])).log_pmfs(alpha, beta)
     for position, i in enumerate(order):
-        alone_ls, alone_ld = SeriesBatch([series[i]]).log_pmfs(alpha, beta)
+        alone_ls, alone_ld = SeriesBatch(pack([series[i]])).log_pmfs(alpha, beta)
         assert ls[position].tobytes() == alone_ls[0].tobytes()
         assert ld[position].tobytes() == alone_ld[0].tobytes()

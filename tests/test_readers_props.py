@@ -17,12 +17,13 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clonedyn import CloneSeries, Direction, PackedCohort, classify
+from clonedyn import CloneSeries, Direction, classify
 from clonedyn.classify import _ols_slope
 from clonedyn.cli import read_calls, read_responsibilities
 from clonedyn.cohort import read_offsets, read_strata, read_truth_labels
 
 from oracles import (
+    pack,
     read_calls_by_row,
     read_offsets_by_row,
     read_responsibilities_by_row,
@@ -244,7 +245,7 @@ def test_directions_equal_the_sign_of_ols_slope_on_each_series(series):
         CloneSeries(f"c{i:03d}", "p", counts, offsets, times)
         for i, (times, counts, offsets) in enumerate(series)
     ]
-    calls = classify(np.ones(len(clones)), PackedCohort.from_series(clones), 0.5)
+    calls = classify(np.ones(len(clones)), pack(clones), 0.5)
     for clone, call in zip(clones, calls):
         proportions = clone.counts / clone.offsets
         slope = _ols_slope(clone.times.astype(np.float64), proportions)

@@ -3,61 +3,67 @@
 import numpy as np
 import pytest
 
-from clonedyn import PackedCohort, SimConfig, ValidationError, simulate
+from clonedyn import SimConfig, ValidationError, simulate
 
-from oracles import simulate_series
+from oracles import pack, simulate_series
+
+
+def static_draws(cohort, truth, lambdas):
+    """Each static clone's proportion: the first of its repeated values."""
+    return lambdas[cohort.starts[~truth.dynamic]]
 
 
 def test_seed_determinism():
     cfg = SimConfig(n_clones=300, n_persons=6, missing_rate=0.15, seed=77)
-    series_a, truth_a = simulate(cfg)
-    series_b, truth_b = simulate(cfg)
+    series_a, truth_a, lambdas_a = simulate(cfg)
+    series_b, truth_b, lambdas_b = simulate(cfg)
     assert len(series_a) == len(series_b) == 300
     for a, b in zip(series_a, series_b):
         assert a.key == b.key
         assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.offsets, b.offsets)
         assert np.array_equal(a.times, b.times)
-    assert truth_a.labels == truth_b.labels
-    for key in truth_a.lambdas:
-        assert np.array_equal(truth_a.lambdas[key], truth_b.lambdas[key])
+    for column in ("person_id", "clone_id", "dynamic"):
+        assert np.array_equal(getattr(truth_a, column), getattr(truth_b, column))
+    assert np.array_equal(lambdas_a, lambdas_b)
 
 
 def test_all_static_when_pi_zero():
-    series, truth = simulate(SimConfig(n_clones=200, pi=0.0, n_persons=4, seed=1))
-    assert not any(truth.labels.values())
-    assert all(lam.size == 1 for lam in truth.lambdas.values())
+    series, truth, lambdas = simulate(SimConfig(n_clones=200, pi=0.0, n_persons=4, seed=1))
+    assert not truth.dynamic.any()
+    assert np.array_equal(lambdas, np.repeat(static_draws(series, truth, lambdas), series.n_times))
 
 
 def test_full_followup_without_missingness():
-    series, _ = simulate(SimConfig(n_clones=150, n_followups=3, n_persons=3, seed=2))
+    series = simulate(SimConfig(n_clones=150, n_followups=3, n_persons=3, seed=2))[0]
     assert all(s.n_times == 3 for s in series)
     assert all(np.array_equal(s.times, [0, 1, 2]) for s in series)
 
 
 def test_dynamic_clones_draw_one_lambda_per_observed_time():
-    series, truth = simulate(
+    series, truth, lambdas = simulate(
         SimConfig(n_clones=400, pi=0.5, n_followups=4, missing_rate=0.3, n_persons=5, seed=3)
     )
-    for s in series:
-        lam = truth.lambdas[s.key]
-        if truth.labels[s.key]:
-            assert lam.size == s.n_times
+    assert lambdas.shape == series.counts.shape
+    for s, dynamic, start in zip(series, truth.dynamic, series.starts):
+        lam = lambdas[start : start + s.n_times]
+        if dynamic:
+            assert np.unique(lam).size == s.n_times
         else:
-            assert lam.size == 1
+            assert np.all(lam == lam[0])
 
 
 def test_baseline_never_dropped():
-    series, _ = simulate(
+    series = simulate(
         SimConfig(n_clones=2000, n_followups=3, missing_rate=0.45, n_persons=10, seed=4)
-    )
+    )[0]
     assert all(s.times[0] == 0 for s in series)
     assert all(s.n_times >= 1 for s in series)
 
 
 def test_missing_rate_applies_to_later_followups():
     cfg = SimConfig(n_clones=20000, n_followups=3, missing_rate=0.2, n_persons=20, seed=5)
-    series, _ = simulate(cfg)
+    series = simulate(cfg)[0]
     kept = np.zeros(3)
     for s in series:
         kept[s.times] += 1
@@ -71,16 +77,14 @@ def test_missing_rate_applies_to_later_followups():
 
 def test_generating_moments():
     cfg = SimConfig(n_clones=60_000, alpha=1.0, beta=200.0, pi=0.2, n_followups=3, seed=6)
-    series, truth = simulate(cfg)
+    series, truth, lambdas = simulate(cfg)
 
-    labels = np.array([truth.labels[s.key] for s in series])
+    labels = truth.dynamic
     frac = labels.mean()
     se_frac = np.sqrt(0.2 * 0.8 / labels.size)
     assert abs(frac - 0.2) < 3 * se_frac
 
-    static_lams = np.array(
-        [truth.lambdas[s.key][0] for s in series if not truth.labels[s.key]]
-    )
+    static_lams = static_draws(series, truth, lambdas)
     n = static_lams.size
     mean, var = static_lams.mean(), static_lams.var()
     # Gamma(alpha, beta): mean alpha/beta, variance alpha/beta^2
@@ -91,12 +95,11 @@ def test_generating_moments():
 
 
 def test_counts_follow_rate_times_offset():
-    series, truth = simulate(
+    series, truth, lambdas = simulate(
         SimConfig(n_clones=30_000, alpha=2.0, beta=100.0, pi=0.0, n_persons=100, seed=8)
     )
     ratio = []
-    for s in series:
-        lam = truth.lambdas[s.key][0]
+    for s, lam in zip(series, static_draws(series, truth, lambdas)):
         expected = lam * s.offsets.sum()
         if expected >= 50:
             ratio.append(s.counts.sum() / expected)
@@ -105,7 +108,7 @@ def test_counts_follow_rate_times_offset():
 
 
 def test_counts_never_exceed_offsets():
-    series, _ = simulate(SimConfig(n_clones=500, alpha=5.0, beta=10.0, n_persons=5, seed=9))
+    series = simulate(SimConfig(n_clones=500, alpha=5.0, beta=10.0, n_persons=5, seed=9))[0]
     for s in series:
         assert np.all(s.counts <= s.offsets)
 
@@ -137,14 +140,20 @@ def test_config_validation():
     ids=["uneven", "missing", "all-static", "all-dynamic", "dynamic-missing"],
 )
 def test_packed_simulation_matches_the_per_clone_reference(cfg):
-    cohort, truth = simulate(cfg)
+    cohort, truth, lams = simulate(cfg)
     series, labels, lambdas = simulate_series(cfg)
-    expected = PackedCohort.from_series(series)
+    expected = pack(series)
     for name in ("person_id", "clone_id", "starts", "counts", "offsets", "times"):
         assert np.array_equal(getattr(cohort, name), getattr(expected, name)), name
     assert cohort.sorted() is cohort
-    assert list(truth.labels.items()) == list(labels.items())
-    assert list(truth.lambdas) == list(lambdas)
-    assert all(np.array_equal(truth.lambdas[k], lam) for k, lam in lambdas.items())
+    assert list(zip(truth.person_id, truth.clone_id)) == list(labels)
+    assert truth.dynamic.tolist() == list(labels.values())
+    # a static clone's one draw stands behind each of its counts
+    assert list(lambdas) == list(labels)
+    per_count = [
+        lam if labels[s.key] else np.repeat(lam, s.n_times)
+        for s, lam in zip(series, lambdas.values())
+    ]
+    assert np.array_equal(lams, np.concatenate(per_count))
     assert [s.key for s in cohort] == [s.key for s in series]
     assert cohort[-1].key == series[-1].key and len(cohort) == cfg.n_clones

@@ -1,14 +1,19 @@
-"""Every call site the benchmark traces resolves in the package.
+"""Every call site the benchmark traces resolves in the package, and its
+observers can read what the package hands them.
 
 perfbench/layers.py names each function it wraps by module and dotted
-attribute path.  A site renamed or deleted in the package would otherwise
-show up only as a failed traced benchmark run.
+attribute path, and its observers read fields of the arguments and results.
+A site renamed or deleted, or a field reshaped, in the package would
+otherwise show up only as a failed traced benchmark run.
 """
 
 import pytest
 
-from perfbench.layers import trace_targets
-from perfbench.tracing import Tracer
+import clonedyn.cli as cli
+from perfbench.layers import count_filtering, trace_targets
+from perfbench.tracing import Tracer, patched
+
+from oracles import write_strata
 
 SITES = [(module, path) for module, path, _name, _observe in trace_targets(Tracer("t"), {})]
 
@@ -21,3 +26,41 @@ def test_traced_call_site_resolves(module, path):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_observers_count_a_traced_pipeline(tmp_path):
+    """The four stages in-process under the benchmark's wrappers, as its traced
+    run calls them: every observer must read the values it is handed."""
+    sim, fit, cls, summ = (tmp_path / name for name in ("sim", "fit", "cls", "summ"))
+    write_strata(tmp_path / "strata.tsv", {f"p{j:03d}": j % 2 for j in range(6)})
+    cohort = ["--input", sim / "cohort.tsv", "--offsets", sim / "offsets.tsv"]
+    stages = {
+        "simulate": ["--n-clones", 600, "--n-persons", 6, "--seed", 3, "--output-dir", sim],
+        "fit": [*cohort, "--min-total-reads", 8, "--seed", 7, "--output-dir", fit],
+        "classify": [
+            *cohort, "--min-total-reads", 8, "--responsibilities", fit / "responsibilities.tsv",
+            "--truth", sim / "truth.tsv", "--output-dir", cls,
+        ],
+        "summarize": [
+            "--input", cls / "calls.tsv", "--strata", tmp_path / "strata.tsv",
+            "--cutoff-dynamic", 10, "--cutoff-direction", 5, "--output-dir", summ,
+        ],
+    }  # fmt: skip
+    tracer, stash = Tracer("test"), {}
+    with patched(tracer, trace_targets(tracer, stash)) as missing:
+        for stage, argv in stages.items():
+            with tracer.span(f"cli.{stage}"):
+                assert cli.main([stage, *map(str, argv)]) == 0, stage
+            if stage == "fit":
+                count_filtering(tracer, stash)
+    assert missing == []
+    assert tracer.errors == []
+    positive = (
+        "cohort.clones_kept",
+        "cohort.clones_dropped",  # --min-total-reads 8 drops a few of the 600
+        "classify.calls",
+        "em.iterations",
+        "optim.bfgs_iterations",
+    )
+    for name in positive:
+        assert tracer.counts[name] > 0, name
