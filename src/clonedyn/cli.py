@@ -15,21 +15,15 @@ per failure class:
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .classify import (
-    CONTRACTING,
-    EXPANDING,
-    NOT_APPLICABLE,
-    Call,
-    CallTable,
-    Direction,
+    PersonCounts,
     associate,
     classify,
     dynamic_counts_per_person,
@@ -37,27 +31,25 @@ from .classify import (
     truth_of,
 )
 from .cohort import (
-    _float_values,
-    _int_values,
-    _key_columns,
-    _parse_int,
-    _read_columns,
-    _repeats,
+    INT64_MAX,
+    Responsibilities,
     atomic_write_text,
     filter_clones,
-    format_float,
-    format_floats,
-    format_ints,
+    format_column,
     ingest,
     offsets_from_series,
+    read_calls,
+    read_responsibilities,
     read_strata,
     read_truth_labels,
+    write_calls,
     write_cohort,
     write_offsets,
+    write_responsibilities,
     write_table,
     write_truth,
 )
-from .em import FitConfig, FitResult, fit_em
+from .em import FitConfig, fit_em
 from .errors import (
     IdentifiabilityError,
     OptimizerError,
@@ -72,9 +64,6 @@ EXIT_VALIDATION = 2
 EXIT_IDENTIFIABILITY = 3
 EXIT_OPTIMIZER = 4
 EXIT_IO = 5
-
-RESPONSIBILITIES_COLUMNS = ("person_id", "clone_id", "n_times", "prob_dynamic")
-CALLS_COLUMNS = ("person_id", "clone_id", "prob_dynamic", "call", "direction")
 
 
 def read_keyvalues(path: str | Path, keys: Collection[str] | None = None) -> dict[str, str]:
@@ -105,15 +94,8 @@ def read_keyvalues(path: str | Path, keys: Collection[str] | None = None) -> dic
 
 
 def write_keyvalues(path: str | Path, values: Mapping[str, object]) -> None:
-    lines = []
-    for key, value in values.items():
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = format_float(value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
+    """`key = value` lines, each value formatted as a table column's would be."""
+    lines = [f"{key} = {format_column(np.array([value]))[0]}" for key, value in values.items()]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -193,56 +175,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def write_responsibilities(path: str | Path, result: FitResult) -> None:
-    cohort = result.cohort
-    write_table(
-        path,
-        RESPONSIBILITIES_COLUMNS,
-        zip(
-            cohort.person_id.tolist(),
-            cohort.clone_id.tolist(),
-            format_ints(cohort.n_times),
-            format_floats(result.prob_dynamic),
-        ),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class Responsibilities:
-    """The columns of responsibilities.tsv, in file order."""
-
-    person_id: np.ndarray
-    clone_id: np.ndarray
-    n_times: np.ndarray
-    prob_dynamic: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.person_id.size)
-
-
-def read_responsibilities(path: str | Path) -> Responsibilities:
-    """responsibilities.tsv: one row per clone, n_times an integer >= 1 and
-    prob_dynamic in [0, 1]."""
-    cols, lines = _read_columns(path, RESPONSIBILITIES_COLUMNS)
-    person, clone = _key_columns(cols)
-    n_times, bad_n = _int_values(cols[2], minimum=1)
-    prob = _float_values(cols[3])
-    repeated = _repeats(person, clone)
-    failing = np.flatnonzero(repeated | bad_n | ~((prob >= 0.0) & (prob <= 1.0)))
-    if failing.size:
-        i = failing[0]
-        line, value = int(lines[i]), cols[3][i]
-        if repeated[i]:
-            raise ParseError(f"duplicate clone {(person[i], clone[i])}", line)
-        try:
-            float(value)
-        except ValueError:
-            raise ParseError(f"prob_dynamic is not a number: {value!r}", line) from None
-        _parse_int(cols[2][i], "n_times", line, minimum=1)
-        raise ParseError(f"prob_dynamic must lie in [0, 1], got {value!r}", line)
-    return Responsibilities(person, clone, n_times, prob)
-
-
 def align_responsibilities(table: Responsibilities, cohort: PackedCohort) -> np.ndarray:
     """prob_dynamic of each clone of a canonical cohort, after checking that the
     table has exactly the cohort's clones with the cohort's n_times."""
@@ -307,66 +239,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     trace_path = out / "fit_trace.tsv"
     write_table(
         trace_path,
-        ("iteration", "loglik", "msq_change"),
-        (
-            (str(i + 1), format_float(ll), format_float(ms))
-            for i, (ll, ms) in enumerate(zip(result.loglik_trace, result.msq_change_trace))
-        ),
+        {
+            "iteration": np.arange(1, result.loglik_trace.size + 1),
+            "loglik": result.loglik_trace,
+            "msq_change": result.msq_change_trace,
+        },
     )
     _check_outputs([hp_path, resp_path, trace_path])
     return EXIT_OK
-
-
-def write_calls(path: str | Path, calls: CallTable, prob_text: list[str]) -> None:
-    """calls.tsv, with prob_text the format_floats of calls.prob_dynamic."""
-    write_table(
-        path,
-        CALLS_COLUMNS,
-        zip(
-            calls.person_id.tolist(),
-            calls.clone_id.tolist(),
-            prob_text,
-            calls.call_text().tolist(),
-            calls.direction_text().tolist(),
-        ),
-    )
-
-
-# the (call, direction) pairs classify writes, each with its direction code
-CALL_KINDS = {
-    (Call.DYNAMIC.value, Direction.EXPANDING.value): EXPANDING,
-    (Call.DYNAMIC.value, Direction.CONTRACTING.value): CONTRACTING,
-    (Call.STATIC.value, Direction.NOT_APPLICABLE.value): NOT_APPLICABLE,
-}
-
-
-def read_calls(path: str | Path) -> CallTable:
-    """calls.tsv as classify writes it: one row per clone, a prob_dynamic in
-    [0, 1], a direction on every dynamic call and none on a static one."""
-    cols, lines = _read_columns(path, CALLS_COLUMNS)
-    person, clone = _key_columns(cols)
-    prob = _float_values(cols[2])
-    kinds = map(CALL_KINDS.get, zip(cols[3], cols[4]), itertools.repeat(-1))
-    direction = np.fromiter(kinds, np.int8, lines.size)
-    repeated = _repeats(person, clone)
-    failing = np.flatnonzero(repeated | (direction < 0) | ~((prob >= 0.0) & (prob <= 1.0)))
-    if failing.size:
-        i = failing[0]
-        line, value = int(lines[i]), cols[2][i]
-        if repeated[i]:
-            raise ParseError(f"duplicate clone {(person[i], clone[i])}", line)
-        if direction[i] < 0:
-            raise ParseError(
-                f"call {cols[3][i]!r} with direction {cols[4][i]!r}: expected dynamic with "
-                "expanding or contracting, or static with na",
-                line,
-            )
-        try:
-            float(value)
-        except ValueError:
-            raise ParseError(f"prob_dynamic is not a number: {value!r}", line) from None
-        raise ParseError(f"prob_dynamic must lie in [0, 1], got {value!r}", line)
-    return CallTable(person, clone, prob, direction != NOT_APPLICABLE, direction)
 
 
 def _proportions(counts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -391,7 +271,12 @@ def _mean_proportions(cohort: PackedCohort) -> np.ndarray:
     return values
 
 
-_TRUTH_TEXT = np.array(["0", "1"], dtype=object)
+def _count_columns(counts: Mapping[str, PersonCounts]) -> dict[str, np.ndarray]:
+    """Per-person counts as one int64 column per PersonCounts field, in field order."""
+    return {
+        f.name: np.array([getattr(c, f.name) for c in counts.values()], dtype=np.int64)
+        for f in fields(PersonCounts)
+    }
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -403,52 +288,40 @@ def cmd_classify(args: argparse.Namespace) -> int:
     threshold = opts.get("threshold", float, 0.75)
     calls = classify(prob_dynamic, cohort, threshold)
 
-    prob_text = format_floats(calls.prob_dynamic)  # written to calls.tsv and membership_points.tsv
+    prob_text = format_column(calls.prob_dynamic)  # written to calls.tsv and membership_points.tsv
     calls_path = out / "calls.tsv"
     write_calls(calls_path, calls, prob_text)
 
     counts = dynamic_counts_per_person(calls)
     person_path = out / "per_person.tsv"
-    write_table(
-        person_path,
-        ("person_id", "n_dynamic", "n_expanding", "n_contracting"),
-        (
-            (p, str(c.n_dynamic), str(c.n_expanding), str(c.n_contracting))
-            for p, c in counts.items()
-        ),
-    )
+    write_table(person_path, {"person_id": list(counts), **_count_columns(counts)})
 
     truth_path_in = opts.get("truth", str)
     truth = truth_of(calls, read_truth_labels(truth_path_in)) if truth_path_in else None
-    if truth is None:
-        truth_column = ["NA"] * len(calls)
-    else:
-        truth_column = _TRUTH_TEXT[truth.astype(np.intp)].tolist()
-
     points_path = out / "membership_points.tsv"
     write_table(
         points_path,
-        ("person_id", "clone_id", "mean_proportion", "prob_dynamic", "truth_dynamic"),
-        zip(
-            cohort.person_id.tolist(),
-            cohort.clone_id.tolist(),
-            format_floats(_mean_proportions(cohort)),
-            prob_text,
-            truth_column,
-        ),
+        {
+            "person_id": cohort.person_id,
+            "clone_id": cohort.clone_id,
+            "mean_proportion": _mean_proportions(cohort),
+            "prob_dynamic": prob_text,
+            "truth_dynamic": (
+                np.full(len(calls), "NA", dtype=object) if truth is None else truth.astype(np.int8)
+            ),
+        },
     )
 
     traj_path = out / "trajectories.tsv"
     write_table(
         traj_path,
-        ("person_id", "clone_id", "time_index", "proportion", "call"),
-        zip(
-            np.repeat(cohort.person_id, cohort.n_times).tolist(),
-            np.repeat(cohort.clone_id, cohort.n_times).tolist(),
-            format_ints(cohort.times),
-            format_floats(_proportions(cohort.counts, cohort.offsets)),
-            np.repeat(calls.call_text(), cohort.n_times).tolist(),
-        ),
+        {
+            "person_id": np.repeat(cohort.person_id, cohort.n_times),
+            "clone_id": np.repeat(cohort.clone_id, cohort.n_times),
+            "time_index": cohort.times,
+            "proportion": _proportions(cohort.counts, cohort.offsets),
+            "call": np.repeat(calls.call_text(), cohort.n_times),
+        },
     )
 
     outputs = [calls_path, person_path, points_path, traj_path]
@@ -479,6 +352,8 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     strata = read_strata(opts.get("strata", str, required=True))
     cutoff_dynamic = opts.get("cutoff_dynamic", int, 50)
     cutoff_direction = opts.get("cutoff_direction", int, 25)
+    if not all(-INT64_MAX - 1 <= c <= INT64_MAX for c in (cutoff_dynamic, cutoff_direction)):
+        raise ValidationError("cutoff_dynamic and cutoff_direction must fit in a 64-bit integer")
 
     counts = dynamic_counts_per_person(calls)
     uncovered = sorted(p for p in counts if p not in strata)
@@ -492,13 +367,9 @@ def cmd_summarize(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     person_path = out / "per_person.tsv"
+    strata_column = np.array([strata[p] for p in counts], dtype=np.int64)
     write_table(
-        person_path,
-        ("person_id", "stratum", "n_dynamic", "n_expanding", "n_contracting"),
-        (
-            (p, str(strata[p]), str(c.n_dynamic), str(c.n_expanding), str(c.n_contracting))
-            for p, c in counts.items()
-        ),
+        person_path, {"person_id": list(counts), "stratum": strata_column, **_count_columns(counts)}
     )
 
     metrics = (
@@ -506,35 +377,24 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         ("expanding", {p: c.n_expanding for p, c in counts.items()}, cutoff_direction),
         ("contracting", {p: c.n_contracting for p, c in counts.items()}, cutoff_direction),
     )
-    rows = []
-    for name, per_person, cutoff in metrics:
-        result = associate(per_person, strata, cutoff)
-        rows.append(
-            (
-                name,
-                str(result.dichotomy_cutoff),
-                format_float(result.chi_sq_stat),
-                format_float(result.chi_sq_pvalue),
-                "true" if result.chi_sq_degenerate else "false",
-                format_float(result.loglinear_coef),
-                format_float(result.loglinear_pvalue),
-                "true" if result.loglinear_degenerate else "false",
-            )
-        )
+    results = {name: associate(per_person, strata, cutoff) for name, per_person, cutoff in metrics}
+
+    def column(field: str, dtype) -> np.ndarray:
+        return np.array([getattr(r, field) for r in results.values()], dtype=dtype)
+
     association_path = out / "association.tsv"
     write_table(
         association_path,
-        (
-            "metric",
-            "cutoff",
-            "chi_sq_stat",
-            "chi_sq_pvalue",
-            "chi_sq_degenerate",
-            "loglinear_coef",
-            "loglinear_pvalue",
-            "loglinear_degenerate",
-        ),
-        rows,
+        {
+            "metric": list(results),
+            "cutoff": column("dichotomy_cutoff", np.int64),
+            "chi_sq_stat": column("chi_sq_stat", np.float64),
+            "chi_sq_pvalue": column("chi_sq_pvalue", np.float64),
+            "chi_sq_degenerate": column("chi_sq_degenerate", bool),
+            "loglinear_coef": column("loglinear_coef", np.float64),
+            "loglinear_pvalue": column("loglinear_pvalue", np.float64),
+            "loglinear_degenerate": column("loglinear_degenerate", bool),
+        },
     )
     _check_outputs([person_path, association_path])
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Tabular cohort ingestion, filtering, and deterministic file output.
+"""Every table format of the pipeline: ingestion, validation and file output.
 
 Cohort files are UTF-8, tab-delimited, with a header row and long-format
 records (person_id, time_index, clone_id, count).  Per-person-time
@@ -7,28 +7,27 @@ person-time, before any filtering, unless an explicit offsets sidecar is
 supplied (simulated cohorts need one, because their counts are draws
 around exogenous totals rather than a partition of them).
 
-Tables are read block by block.  A block is tokenized over its UTF-8
-bytes: field boundaries are the positions of tabs and newlines, found
-with numpy, so no Python object is made per field.  A block with a blank
-line, a wrong field count or an overlong line is parsed by csv.reader
-instead, and from the first quote or lone carriage return on csv.reader
-parses the rest of the file; either way the fields are what csv.reader
-gives.
+Every table is read block by block into one form: a block's UTF-8 bytes
+and the start and end offset of each field, found with numpy at the tabs
+and newlines, so no Python object is made per field.  A block with a
+blank line, a wrong field count or an overlong line is parsed by
+csv.reader instead, as is the rest of the file from the first quote or
+lone carriage return on; either way the fields are what csv.reader gives.
 
-The cohort goes from those bytes straight into columns and is held as
-one packed table: integer fields of plain ASCII digits are parsed
-vectorized by digit (any other field goes through int()), and each
-distinct id is held once, as UTF-8 bytes, with records naming it by its
-rank among the sorted ids.  Only filter_clones decodes ids, and only
-those of the clones it keeps.  Validation runs once over whole columns;
-when a check fails, the offending record is looked up again so the
-error names it.
+The cohort goes from those bytes straight into one packed table: integer
+fields of plain ASCII digits are parsed by digit over whole columns, and
+each distinct id is held once, as UTF-8 bytes; only filter_clones decodes
+ids, and only those of the clones it keeps.  Validation runs once over
+whole columns.  A reader lists its checks in order, and the earliest
+record any check flags is reported, by line, with the message of the
+first check that flags it.
 
-Writers take columns: write_cohort emits canonical (person, time, clone)
-row order, the others keep the order of the columns they are given
-(offsets_from_series and simulate give canonical order).  Floats get
-shortest round-trip formatting, and every target file is replaced
-atomically.
+Writers take columns, and write_table formats each by its kind
+(format_column): a str as it is, an integer as str gives it, a float in
+shortest round-trip form and a bool as true or false, each distinct value
+once.  write_cohort emits canonical (person, time, clone) row order, the
+other writers keep the order of their columns, and every target file is
+replaced atomically.
 """
 
 from __future__ import annotations
@@ -40,10 +39,12 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .classify import CONTRACTING, EXPANDING, NOT_APPLICABLE, Call, CallTable, Direction
+from .em import FitResult
 from .errors import ParseError, ValidationError
 from .model import PackedCohort, segment_rows
 from .simulate import TruthLabels
@@ -52,11 +53,15 @@ COHORT_COLUMNS = ("person_id", "time_index", "clone_id", "count")
 OFFSETS_COLUMNS = ("person_id", "time_index", "total_reads")
 STRATA_COLUMNS = ("person_id", "stratum")
 TRUTH_COLUMNS = ("person_id", "clone_id", "dynamic")
+RESPONSIBILITIES_COLUMNS = ("person_id", "clone_id", "n_times", "prob_dynamic")
+CALLS_COLUMNS = ("person_id", "clone_id", "prob_dynamic", "call", "direction")
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 BLOCK_CHARS = 1 << 20  # text read at a time on the fast path
 BLOCK_RECORDS = 1 << 16  # records parsed at a time by csv.reader
 DIGITS_MAX = 18  # any 18-digit integer fits in int64
+# a mask over a table's records and the message of a flagged record, by index
+_Check = tuple[np.ndarray, Callable[[int], str]]
 
 
 class CohortRows:
@@ -93,10 +98,10 @@ class Ids:
         """The ids at the given positions, as an object array of str."""
         lengths = self.lengths[index]
         n_words = _word_counts(lengths)
-        data = self.words[segment_rows(self.offsets[index], n_words)].astype(">u8").tobytes()
+        words = self.words[segment_rows(self.offsets[index], n_words)]
+        data = np.append(words.astype(">u8").view(np.uint8), np.uint8(0))
         starts = 8 * (np.cumsum(n_words) - n_words)
-        bounds = zip(starts.tolist(), (starts + lengths).tolist())
-        return np.array([data[s:e].decode("utf-8") for s, e in bounds], dtype=object)
+        return np.array(_strings(data, starts, starts + lengths), dtype=object)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,57 +136,84 @@ class CohortTable:
 
 
 class _Block:
-    """Data records of one block of a table and their line numbers.
+    """Data records of a table, or of one block of it, and their line numbers:
+    the UTF-8 bytes holding every field, and 8 bytes more, and the (records,
+    width) offsets where each field starts and ends."""
 
-    A block the byte tokenizer split keeps its text, the text's UTF-8
-    bytes and the (records, width) byte offsets of the tab or newline
-    that ends each field; a block csv.reader parsed keeps the columns of
-    strings it gave.
-    """
+    def __init__(self, lines: np.ndarray, raw: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+        self.lines, self.raw, self.starts, self.ends = lines, raw, starts, ends
 
-    def __init__(self, lines, width, text="", raw=None, ends=None, columns=None):
-        self.lines, self.width = lines, width
-        self._text, self._raw, self._ends, self._columns = text, raw, ends, columns
+    def text(self, i: int, j: int) -> str:
+        """Field j of record i."""
+        return self.raw[self.starts[i, j] : self.ends[i, j]].tobytes().decode("utf-8")
 
-    def columns(self) -> list[list[str]]:
-        """Every field as a str, one list per column."""
-        if self._columns is None:
-            flat = self._text.replace("\n", "\t").split("\t")
-            flat.pop()  # after the last newline
-            self._columns = [flat[i :: self.width] for i in range(self.width)]
-        return self._columns
+    def strs(self, j: int) -> np.ndarray:
+        """Field j of every record, as an object array of str."""
+        return np.array(_strings(self.raw, self.starts[:, j], self.ends[:, j]), dtype=object)
 
-    def fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """UTF-8 bytes holding every field, and 8 bytes more, and the
-        (records, width) offsets where each field starts and ends."""
-        if self._raw is None:  # csv.reader's fields, laid end to end
-            flat = [f.encode("utf-8") for record in zip(*self._columns) for f in record]
-            lengths = np.fromiter(map(len, flat), np.int64, len(flat)).reshape(-1, self.width)
-            ends = np.cumsum(lengths).reshape(lengths.shape)
-            raw = np.frombuffer(b"".join(flat) + bytes(8), np.uint8)
-            return raw, ends - lengths, ends
-        ends = self._ends
-        starts = np.empty_like(ends)
-        starts[:, 1:] = ends[:, :-1] + 1
-        starts[1:, 0] = ends[:-1, -1] + 1
-        starts[:1, 0] = 0
-        return self._raw, starts, ends
+    def ints(self, j: int, what: str, minimum: int = 0) -> tuple[np.ndarray, _Check]:
+        """Field j of every record as int64, and the check that flags a field
+        that is not an integer in [minimum, INT64_MAX] (0 there)."""
+        values, bad = _int_fields(self.raw, self.starts[:, j], self.ends[:, j], minimum)
+        return values, (bad, lambda i: _int_message(self.text(i, j), what, minimum))
+
+    def probabilities(self, j: int) -> tuple[np.ndarray, _Check, _Check]:
+        """Field j of every record as float64, the check that flags a field that
+        is not a number (nan there), and the check that flags one outside [0, 1]."""
+        values, bad = _float_fields(self.raw, self.starts[:, j], self.ends[:, j])
+        outside = ~((values >= 0.0) & (values <= 1.0))
+        return (
+            values,
+            (bad, lambda i: f"prob_dynamic is not a number: {self.text(i, j)!r}"),
+            (outside, lambda i: f"prob_dynamic must lie in [0, 1], got {self.text(i, j)!r}"),
+        )
+
+    def fault(self, checks: Sequence[_Check]) -> tuple[int, ParseError] | None:
+        """The earliest record a check flags and its ParseError, with the
+        message of the first check that flags it; None if none flags one."""
+        flagged = np.logical_or.reduce([mask for mask, _ in checks])
+        if flagged.any():
+            i = int(np.argmax(flagged))
+            message = next(message for mask, message in checks if mask[i])
+            return i, ParseError(message(i), int(self.lines[i]))
+        return None
+
+    def check(self, checks: Sequence[_Check]) -> None:
+        """Raise the ParseError fault finds, if any."""
+        if fault := self.fault(checks):
+            raise fault[1]
 
 
 def _columns(records: list[list[str]], lines: np.ndarray, width: int, path: Path) -> _Block:
-    """Block of the non-blank records; ParseError for a wrong field count."""
+    """Block of the non-blank records, their fields laid end to end; ParseError
+    for a wrong field count."""
     if any(len(r) != width for r in records):
         for record, line in zip(records, lines.tolist()):
             if record and len(record) != width:
                 raise ParseError(f"{path}: expected {width} fields, got {len(record)}", line)
         lines = lines[[bool(r) for r in records]]
         records = [r for r in records if r]
-    flat = list(itertools.chain.from_iterable(records))
-    return _Block(lines, width, columns=[flat[i::width] for i in range(width)])
+    flat = [f.encode("utf-8") for f in itertools.chain.from_iterable(records)]
+    lengths = np.fromiter(map(len, flat), np.int64, len(flat)).reshape(-1, width)
+    ends = np.cumsum(lengths).reshape(lengths.shape)
+    raw = np.frombuffer(b"".join(flat) + bytes(8), np.uint8)
+    return _Block(lines, raw, ends - lengths, ends)
+
+
+def _csv_records(reader, count: int, lineno: int, path: Path) -> list[list[str]]:
+    """Up to count records of a csv.reader whose next record is line lineno;
+    ParseError for a record csv.reader rejects (a field longer than
+    csv.field_size_limit())."""
+    records: list[list[str]] = []
+    try:
+        records.extend(itertools.islice(reader, count))  # keeps those before a failing one
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}", lineno + len(records)) from None
+    return records
 
 
 def _csv_blocks(reader, lineno: int, width: int, path: Path):
-    while records := list(itertools.islice(reader, BLOCK_RECORDS)):
+    while records := _csv_records(reader, BLOCK_RECORDS, lineno, path):
         yield _columns(records, np.arange(lineno, lineno + len(records)), width, path)
         lineno += len(records)
 
@@ -207,7 +239,6 @@ def _blocks(handle, width: int, path: Path) -> Iterator[_Block]:
         seps = np.flatnonzero(newline | (raw == 9))
         n = int(np.count_nonzero(newline))
         numbers = np.arange(lineno, lineno + n)
-        lineno += n
         # every record has width - 1 tabs exactly when every width-th
         # separator is a newline and there are width per newline
         line_ends = seps[width - 1 :: width]
@@ -218,9 +249,13 @@ def _blocks(handle, width: int, path: Path) -> Iterator[_Block]:
         ):
             lines = text.split("\n")
             lines.pop()
-            yield _columns(list(csv.reader(lines, delimiter="\t")), numbers, width, path)
+            records = _csv_records(csv.reader(lines, delimiter="\t"), n, lineno, path)
+            yield _columns(records, numbers, width, path)
         else:
-            yield _Block(numbers, width, text, raw, seps.reshape(n, width))
+            # a field starts after the separator that ends the one before it
+            starts = np.append(0, seps[:-1] + 1).reshape(n, width)
+            yield _Block(numbers, raw, starts, seps.reshape(n, width))
+        lineno += n
 
 
 def _read_blocks(path: str | Path, columns: Sequence[str]) -> Iterator[_Block]:
@@ -238,11 +273,11 @@ def _read_blocks(path: str | Path, columns: Sequence[str]) -> Iterator[_Block]:
     any_rows = False
     with open(path, encoding="utf-8", newline="") as handle:
         try:
-            header = next(csv.reader(handle, delimiter="\t"), None)
-            if header is None:
+            header = _csv_records(csv.reader(handle, delimiter="\t"), 1, 1, path)
+            if not header:
                 raise ValidationError(f"{path}: file is empty")
-            if header != list(columns):
-                raise ParseError(f"{path}: expected header {list(columns)}, got {header}", line=1)
+            if header != [list(columns)]:
+                raise ParseError(f"{path}: expected header {list(columns)}, got {header[0]}", 1)
             for block in _blocks(handle, len(columns), path):
                 if len(block.lines):
                     any_rows = True
@@ -253,80 +288,86 @@ def _read_blocks(path: str | Path, columns: Sequence[str]) -> Iterator[_Block]:
         raise ValidationError(f"{path}: no data rows")
 
 
-def _read_columns(path: str | Path, columns: Sequence[str]) -> tuple[list[list[str]], np.ndarray]:
-    """Every data record of a TSV with a header, as one list of fields per
-    column, and the records' line numbers."""
-    blocks = [(b.columns(), b.lines) for b in _read_blocks(path, columns)]
-    return (
-        [list(itertools.chain.from_iterable(b[0][j] for b in blocks)) for j in range(len(columns))],
-        np.concatenate([b[1] for b in blocks]),
+def _read_table(path: str | Path, columns: Sequence[str]) -> _Block:
+    """Every data record of a TSV with a header, as one block."""
+    blocks = list(_read_blocks(path, columns))
+    shifts = np.cumsum([0] + [b.raw.size for b in blocks[:-1]])
+    return _Block(
+        np.concatenate([b.lines for b in blocks]),
+        np.concatenate([b.raw for b in blocks]),
+        np.concatenate([b.starts + shift for b, shift in zip(blocks, shifts)]),
+        np.concatenate([b.ends + shift for b, shift in zip(blocks, shifts)]),
     )
 
 
-def _parse_int(value: str, what: str, lineno: int, minimum: int = 0) -> int:
+def _int_message(value: str, what: str, minimum: int = 0) -> str:
+    """Why value, which _int_values flags, is not an integer in [minimum, INT64_MAX]."""
     try:
         parsed = int(value)
     except ValueError:
-        raise ParseError(f"{what} is not an integer: {value!r}", lineno) from None
+        return f"{what} is not an integer: {value!r}"
     if parsed < minimum:
-        raise ParseError(f"{what} must be >= {minimum}, got {parsed}", lineno)
-    if parsed > INT64_MAX:
-        raise ParseError(f"{what} does not fit in a 64-bit integer: {value!r}", lineno)
-    return parsed
+        return f"{what} must be >= {minimum}, got {parsed}"
+    return f"{what} does not fit in a 64-bit integer: {value!r}"
 
 
-def _int_column(values: Sequence[str], minimum: int = 0) -> np.ndarray:
-    """int() of every value as int64; ValueError unless all lie in [minimum, INT64_MAX]."""
+def _parse_each(parse, values: Sequence[str], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """parse of every value as dtype, and a mask of the values it rejects or
+    dtype cannot hold (0 there)."""
     try:
-        parsed = np.array(list(map(int, values)), dtype=np.int64)
-    except OverflowError:
-        raise ValueError("integer out of the int64 range") from None
-    if parsed.size and parsed.min() < minimum:
-        raise ValueError(f"integer below {minimum}")
-    return parsed
-
-
-def _int_values(values: Sequence[str], minimum: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """int64 of every value, and a mask of the values that are not integers in
-    [minimum, INT64_MAX] (0 there)."""
-    try:
-        parsed = _int_column(values, minimum)
-        return parsed, np.zeros(parsed.size, dtype=bool)
-    except ValueError:
-        parsed = np.zeros(len(values), dtype=np.int64)
-        bad = np.zeros(len(values), dtype=bool)
+        return np.fromiter(map(parse, values), dtype, len(values)), np.zeros(len(values), bool)
+    except (ValueError, OverflowError):
+        parsed, bad = np.zeros(len(values), dtype=dtype), np.zeros(len(values), dtype=bool)
         for i, value in enumerate(values):
             try:
-                parsed[i] = _parse_int(value, "", 0, minimum)
-            except ParseError:
+                parsed[i] = parse(value)
+            except (ValueError, OverflowError):
                 bad[i] = True
         return parsed, bad
 
 
-def _float_values(values: Sequence[str]) -> np.ndarray:
-    """float() of every value; nan where float() fails."""
-    try:
-        return np.fromiter(map(float, values), np.float64, len(values))
-    except ValueError:
-        parsed = np.full(len(values), np.nan)
-        for i, value in enumerate(values):
-            try:
-                parsed[i] = float(value)
-            except ValueError:
-                pass
-        return parsed
+def _int_values(values: Sequence[str], minimum: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """int() of every value as int64, and a mask of the values that are not
+    integers in [minimum, INT64_MAX] (0 there)."""
+    parsed, bad = _parse_each(int, values, np.int64)
+    bad |= parsed < minimum
+    parsed[bad] = 0
+    return parsed, bad
+
+
+def _float_fields(
+    raw: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """float() of the fields raw[starts:ends], and a mask of the fields float()
+    rejects (nan there)."""
+    values, bad = _parse_each(float, _strings(raw, starts, ends), np.float64)
+    values[bad] = np.nan
+    return values, bad
 
 
 def _strings(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
-    data = raw.tobytes()
-    return [data[s:e].decode("utf-8") for s, e in zip(starts.tolist(), ends.tolist())]
+    """The UTF-8 fields raw[starts:ends], decoded; raw holds a byte more after
+    the last one."""
+    fields: list[str] = []
+    for k in range(0, starts.size, BLOCK_RECORDS):  # bounds the index arrays
+        s, e = starts[k : k + BLOCK_RECORDS], ends[k : k + BLOCK_RECORDS]
+        # each field and the byte after it, that byte made a newline: one
+        # decode and one split give every field, unless one holds a newline
+        joined = raw[segment_rows(s, e - s + 1)]
+        joined[np.cumsum(e - s + 1) - 1] = 10
+        text = joined.tobytes().decode("utf-8").split("\n")
+        text.pop()
+        if len(text) != s.size:
+            text = [raw[i:j].tobytes().decode("utf-8") for i, j in zip(s.tolist(), e.tolist())]
+        fields += text
+    return fields
 
 
 def _int_fields(
-    raw: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    raw: np.ndarray, starts: np.ndarray, ends: np.ndarray, minimum: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """int() of the fields raw[starts:ends] as int64, and a mask of the fields
-    that are not integers in [0, INT64_MAX] (0 there).
+    that are not integers in [minimum, INT64_MAX] (0 there).
 
     A field of 1 to DIGITS_MAX ASCII digits is parsed here, digit by digit
     over all fields at once; only the others go through int().
@@ -339,10 +380,11 @@ def _int_fields(
         digit = raw[np.maximum(ends - k, 0)] - np.uint8(48)
         plain &= ~in_field | (digit < 10)
         values = values * 10 + np.where(in_field, digit, 0)
-    bad = np.zeros(lengths.size, dtype=bool)
+    bad = plain & (values < minimum)
+    values[bad] = 0
     if not plain.all():
         rest = np.flatnonzero(~plain)
-        values[rest], bad[rest] = _int_values(_strings(raw, starts[rest], ends[rest]))
+        values[rest], bad[rest] = _int_values(_strings(raw, starts[rest], ends[rest]), minimum)
     return values, bad
 
 
@@ -477,9 +519,9 @@ def _repeats(*columns: np.ndarray) -> np.ndarray:
     return np.fromiter(positions, np.int64, n) != np.arange(n)
 
 
-def _key_columns(cols: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
-    """The person_id and clone_id columns (the first two) as object arrays."""
-    return np.array(cols[0], dtype=object), np.array(cols[1], dtype=object)
+def _unique_clones(person: np.ndarray, clone: np.ndarray) -> _Check:
+    """The check that flags a record repeating an earlier one's (person_id, clone_id)."""
+    return _repeats(person, clone), lambda i: f"duplicate clone {(person[i], clone[i])}"
 
 
 def _segment_sums(values: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -496,56 +538,84 @@ def _segment_sums(values: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, n
 
 
 def read_strata(path: str | Path) -> dict[str, int]:
-    cols, lines = _read_columns(path, STRATA_COLUMNS)
-    person = np.array(cols[0], dtype=object)
-    stratum, bad = _int_values(cols[1])
-    repeated = _repeats(person)
-    failing = np.flatnonzero(bad | (stratum > 1) | repeated)
-    if failing.size:
-        i = failing[0]
-        line = int(lines[i])
-        value = _parse_int(cols[1][i], "stratum", line)
-        if value > 1:
-            raise ParseError(f"stratum must be 0 or 1, got {value}", line)
-        raise ParseError(f"duplicate person {person[i]!r}", line)
-    return dict(zip(cols[0], stratum.tolist()))
+    table = _read_table(path, STRATA_COLUMNS)
+    person = table.strs(0)
+    stratum, is_int = table.ints(1, "stratum")
+    binary = stratum > 1, lambda i: f"stratum must be 0 or 1, got {stratum[i]}"
+    unique = _repeats(person), lambda i: f"duplicate person {person[i]!r}"
+    table.check([is_int, binary, unique])
+    return dict(zip(person.tolist(), stratum.tolist()))
 
 
 def read_offsets(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """offsets.tsv as (person_id, time_index, total_reads) columns, sorted by
     person then time."""
-    cols, lines = _read_columns(path, OFFSETS_COLUMNS)
-    person = np.array(cols[0], dtype=object)
-    time, bad_time = _int_values(cols[1])
-    total, bad_total = _int_values(cols[2], minimum=1)
-    repeated = _repeats(person, time)
-    failing = np.flatnonzero(bad_time | repeated | bad_total)
-    if failing.size:
-        i = failing[0]
-        line = int(lines[i])
-        key = (person[i], _parse_int(cols[1][i], "time_index", line))
-        if repeated[i]:
-            raise ParseError(f"duplicate person-time {key}", line)
-        _parse_int(cols[2][i], "total_reads", line, minimum=1)
+    table = _read_table(path, OFFSETS_COLUMNS)
+    person = table.strs(0)
+    time, time_is_int = table.ints(1, "time_index")
+    total, total_is_int = table.ints(2, "total_reads", minimum=1)
+    unique = _repeats(person, time), lambda i: f"duplicate person-time {(person[i], int(time[i]))}"
+    table.check([time_is_int, unique, total_is_int])
     order = np.lexsort((time, person))
     return person[order], time[order], total[order]
 
 
 def read_truth_labels(path: str | Path) -> TruthLabels:
     """truth.tsv: one row per clone, dynamic 0 or 1; columns in file order."""
-    cols, lines = _read_columns(path, TRUTH_COLUMNS)
-    person, clone = _key_columns(cols)
-    dynamic, bad = _int_values(cols[2])
-    repeated = _repeats(person, clone)
-    failing = np.flatnonzero(repeated | bad | (dynamic > 1))
-    if failing.size:
-        i = failing[0]
-        line = int(lines[i])
-        if repeated[i]:
-            raise ParseError(f"duplicate clone {(person[i], clone[i])}", line)
-        value = _parse_int(cols[2][i], "dynamic", line)
-        raise ParseError(f"dynamic must be 0 or 1, got {value}", line)
+    table = _read_table(path, TRUTH_COLUMNS)
+    person, clone = table.strs(0), table.strs(1)
+    dynamic, is_int = table.ints(2, "dynamic")
+    binary = dynamic > 1, lambda i: f"dynamic must be 0 or 1, got {dynamic[i]}"
+    table.check([_unique_clones(person, clone), is_int, binary])
     return TruthLabels(person, clone, dynamic == 1)
+
+
+@dataclass(frozen=True, eq=False)
+class Responsibilities:
+    """The columns of responsibilities.tsv, in file order."""
+
+    person_id: np.ndarray
+    clone_id: np.ndarray
+    n_times: np.ndarray
+    prob_dynamic: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.person_id.size)
+
+
+def read_responsibilities(path: str | Path) -> Responsibilities:
+    """responsibilities.tsv: one row per clone, n_times an integer >= 1 and
+    prob_dynamic in [0, 1]."""
+    table = _read_table(path, RESPONSIBILITIES_COLUMNS)
+    person, clone = table.strs(0), table.strs(1)
+    n_times, n_times_is_int = table.ints(2, "n_times", minimum=1)
+    prob, is_number, in_unit_interval = table.probabilities(3)
+    table.check([_unique_clones(person, clone), is_number, n_times_is_int, in_unit_interval])
+    return Responsibilities(person, clone, n_times, prob)
+
+
+# the (call, direction) pairs classify writes, each with its direction code
+CALL_KINDS = {
+    (Call.DYNAMIC.value, Direction.EXPANDING.value): EXPANDING,
+    (Call.DYNAMIC.value, Direction.CONTRACTING.value): CONTRACTING,
+    (Call.STATIC.value, Direction.NOT_APPLICABLE.value): NOT_APPLICABLE,
+}
+
+
+def read_calls(path: str | Path) -> CallTable:
+    """calls.tsv as classify writes it: one row per clone, a prob_dynamic in
+    [0, 1], a direction on every dynamic call and none on a static one."""
+    table = _read_table(path, CALLS_COLUMNS)
+    person, clone = table.strs(0), table.strs(1)
+    prob, is_number, in_unit_interval = table.probabilities(2)
+    kinds = map(CALL_KINDS.get, zip(table.strs(3), table.strs(4)), itertools.repeat(-1))
+    direction = np.fromiter(kinds, np.int8, person.size)
+    known = direction < 0, lambda i: (
+        f"call {table.text(i, 3)!r} with direction {table.text(i, 4)!r}: "
+        "expected dynamic with expanding or contracting, or static with na"
+    )
+    table.check([_unique_clones(person, clone), known, is_number, in_unit_interval])
+    return CallTable(person, clone, prob, direction != NOT_APPLICABLE, direction)
 
 
 def _read_cohort_columns(path: Path):
@@ -564,23 +634,12 @@ def _read_cohort_columns(path: Path):
     for block in _read_blocks(path, COHORT_COLUMNS):
         if error is not None:
             continue
-        raw, starts, ends = block.fields()
-        lines = block.lines
-        times, bad_time = _int_fields(raw, starts[:, 1], ends[:, 1])
-        counts, bad_count = _int_fields(raw, starts[:, 3], ends[:, 3])
-        failing = np.flatnonzero(bad_time | bad_count)
-        n = lines.size
-        if failing.size:
-            n = failing[0]
-            j, what = (1, "time_index") if bad_time[n] else (3, "count")
-            value = _strings(raw, starts[n, j : j + 1], ends[n, j : j + 1])[0]
-            try:
-                _parse_int(value, what, int(lines[n]))
-            except ParseError as exc:
-                error = exc
-        person = persons.add(raw, starts[:n, 0], ends[:n, 0])
-        clone = clones.add(raw, starts[:n, 2], ends[:n, 2])
-        parts.append((person, clone, times[:n], counts[:n], lines[:n]))
+        times, time_is_int = block.ints(1, "time_index")
+        counts, count_is_int = block.ints(3, "count")
+        n, error = block.fault([time_is_int, count_is_int]) or (block.lines.size, None)
+        person = persons.add(block.raw, block.starts[:n, 0], block.ends[:n, 0])
+        clone = clones.add(block.raw, block.starts[:n, 2], block.ends[:n, 2])
+        parts.append((person, clone, times[:n], counts[:n], block.lines[:n]))
     person_ids, person_rank = persons.ranked()
     clone_ids, clone_rank = clones.ranked()
     person, clone, time, count, line = (np.concatenate(c) for c in zip(*parts))
@@ -723,11 +782,6 @@ def filter_clones(
     )
 
 
-def format_float(value: float) -> str:
-    """Shortest decimal representation that round-trips the float."""
-    return repr(float(value))
-
-
 @contextmanager
 def _atomic_file(path: str | Path) -> Iterator[io.TextIOBase]:
     """A text handle on a temporary file that replaces path in one rename when
@@ -756,33 +810,40 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         handle.write(text)
 
 
-def write_table(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    """Replace path with a header and tab-joined rows, written BLOCK_RECORDS at a
-    time; rows are typically a zip of whole columns of strings."""
-    rows = iter(rows)
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)
+
+
+def format_column(values: np.ndarray) -> list[str]:
+    """The text of each value as write_table writes it: a str as it is, an
+    integer as str gives it, a float in shortest round-trip form and a bool
+    as true or false.  Each distinct value (of a float, bit pattern) is
+    formatted once, which pays where values repeat, as proportions do."""
+    kind = values.dtype.kind
+    if kind in "OU":
+        return values.tolist()
+    if kind == "b":
+        return _BOOL_TEXT[values.astype(np.intp)].tolist()
+    if kind == "f":
+        bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        text = map(repr, distinct.view(np.float64).tolist())
+    else:
+        distinct, inverse = np.unique(values, return_inverse=True)
+        text = map(str, distinct.tolist())
+    return np.array(list(text), dtype=object)[inverse].tolist()
+
+
+def write_table(path: str | Path, columns: Mapping[str, np.ndarray | list[str]]) -> None:
+    """Replace path with a header of the column names and a tab-joined row per
+    record, written BLOCK_RECORDS at a time.  An array column is formatted by
+    format_column; a list is format_column's text already, so a column
+    written to two tables is formatted once."""
+    text = [c if isinstance(c, list) else format_column(c) for c in columns.values()]
+    rows = zip(*text, strict=True)
     with _atomic_file(path) as handle:
         handle.write("\t".join(columns) + "\n")
         while block := list(itertools.islice(rows, BLOCK_RECORDS)):
             handle.write("\n".join(map("\t".join, block)) + "\n")
-
-
-def format_floats(values: np.ndarray) -> list[str]:
-    """format_float of every value; each distinct value (bit pattern) is
-    formatted once, which pays where values repeat, as proportions do."""
-    bits, inverse = np.unique(
-        np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True
-    )
-    return _gather(map(repr, bits.view(np.float64).tolist()), inverse)
-
-
-def format_ints(values: np.ndarray) -> list[str]:
-    """str of every integer; each distinct value is formatted once."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return _gather(map(str, distinct.tolist()), inverse)
-
-
-def _gather(text: Iterable[str], inverse: np.ndarray) -> list[str]:
-    return np.array(list(text), dtype=object)[inverse].tolist()
 
 
 def _person_ranks(cohort: PackedCohort) -> np.ndarray:
@@ -795,20 +856,19 @@ def write_cohort(path: str | Path, cohort: PackedCohort) -> None:
     cohort = cohort.sorted()
     # stable: the clones are in (person, clone) order, which stays within a person-time
     order = np.lexsort((cohort.times, _person_ranks(cohort)))
-    rows = zip(
-        np.repeat(cohort.person_id, cohort.n_times)[order].tolist(),
-        format_ints(cohort.times[order]),
-        np.repeat(cohort.clone_id, cohort.n_times)[order].tolist(),
-        format_ints(cohort.counts[order]),
+    columns = (
+        np.repeat(cohort.person_id, cohort.n_times)[order],
+        cohort.times[order],
+        np.repeat(cohort.clone_id, cohort.n_times)[order],
+        cohort.counts[order],
     )
-    write_table(path, COHORT_COLUMNS, rows)
+    write_table(path, dict(zip(COHORT_COLUMNS, columns)))
 
 
 def write_offsets(path: str | Path, offsets: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
     """Write (person_id, time_index, total_reads) columns, as read_offsets and
     offsets_from_series give them, in their order."""
-    person, time, total = offsets
-    write_table(path, OFFSETS_COLUMNS, zip(person.tolist(), format_ints(time), format_ints(total)))
+    write_table(path, dict(zip(OFFSETS_COLUMNS, offsets)))
 
 
 def offsets_from_series(cohort: PackedCohort) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -829,5 +889,19 @@ def offsets_from_series(cohort: PackedCohort) -> tuple[np.ndarray, np.ndarray, n
 
 def write_truth(path: str | Path, truth: TruthLabels) -> None:
     """Write the labels in their order, dynamic as 0 or 1."""
-    dynamic = format_ints(truth.dynamic.astype(np.int8))
-    write_table(path, TRUTH_COLUMNS, zip(truth.person_id.tolist(), truth.clone_id.tolist(), dynamic))
+    columns = (truth.person_id, truth.clone_id, truth.dynamic.astype(np.int8))
+    write_table(path, dict(zip(TRUTH_COLUMNS, columns)))
+
+
+def write_responsibilities(path: str | Path, result: FitResult) -> None:
+    cohort = result.cohort
+    columns = (cohort.person_id, cohort.clone_id, cohort.n_times, result.prob_dynamic)
+    write_table(path, dict(zip(RESPONSIBILITIES_COLUMNS, columns)))
+
+
+def write_calls(path: str | Path, calls: CallTable, prob_text: list[str]) -> None:
+    """calls.tsv, with prob_text the format_column of calls.prob_dynamic."""
+    columns = (
+        calls.person_id, calls.clone_id, prob_text, calls.call_text(), calls.direction_text()
+    )
+    write_table(path, dict(zip(CALLS_COLUMNS, columns)))

@@ -41,14 +41,14 @@ class SimConfig:
     def __post_init__(self):
         if self.n_clones < 1:
             raise ValidationError("n_clones must be >= 1")
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValidationError("alpha and beta must be positive")
+        if not (0 < self.alpha < np.inf and 0 < self.beta < np.inf):
+            raise ValidationError("alpha and beta must be positive and finite")
         if not 0.0 <= self.pi <= 1.0:
             raise ValidationError("pi must lie in [0, 1]")
         if self.n_followups < 2:
             raise ValidationError("n_followups must be >= 2")
-        if self.offset_mean <= 0:
-            raise ValidationError("offset_mean must be positive")
+        if not 0 < self.offset_mean < np.inf:
+            raise ValidationError("offset_mean must be positive and finite")
         if not 0.0 <= self.missing_rate < 1.0:
             raise ValidationError("missing_rate must lie in [0, 1)")
         if not 1 <= self.n_persons <= self.n_clones:
@@ -95,9 +95,10 @@ def simulate(cfg: SimConfig) -> tuple[PackedCohort, TruthLabels, np.ndarray]:
     for j, child in enumerate(children):
         rng = np.random.default_rng(child)
         person_id = f"p{j:0{person_width}d}"
-        offsets = np.maximum(
-            np.ceil(rng.exponential(cfg.offset_mean, size=cfg.n_followups)), 1.0
-        ).astype(np.int64)
+        offsets = np.maximum(np.ceil(rng.exponential(cfg.offset_mean, size=cfg.n_followups)), 1.0)
+        if offsets.max() >= 2.0**63:
+            raise ValidationError("offset_mean draws an offset beyond a 64-bit integer")
+        offsets = offsets.astype(np.int64)
 
         n_here = base + (1 if j < extra else 0)
         for _ in range(n_here):
@@ -114,7 +115,10 @@ def simulate(cfg: SimConfig) -> tuple[PackedCohort, TruthLabels, np.ndarray]:
             draws = rng.gamma(cfg.alpha, 1.0 / cfg.beta, size=n_obs if dynamic else 1)
             lams = draws if dynamic else np.repeat(draws, n_obs)
             obs_offsets = offsets[times]
-            counts = np.minimum(rng.poisson(lams * obs_offsets), obs_offsets)
+            try:
+                counts = np.minimum(rng.poisson(lams * obs_offsets), obs_offsets)
+            except ValueError as exc:  # a mean beyond what the generator can draw from
+                raise ValidationError(f"cannot draw Poisson counts: {exc}") from None
 
             clones.append((person_id, clone_id, counts, obs_offsets, times))
             labels.append(dynamic)

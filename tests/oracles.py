@@ -26,7 +26,9 @@ packed reader to it.
 The per-clone simulator, the offsets walk and the tuple-sorting cohort
 writer after it are how the package simulated and wrote a cohort before
 those stages worked on packed columns: one CloneSeries per clone, one
-dict entry per observation, one Python tuple per row.
+dict entry per observation, one Python tuple per row.  The table text
+reference formats one value at a time, as the writers did before they
+formatted whole columns.
 """
 
 from __future__ import annotations
@@ -455,3 +457,20 @@ def read_truth_labels_by_row(path):
             raise RowParseError(f"dynamic must be 0 or 1, got {value}", line)
         labels[(person, clone)] = bool(value)
     return [[p for p, _ in labels], [c for _, c in labels], list(labels.values())]
+
+
+def table_text_by_row(columns) -> str:
+    """The text write_table writes for {name: column}, one value at a time: a
+    str as it is, a bool as true or false, a float by repr, an integer by str."""
+
+    def text(value) -> str:
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(int(value))
+
+    rows = [list(columns), *zip(*columns.values())]
+    return "".join("\t".join(map(text, row)) + "\n" for row in rows)

@@ -452,6 +452,52 @@ class TestSummarizeRejectsBadCalls:
         assert "line 7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table", ["cohort", "strata"])
+def test_field_beyond_the_csv_field_limit_exits_2_naming_file_and_line(tmp_path, table, capsys):
+    long_id = "c" * 200_000  # csv.field_size_limit() is 131072 characters
+    cohort, calls, strata = (tmp_path / f"{name}.tsv" for name in ("cohort", "calls", "strata"))
+    cohort.write_text(COHORT + (f"p1\t0\t{long_id}\t3\n" if table == "cohort" else ""))
+    calls.write_text(CALLS_HEADER + GOOD_CALLS)
+    strata.write_text("person_id\tstratum\np1\t0\np2\t0\np3\t1\np4\t1\n" + (
+        f"{long_id}\t0\n" if table == "strata" else ""
+    ))
+    if table == "cohort":
+        code = run("fit", "--input", cohort, "--min-total-reads", 0, "--output-dir", tmp_path)
+        where = f"line 7: {cohort}"
+    else:
+        code = run("summarize", "--input", calls, "--strata", strata, "--output-dir", tmp_path)
+        where = f"line 6: {strata}"
+    assert code == EXIT_VALIDATION
+    assert f"{where}: field larger than field limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--alpha", "inf"),
+        ("--alpha", "1e300"),
+        ("--beta", "1e-300"),
+        ("--offset-mean", "inf"),
+        ("--offset-mean", "1e30"),
+    ],
+)
+def test_simulate_rejects_parameters_it_cannot_draw_from(tmp_path, flag, value, capsys):
+    code = run("simulate", "--n-clones", 20, "--n-persons", 2, flag, value,
+               "--output-dir", tmp_path)
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_summarize_cutoff_beyond_int64_exits_2(tmp_path, capsys):
+    calls, strata = tmp_path / "calls.tsv", tmp_path / "strata.tsv"
+    calls.write_text(CALLS_HEADER + GOOD_CALLS)
+    strata.write_text("person_id\tstratum\np1\t0\np2\t0\np3\t1\np4\t1\n")
+    code = run("summarize", "--input", calls, "--strata", strata, "--cutoff-dynamic",
+               2**63, "--output-dir", tmp_path / "sum")
+    assert code == EXIT_VALIDATION
+    assert "64-bit integer" in capsys.readouterr().err
+
+
 def test_unconverged_fit_warns_and_still_succeeds(tmp_path, capsys):
     sim = tmp_path / "sim"
     assert run("simulate", "--n-clones", 300, "--n-persons", 3, "--seed", 3,

@@ -285,7 +285,7 @@ def test_outputs_are_created_with_the_umask_mode(tmp_path, umask):
     previous = os.umask(umask)
     try:
         path = tmp_path / "table.tsv"
-        write_table(path, ("a", "b"), [("1", "2")])
+        write_table(path, {"a": ["1"], "b": ["2"]})
     finally:
         os.umask(previous)
     assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask

@@ -64,3 +64,7 @@ def test_observers_count_a_traced_pipeline(tmp_path):
     )
     for name in positive:
         assert tracer.counts[name] > 0, name
+    # a site the stages call around its traced binding would read zero
+    # without failing anything above
+    traced = {name for _module, _path, name, _observe in trace_targets(Tracer("t"), {})}
+    assert traced - {span.name for span in tracer.spans} == {"model.log_pmf_grads"}
