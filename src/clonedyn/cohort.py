@@ -835,15 +835,15 @@ def format_column(values: np.ndarray) -> list[str]:
 
 def write_table(path: str | Path, columns: Mapping[str, np.ndarray | list[str]]) -> None:
     """Replace path with a header of the column names and a tab-joined row per
-    record, written BLOCK_RECORDS at a time.  An array column is formatted by
-    format_column; a list is format_column's text already, so a column
-    written to two tables is formatted once."""
-    text = [c if isinstance(c, list) else format_column(c) for c in columns.values()]
-    rows = zip(*text, strict=True)
+    record, formatted and written BLOCK_RECORDS at a time.  An array column is
+    formatted by format_column; a list is format_column's text already, so a
+    column written to two tables is formatted once."""
     with _atomic_file(path) as handle:
         handle.write("\t".join(columns) + "\n")
-        while block := list(itertools.islice(rows, BLOCK_RECORDS)):
-            handle.write("\n".join(map("\t".join, block)) + "\n")
+        for k in range(0, max(map(len, columns.values()), default=0), BLOCK_RECORDS):
+            block = (column[k : k + BLOCK_RECORDS] for column in columns.values())
+            text = [c if isinstance(c, list) else format_column(c) for c in block]
+            handle.write("\n".join(map("\t".join, zip(*text, strict=True))) + "\n")
 
 
 def _person_ranks(cohort: PackedCohort) -> np.ndarray:

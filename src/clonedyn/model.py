@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -225,14 +225,6 @@ class PackedCohort:
             raise ValidationError("counts must be 1-d with the first clone starting at 0")
         n_times = _check_columns(self.counts, self.offsets, self.times, self.starts)
         self.n_times = _frozen(n_times, np.int64)
-
-    @classmethod
-    def from_clones(cls, clones: Iterable[tuple]) -> PackedCohort:
-        """Pack (person_id, clone_id, counts, offsets, times) tuples in the order given."""
-        person_id, clone_id, counts, offsets, times = list(zip(*clones)) or [()] * 5
-        n_times = np.fromiter(map(len, counts), np.int64, len(counts))
-        flat = (np.concatenate([np.zeros(0, np.int64), *c]) for c in (counts, offsets, times))
-        return cls(person_id, clone_id, np.cumsum(n_times) - n_times, *flat)
 
     def __len__(self) -> int:
         return int(self.starts.size)

@@ -2,15 +2,21 @@
 
 Clones are spread evenly over a configurable number of simulated persons.
 Each person-time gets an exponential total-read offset (rounded up to an
-integer).  Each clone draws a dynamic/static label; static clones draw
-one Gamma proportion shared across their observed times, dynamic clones
-redraw it independently at every observed time.  Counts are Poisson
-around proportion * offset.  The baseline time is never dropped;
-missingness removes later follow-ups independently per clone-time.
+integer).  Each clone draws, in this order, a dynamic/static label, its
+missed follow-ups (the baseline is never dropped; missingness removes later
+follow-ups independently per clone-time), its Gamma proportions (one shared
+by a static clone's times, one per time for a dynamic clone) and a Poisson
+count around proportion * offset per observation.  The ground truth comes
+back as columns aligned with the cohort: a TruthLabels row per clone, as
+truth.tsv holds it, and the proportion behind each count.
 
-The ground truth comes back as columns aligned with the cohort: a
-TruthLabels row per clone, as truth.tsv holds it, and the proportion
-behind each count.
+Each count is drawn from a scalar mean, lam * float(offset), since numpy's
+checks of an array parameter (~12 us a call; for a scalar, under 1 us) were
+most of the loop's time.  Scalar calls draw what array calls draw, in
+order, so a seed keeps its cohort, on purpose: person-block array draws
+would be faster but change the stream, and a new stream can flip by chance
+the acceptance suite's order of 2- and 4-FU alpha bias (+0.00122 against
+-0.00015, each a mean with a standard error of 0.0014-0.0020).
 """
 
 from __future__ import annotations
@@ -82,49 +88,51 @@ def simulate(cfg: SimConfig) -> tuple[PackedCohort, TruthLabels, np.ndarray]:
     each count was drawn around, a static clone's single draw repeated at
     each of its times.
     """
+    # np.random is imported on first use: stages that draw nothing never load it
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_persons)
     base, extra = divmod(cfg.n_clones, cfg.n_persons)
-
+    per_person = base + (np.arange(cfg.n_persons) < extra)
     clone_width = max(6, len(str(cfg.n_clones - 1)))
     person_width = max(3, len(str(cfg.n_persons - 1)))
 
-    clones: list[tuple] = []
-    labels: list[bool] = []
-    lambdas: list[np.ndarray] = []
-    clone_index = 0
+    alpha, scale, pi, missing_rate = cfg.alpha, 1.0 / cfg.beta, cfg.pi, cfg.missing_rate
+    followups = range(1, cfg.n_followups)
+    offsets = np.empty((cfg.n_persons, cfg.n_followups), dtype=np.int64)
+    labels, times, lambdas, counts = [], [], [], []
     for j, child in enumerate(children):
         rng = np.random.default_rng(child)
-        person_id = f"p{j:0{person_width}d}"
-        offsets = np.maximum(np.ceil(rng.exponential(cfg.offset_mean, size=cfg.n_followups)), 1.0)
-        if offsets.max() >= 2.0**63:
+        drawn = np.maximum(np.ceil(rng.exponential(cfg.offset_mean, size=cfg.n_followups)), 1.0)
+        if drawn.max() >= 2.0**63:
             raise ValidationError("offset_mean draws an offset beyond a 64-bit integer")
-        offsets = offsets.astype(np.int64)
-
-        n_here = base + (1 if j < extra else 0)
-        for _ in range(n_here):
-            clone_id = f"c{clone_index:0{clone_width}d}"
-            clone_index += 1
-            dynamic = bool(rng.random() < cfg.pi)
-            if cfg.missing_rate > 0.0:
-                keep = np.ones(cfg.n_followups, dtype=bool)
-                keep[1:] = rng.random(cfg.n_followups - 1) >= cfg.missing_rate
-                times = np.flatnonzero(keep)
+        offsets[j] = drawn
+        scaled = offsets[j].astype(np.float64).tolist()
+        random, gamma, poisson = rng.random, rng.gamma, rng.poisson
+        for _ in range(per_person[j]):
+            dynamic = random() < pi
+            if missing_rate > 0.0:
+                missed = random(len(followups)).tolist()
+                kept = [0, *(t for t, u in zip(followups, missed) if u >= missing_rate)]
             else:
-                times = np.arange(cfg.n_followups)
-            n_obs = times.size
-            draws = rng.gamma(cfg.alpha, 1.0 / cfg.beta, size=n_obs if dynamic else 1)
-            lams = draws if dynamic else np.repeat(draws, n_obs)
-            obs_offsets = offsets[times]
+                kept = [0, *followups]
+            n = len(kept)
+            lams = gamma(alpha, scale, n).tolist() if dynamic else [gamma(alpha, scale)] * n
             try:
-                counts = np.minimum(rng.poisson(lams * obs_offsets), obs_offsets)
+                counts += [poisson(lam * scaled[t]) for lam, t in zip(lams, kept)]
             except ValueError as exc:  # a mean beyond what the generator can draw from
                 raise ValidationError(f"cannot draw Poisson counts: {exc}") from None
-
-            clones.append((person_id, clone_id, counts, obs_offsets, times))
             labels.append(dynamic)
-            lambdas.append(lams)
+            times += kept
+            lambdas += lams
 
+    times = np.array(times, dtype=np.int64)
+    baseline = times == 0  # never dropped, so it starts each clone
+    person = np.repeat(np.arange(cfg.n_persons), per_person)
+    obs_offsets = offsets[person[np.cumsum(baseline) - 1], times]
+    counts = np.minimum(np.array(counts, dtype=np.int64), obs_offsets)
     # ids are zero-padded, so generation order is canonical order
-    cohort = PackedCohort.from_clones(clones)
+    person_ids = np.array([f"p{j:0{person_width}d}" for j in range(cfg.n_persons)], dtype=object)
+    clone_ids = [f"c{i:0{clone_width}d}" for i in range(cfg.n_clones)]
+    starts = np.flatnonzero(baseline)
+    cohort = PackedCohort(person_ids[person], clone_ids, starts, counts, obs_offsets, times)
     truth = TruthLabels(cohort.person_id, cohort.clone_id, np.array(labels, dtype=bool))
-    return cohort, truth, np.concatenate(lambdas)
+    return cohort, truth, np.array(lambdas, dtype=np.float64)

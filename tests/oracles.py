@@ -308,12 +308,20 @@ def row_filter(rows, offsets, min_total_reads: int, absent_as_zero: bool):
     return out
 
 
-def pack(series):
-    """The CloneSeries packed into a PackedCohort, in the order given."""
+def pack_clones(clones):
+    """(person_id, clone_id, counts, offsets, times) tuples packed into a
+    PackedCohort, in the order given."""
     from clonedyn.model import PackedCohort
 
-    clones = ((s.person_id, s.clone_id, s.counts, s.offsets, s.times) for s in series)
-    return PackedCohort.from_clones(clones)
+    person_id, clone_id, counts, offsets, times = list(zip(*clones)) or [()] * 5
+    n_times = np.fromiter(map(len, counts), np.int64, len(counts))
+    flat = (np.concatenate([np.zeros(0, np.int64), *c]) for c in (counts, offsets, times))
+    return PackedCohort(person_id, clone_id, np.cumsum(n_times) - n_times, *flat)
+
+
+def pack(series):
+    """The CloneSeries packed into a PackedCohort, in the order given."""
+    return pack_clones((s.person_id, s.clone_id, s.counts, s.offsets, s.times) for s in series)
 
 
 def simulate_series(cfg):

@@ -594,6 +594,22 @@ def scipy_loaded(*stages):
     return done.stdout.strip()
 
 
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """numpy 2 imports np.random on first use; loading it at import would add
+    its import time and ~6 MB of RSS to every stage."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import clonedyn
+
+    probe = "import sys, clonedyn.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(clonedyn.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.stdout.strip() == "False", done.stderr
+
+
 def test_no_stage_imports_scipy(tmp_path):
     sim, fit, cls = tmp_path / "sim", tmp_path / "fit", tmp_path / "cls"
     inputs = ("--input", sim / "cohort.tsv", "--offsets", sim / "offsets.tsv",

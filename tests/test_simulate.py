@@ -136,8 +136,14 @@ def test_config_validation():
         SimConfig(n_clones=97, n_persons=5, pi=0.0, missing_rate=0.2, seed=23),
         SimConfig(n_clones=122, n_persons=3, pi=1.0, seed=24),
         SimConfig(n_clones=1001, n_persons=12, pi=1.0, n_followups=4, missing_rate=0.6, seed=25),
+        SimConfig(n_clones=400, n_persons=6, n_followups=6, missing_rate=0.95, seed=26),
+        SimConfig(n_clones=40, n_persons=40, missing_rate=0.3, seed=27),
+        SimConfig(n_clones=300, n_persons=5, alpha=5.0, beta=10.0, seed=28),
     ],
-    ids=["uneven", "missing", "all-static", "all-dynamic", "dynamic-missing"],
+    ids=[
+        "uneven", "missing", "all-static", "all-dynamic", "dynamic-missing",
+        "heavy-missing", "one-clone-per-person", "clamped",
+    ],
 )
 def test_packed_simulation_matches_the_per_clone_reference(cfg):
     cohort, truth, lams = simulate(cfg)
@@ -145,6 +151,11 @@ def test_packed_simulation_matches_the_per_clone_reference(cfg):
     expected = pack(series)
     for name in ("person_id", "clone_id", "starts", "counts", "offsets", "times"):
         assert np.array_equal(getattr(cohort, name), getattr(expected, name)), name
+    for name in ("starts", "counts", "offsets", "times", "n_times"):
+        assert getattr(cohort, name).dtype == np.int64, name
+    assert lams.dtype == np.float64 and truth.dynamic.dtype == bool
+    if cfg.alpha / cfg.beta > 0.1:  # some Poisson draws exceed their offset
+        assert np.any(cohort.counts == cohort.offsets)
     assert cohort.sorted() is cohort
     assert list(zip(truth.person_id, truth.clone_id)) == list(labels)
     assert truth.dynamic.tolist() == list(labels.values())
@@ -157,3 +168,35 @@ def test_packed_simulation_matches_the_per_clone_reference(cfg):
     assert np.array_equal(lams, np.concatenate(per_count))
     assert [s.key for s in cohort] == [s.key for s in series]
     assert cohort[-1].key == series[-1].key and len(cohort) == cfg.n_clones
+
+
+class RecordingGenerator:
+    """A numpy Generator that records (method, args) for every call made on it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def record(*args, **kwargs):
+            self._calls.append((name, args))
+            return method(*args, **kwargs)
+
+        return record
+
+
+def test_poisson_means_are_drawn_one_scalar_at_a_time(monkeypatch):
+    """An array mean costs numpy's per-call argument checks, ~15x a scalar's;
+    only the benchmark times simulate, so this keeps the loop on scalars."""
+    calls, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: RecordingGenerator(default_rng(seed), calls)
+    )
+    cfg = SimConfig(n_clones=60, n_persons=3, pi=0.5, n_followups=4, missing_rate=0.3, seed=29)
+    cohort = simulate(cfg)[0]
+    means = [args[0] for name, args in calls if name == "poisson"]
+    assert len(means) == cohort.counts.size
+    assert all(isinstance(mean, float) for mean in means)
+    monkeypatch.undo()
+    assert np.array_equal(simulate(cfg)[0].counts, cohort.counts)

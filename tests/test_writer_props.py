@@ -12,12 +12,13 @@ import math
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clonedyn import CallTable, PackedCohort, TruthLabels
+from clonedyn import CallTable, TruthLabels, cohort
 from clonedyn.cohort import (
     format_column,
     read_calls,
@@ -31,7 +32,7 @@ from clonedyn.cohort import (
     write_truth,
 )
 
-from oracles import table_text_by_row
+from oracles import pack_clones, table_text_by_row
 from test_ingest_props import IDS, SETTINGS
 
 INT64 = st.one_of(
@@ -73,9 +74,13 @@ def written(write) -> str:
 
 
 @SETTINGS
-@given(tables())
-def test_write_table_formats_every_value_as_the_row_reference_does(columns):
-    assert written(lambda path: write_table(path, columns)) == table_text_by_row(columns)
+@given(tables(), st.sampled_from([cohort.BLOCK_RECORDS, 2]))
+def test_write_table_formats_every_value_as_the_row_reference_does(columns, block_records):
+    """At a block of 2 records, tables cross block boundaries, with a repeated
+    value or a list column's text split over blocks."""
+    with mock.patch.object(cohort, "BLOCK_RECORDS", block_records):
+        text = written(lambda path: write_table(path, columns))
+    assert text == table_text_by_row(columns)
 
 
 @st.composite
@@ -127,7 +132,7 @@ def test_sidecar_writers_and_readers_round_trip_their_columns(keys, data):
         (p, c, np.zeros(k, np.int64), np.ones(k, np.int64), np.arange(k))
         for p, c, k in zip(person.tolist(), clone.tolist(), n_times.tolist())
     )
-    result = SimpleNamespace(cohort=PackedCohort.from_clones(clones), prob_dynamic=prob)
+    result = SimpleNamespace(cohort=pack_clones(clones), prob_dynamic=prob)
     back = round_trip(lambda p: write_responsibilities(p, result), read_responsibilities)
     assert_same_columns(vars(back).values(), (person, clone, n_times, prob))
 
