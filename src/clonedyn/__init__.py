@@ -12,17 +12,13 @@ from .classify import (
     AssociationResult,
     Call,
     CallTable,
-    ChiSquareResult,
     CloneCall,
     Direction,
-    LogLinearResult,
     OperatingCharacteristics,
     PersonCounts,
     associate,
-    chi_square_dichotomized,
     classify,
     dynamic_counts_per_person,
-    loglinear_rate_ratio,
     operating_characteristics,
 )
 from .cohort import CohortTable, filter_clones, ingest
@@ -41,7 +37,6 @@ __all__ = [
     "AssociationResult",
     "Call",
     "CallTable",
-    "ChiSquareResult",
     "CloneCall",
     "CloneDynError",
     "CloneSeries",
@@ -51,7 +46,6 @@ __all__ = [
     "FitResult",
     "Hyperparams",
     "IdentifiabilityError",
-    "LogLinearResult",
     "OperatingCharacteristics",
     "OptimizerError",
     "PackedCohort",
@@ -62,14 +56,12 @@ __all__ = [
     "TruthLabels",
     "ValidationError",
     "associate",
-    "chi_square_dichotomized",
     "classify",
     "convergence_stat",
     "dynamic_counts_per_person",
     "filter_clones",
     "fit_em",
     "ingest",
-    "loglinear_rate_ratio",
     "m_step",
     "operating_characteristics",
     "simulate",

@@ -3,9 +3,9 @@
 Responsibilities become hard dynamic/static calls at a strict threshold;
 dynamic calls are split into expanding/contracting by the least-squares
 slope of the observed proportions against follow-up time.  Per-person
-dynamic-clone counts feed two association tests against a binary
-stratum: a Pearson chi-square on dichotomized counts and a closed-form
-Poisson log-linear rate ratio.
+dynamic-clone counts, as columns, feed two association tests against a
+binary stratum aligned with them: a Pearson chi-square on dichotomized
+counts and a closed-form Poisson log-linear rate ratio.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import PackedCohort, segment_rows
+from .model import PackedCohort, match_keys, segment_rows
 from .simulate import TruthLabels
 
 
@@ -57,27 +57,16 @@ class OperatingCharacteristics:
     specificity: float  # nan when no true static clones
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PersonCounts:
-    n_dynamic: int
-    n_expanding: int
-    n_contracting: int
+    """Per-person call totals as columns: person_id (an object array of str,
+    sorted) and the int64 columns n_dynamic, n_expanding and n_contracting.
+    vars() of it is the mapping of columns write_table takes."""
 
-
-@dataclass(frozen=True)
-class ChiSquareResult:
-    stat: float
-    pvalue: float
-    cutoff: int
-    table: tuple[tuple[int, int], tuple[int, int]]  # rows: stratum 0/1; cols: <=cutoff / >cutoff
-    degenerate: bool
-
-
-@dataclass(frozen=True)
-class LogLinearResult:
-    coef: float
-    pvalue: float
-    degenerate: bool
+    person_id: np.ndarray
+    n_dynamic: np.ndarray
+    n_expanding: np.ndarray
+    n_contracting: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -89,6 +78,7 @@ class AssociationResult:
     dichotomy_cutoff: int
     chi_sq_degenerate: bool
     loglinear_degenerate: bool
+    chi_sq_table: tuple[tuple[int, int], tuple[int, int]]  # rows: stratum 0/1; cols: <=, > cutoff
 
 
 # CallTable.direction codes index DIRECTIONS
@@ -129,10 +119,6 @@ class CallTable:
 
     def __iter__(self) -> Iterator[CloneCall]:
         return (self[i] for i in range(len(self)))
-
-    @property
-    def keys(self) -> list[tuple[str, str]]:
-        return list(zip(self.person_id.tolist(), self.clone_id.tolist()))
 
     def call_text(self) -> np.ndarray:
         """Each call's Call value ("dynamic" or "static"), as an object array."""
@@ -216,32 +202,14 @@ def classify(prob_dynamic: np.ndarray, cohort: PackedCohort, threshold: float) -
 
 
 def truth_of(calls: CallTable, truth: TruthLabels) -> np.ndarray:
-    """Each call's true label, in call order; ValidationError when truth
-    misses a clone.
-
-    truth.tsv lists its clones in the calls' canonical order, so the key
-    columns are compared whole first; otherwise (other order, or clones the
-    calls do not have) one lexsort of both key sets puts each call right
-    after the truth row with its key.
-    """
-    if np.array_equal(truth.person_id, calls.person_id) and np.array_equal(
-        truth.clone_id, calls.clone_id
-    ):
-        return truth.dynamic.copy()
-    n = len(truth)
-    person = np.concatenate([truth.person_id, calls.person_id])
-    clone = np.concatenate([truth.clone_id, calls.clone_id])
-    order = np.lexsort((np.arange(person.size) >= n, clone, person))
-    at = np.flatnonzero(order >= n)  # each call's place in the sorted keys
-    call, before = order[at], order[at - 1]
-    same_key = (person[before] == person[call]) & (clone[before] == clone[call])
-    covered = (at > 0) & (before < n) & same_key
-    if not covered.all():
-        i = int((call[~covered] - n).min())
-        raise ValidationError(f"truth does not cover clone {calls.keys[i]}")
-    dynamic = np.empty(len(calls), dtype=bool)
-    dynamic[call - n] = truth.dynamic[before]
-    return dynamic
+    """Each call's true label, in call order, joined on (person_id,
+    clone_id) by match_keys; ValidationError when truth misses a clone."""
+    rows = match_keys((truth.person_id, truth.clone_id), (calls.person_id, calls.clone_id))
+    if (rows < 0).any():
+        i = int(np.argmax(rows < 0))
+        key = (calls.person_id[i], calls.clone_id[i])
+        raise ValidationError(f"truth does not cover clone {key}")
+    return truth.dynamic[rows]
 
 
 def operating_characteristics(
@@ -270,105 +238,58 @@ def _codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(values, return_inverse=True)
 
 
-def dynamic_counts_per_person(calls: CallTable) -> dict[str, PersonCounts]:
+def dynamic_counts_per_person(calls: CallTable) -> PersonCounts:
     """Per-person totals of dynamic, expanding and contracting calls."""
     persons, person = _codes(calls.person_id)
     dynamic = calls.dynamic
     tallies = (
-        np.bincount(person[mask], minlength=persons.size).tolist()
+        np.bincount(person[mask], minlength=persons.size).astype(np.int64, copy=False)
         for mask in (
             dynamic,
             dynamic & (calls.direction == EXPANDING),
             dynamic & (calls.direction == CONTRACTING),
         )
     )
-    return {
-        p: PersonCounts(n_dynamic=d, n_expanding=e, n_contracting=c)
-        for p, d, e, c in zip(persons.tolist(), *tallies)
-    }
+    return PersonCounts(persons, *tallies)
 
 
-def _split_by_stratum(
-    counts_by_person: Mapping[str, int], strata: Mapping[str, int]
-) -> tuple[list[int], list[int]]:
-    groups: tuple[list[int], list[int]] = ([], [])
-    for person, count in counts_by_person.items():
-        if person not in strata:
-            raise ValidationError(f"person {person!r} has no stratum")
-        stratum = int(strata[person])
-        if stratum not in (0, 1):
-            raise ValidationError(f"stratum for {person!r} must be 0 or 1, got {stratum}")
-        groups[stratum].append(int(count))
-    return groups
+def associate(counts: np.ndarray, stratum: np.ndarray, cutoff: int) -> AssociationResult:
+    """Both association tests of one per-person count metric against a 0/1
+    stratum aligned with it, on the 2x2 cells and stratum totals as Python ints.
 
-
-def chi_square_dichotomized(
-    counts_by_person: Mapping[str, int],
-    strata: Mapping[str, int],
-    cutoff: int,
-) -> ChiSquareResult:
-    """Pearson chi-square (no continuity correction) on the 2x2 table of
-    stratum against count > cutoff; the p-value is the chi-square(1)
-    upper tail erfc(sqrt(stat / 2)).
-
-    A table with an empty margin is reported as degenerate with stat 0
-    and p-value 1 rather than dividing by zero.
+    Pearson's chi-square (no continuity correction) on the table of stratum
+    against count > cutoff has the chi-square(1) p-value erfc(sqrt(stat / 2));
+    an empty margin makes it degenerate, stat 0 and p-value 1.  The Poisson
+    log-linear coefficient is log(mean count in stratum 1 / mean count in
+    stratum 0), with a two-sided Wald p-value from the asymptotic variance
+    1/total1 + 1/total0; a stratum of zero total makes it degenerate (nan).
     """
-    group0, group1 = _split_by_stratum(counts_by_person, strata)
-    if len(group0) < 2 or len(group1) < 2:
+    counts, stratum = np.asarray(counts, dtype=np.int64), np.asarray(stratum)
+    if counts.ndim != 1 or stratum.shape != counts.shape:
+        raise ValidationError(f"expected one stratum per count, got {stratum.shape}")
+    if not np.isin(stratum, (0, 1)).all():
+        raise ValidationError("strata must be 0 or 1")
+    group1 = stratum == 1
+    n1 = int(np.count_nonzero(group1))
+    n0 = counts.size - n1
+    if n0 < 2 or n1 < 2:
         raise ValidationError("need at least two persons per stratum")
-    table = (
-        (sum(1 for c in group0 if c <= cutoff), sum(1 for c in group0 if c > cutoff)),
-        (sum(1 for c in group1 if c <= cutoff), sum(1 for c in group1 if c > cutoff)),
-    )
-    (a, b), (c, d) = table
-    row0, row1 = a + b, c + d
-    col0, col1 = a + c, b + d
-    total = row0 + row1
-    if min(row0, row1, col0, col1) == 0:
-        return ChiSquareResult(0.0, 1.0, cutoff, table, degenerate=True)
-    stat = total * (a * d - b * c) ** 2 / (row0 * row1 * col0 * col1)
-    pvalue = math.erfc(math.sqrt(stat / 2.0))
-    return ChiSquareResult(stat, pvalue, cutoff, table, degenerate=False)
-
-
-def loglinear_rate_ratio(
-    counts_by_person: Mapping[str, int],
-    strata: Mapping[str, int],
-) -> LogLinearResult:
-    """Poisson log-linear model with one binary covariate.
-
-    The MLE coefficient is log(mean count in stratum 1 / mean count in
-    stratum 0); the two-sided Wald p-value uses the asymptotic variance
-    1/total1 + 1/total0.  A stratum with zero total count leaves the
-    coefficient undefined and is reported as a degenerate result.
-    """
-    group0, group1 = _split_by_stratum(counts_by_person, strata)
-    if not group0 or not group1:
-        raise ValidationError("both strata must contain at least one person")
-    total0, total1 = sum(group0), sum(group1)
-    if total0 == 0 or total1 == 0:
-        return LogLinearResult(math.nan, math.nan, degenerate=True)
-    coef = math.log((total1 / len(group1)) / (total0 / len(group0)))
-    se = math.sqrt(1.0 / total1 + 1.0 / total0)
-    pvalue = math.erfc(abs(coef / se) / math.sqrt(2.0))
-    return LogLinearResult(coef, pvalue, degenerate=False)
-
-
-def associate(
-    counts_by_person: Mapping[str, int],
-    strata: Mapping[str, int],
-    cutoff: int,
-) -> AssociationResult:
-    """Both association tests on one per-person count metric."""
-    chi = chi_square_dichotomized(counts_by_person, strata, cutoff)
-    log_linear = loglinear_rate_ratio(counts_by_person, strata)
+    above = counts > cutoff
+    b, d = int(np.count_nonzero(above & ~group1)), int(np.count_nonzero(above & group1))
+    a, c = n0 - b, n1 - d
+    chi_sq_degenerate = a + c == 0 or b + d == 0
+    stat, chi_sq_pvalue = 0.0, 1.0
+    if not chi_sq_degenerate:
+        stat = (n0 + n1) * (a * d - b * c) ** 2 / (n0 * n1 * (a + c) * (b + d))
+        chi_sq_pvalue = math.erfc(math.sqrt(stat / 2.0))
+    total0, total1 = sum(counts[~group1].tolist()), sum(counts[group1].tolist())
+    loglinear_degenerate = total0 == 0 or total1 == 0
+    coef = loglinear_pvalue = math.nan
+    if not loglinear_degenerate:
+        coef = math.log((total1 / n1) / (total0 / n0))
+        se = math.sqrt(1.0 / total1 + 1.0 / total0)
+        loglinear_pvalue = math.erfc(abs(coef / se) / math.sqrt(2.0))
     return AssociationResult(
-        chi_sq_stat=chi.stat,
-        chi_sq_pvalue=chi.pvalue,
-        loglinear_coef=log_linear.coef,
-        loglinear_pvalue=log_linear.pvalue,
-        dichotomy_cutoff=cutoff,
-        chi_sq_degenerate=chi.degenerate,
-        loglinear_degenerate=log_linear.degenerate,
-    )
+        stat, chi_sq_pvalue, coef, loglinear_pvalue, cutoff, chi_sq_degenerate,
+        loglinear_degenerate, chi_sq_table=((a, b), (c, d)),
+    )  # fmt: skip

@@ -23,7 +23,6 @@ from typing import Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .classify import (
-    PersonCounts,
     associate,
     classify,
     dynamic_counts_per_person,
@@ -56,7 +55,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .model import PackedCohort
+from .model import PackedCohort, match_keys
 from .simulate import SimConfig, simulate
 
 EXIT_OK = 0
@@ -178,29 +177,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def align_responsibilities(table: Responsibilities, cohort: PackedCohort) -> np.ndarray:
     """prob_dynamic of each clone of a canonical cohort, after checking that the
     table has exactly the cohort's clones with the cohort's n_times."""
-
-    def aligned(person, clone):
-        return np.array_equal(person, cohort.person_id) and np.array_equal(clone, cohort.clone_id)
-
-    order = slice(None)  # fit writes the clones in canonical order
-    if not aligned(table.person_id, table.clone_id):
-        order = np.lexsort((table.clone_id, table.person_id))
-        person, clone = table.person_id[order], table.clone_id[order]
-        if not aligned(person, clone):
-            mismatched = set(zip(person.tolist(), clone.tolist())) ^ set(cohort.keys)
-            raise ValidationError(
-                f"responsibilities and series keys do not align ({len(mismatched)} mismatched)"
-            )
-    n_times = table.n_times[order]
+    rows = match_keys((table.person_id, table.clone_id), (cohort.person_id, cohort.clone_id))
+    # the readers reject repeated keys, so this is the size of the symmetric difference
+    mismatched = len(table) + len(cohort) - 2 * int(np.count_nonzero(rows >= 0))
+    if mismatched:
+        raise ValidationError(
+            f"responsibilities and series keys do not align ({mismatched} mismatched)"
+        )
+    n_times = table.n_times[rows]
     differ = np.flatnonzero(n_times != cohort.n_times)
     if differ.size:
         i = differ[0]
         raise ValidationError(
             f"{differ.size} clones have another n_times in the responsibilities than in "
-            f"the cohort, e.g. {cohort.keys[i]}: {n_times[i]} vs {cohort.n_times[i]}; "
-            "fit and classify must read the same cohort with the same filter settings"
+            f"the cohort, e.g. {(cohort.person_id[i], cohort.clone_id[i])}: {n_times[i]} vs "
+            f"{cohort.n_times[i]}; fit and classify must read the same cohort with the same "
+            "filter settings"
         )
-    return table.prob_dynamic[order]
+    return table.prob_dynamic[rows]
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -271,14 +265,6 @@ def _mean_proportions(cohort: PackedCohort) -> np.ndarray:
     return values
 
 
-def _count_columns(counts: Mapping[str, PersonCounts]) -> dict[str, np.ndarray]:
-    """Per-person counts as one int64 column per PersonCounts field, in field order."""
-    return {
-        f.name: np.array([getattr(c, f.name) for c in counts.values()], dtype=np.int64)
-        for f in fields(PersonCounts)
-    }
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     opts = _Options(args)
     out = _ensure_output_dir(opts)
@@ -292,9 +278,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     calls_path = out / "calls.tsv"
     write_calls(calls_path, calls, prob_text)
 
-    counts = dynamic_counts_per_person(calls)
     person_path = out / "per_person.tsv"
-    write_table(person_path, {"person_id": list(counts), **_count_columns(counts)})
+    write_table(person_path, vars(dynamic_counts_per_person(calls)))
 
     truth_path_in = opts.get("truth", str)
     truth = truth_of(calls, read_truth_labels(truth_path_in)) if truth_path_in else None
@@ -349,35 +334,35 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     opts = _Options(args)
     out = _ensure_output_dir(opts)
     calls = read_calls(opts.get("input", str, required=True))
-    strata = read_strata(opts.get("strata", str, required=True))
+    strata_person, strata = read_strata(opts.get("strata", str, required=True))
     cutoff_dynamic = opts.get("cutoff_dynamic", int, 50)
     cutoff_direction = opts.get("cutoff_direction", int, 25)
     if not all(-INT64_MAX - 1 <= c <= INT64_MAX for c in (cutoff_dynamic, cutoff_direction)):
         raise ValidationError("cutoff_dynamic and cutoff_direction must fit in a 64-bit integer")
 
     counts = dynamic_counts_per_person(calls)
-    uncovered = sorted(p for p in counts if p not in strata)
-    if uncovered:
+    rows = match_keys((strata_person,), (counts.person_id,))
+    if (rows < 0).any():
+        uncovered = counts.person_id[rows < 0].tolist()  # sorted, as counts' persons are
         raise ValidationError(f"persons without a stratum: {uncovered[:5]} ...")
-    without_calls = sorted(p for p in strata if p not in counts)
-    if without_calls:
+    without_calls = np.sort(strata_person[match_keys((counts.person_id,), (strata_person,)) < 0])
+    if without_calls.size:
         print(
-            f"warning: {len(without_calls)} persons in the strata file have no calls and are "
-            f"left out of per_person.tsv and both tests: {without_calls[:5]}",
+            f"warning: {without_calls.size} persons in the strata file have no calls and are "
+            f"left out of per_person.tsv and both tests: {without_calls[:5].tolist()}",
             file=sys.stderr,
         )
+    stratum = strata[rows]
     person_path = out / "per_person.tsv"
-    strata_column = np.array([strata[p] for p in counts], dtype=np.int64)
-    write_table(
-        person_path, {"person_id": list(counts), "stratum": strata_column, **_count_columns(counts)}
-    )
+    # person_id keeps the first place, and stratum comes right after it
+    write_table(person_path, {"person_id": counts.person_id, "stratum": stratum, **vars(counts)})
 
     metrics = (
-        ("dynamic", {p: c.n_dynamic for p, c in counts.items()}, cutoff_dynamic),
-        ("expanding", {p: c.n_expanding for p, c in counts.items()}, cutoff_direction),
-        ("contracting", {p: c.n_contracting for p, c in counts.items()}, cutoff_direction),
+        ("dynamic", counts.n_dynamic, cutoff_dynamic),
+        ("expanding", counts.n_expanding, cutoff_direction),
+        ("contracting", counts.n_contracting, cutoff_direction),
     )
-    results = {name: associate(per_person, strata, cutoff) for name, per_person, cutoff in metrics}
+    results = {name: associate(column, stratum, cutoff) for name, column, cutoff in metrics}
 
     def column(field: str, dtype) -> np.ndarray:
         return np.array([getattr(r, field) for r in results.values()], dtype=dtype)
@@ -405,6 +390,21 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output-dir", dest="output_dir", help="directory for output files")
 
 
+def _add_cohort_inputs(sub: argparse.ArgumentParser) -> None:
+    """The cohort and filter flags of fit and classify, which must agree for
+    classify to accept fit's responsibilities."""
+    sub.add_argument("--input", dest="input", help="cohort table (TSV)")
+    sub.add_argument("--offsets", dest="offsets", help="explicit per-person-time totals (TSV)")
+    sub.add_argument("--min-total-reads", type=int, dest="min_total_reads")
+    sub.add_argument(
+        "--absent-as-zero",
+        action=argparse.BooleanOptionalAction,
+        dest="absent_as_zero",
+        default=None,
+        help="treat a sampled person-time without a clone row as a zero count (default on)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clonedyn",
@@ -428,16 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit hyperparameters and responsibilities by EM")
     _add_common(p_fit)
     p_fit.add_argument("--seed", type=int, dest="seed", help="random seed of the EM start")
-    p_fit.add_argument("--input", dest="input", help="cohort table (TSV)")
-    p_fit.add_argument("--offsets", dest="offsets", help="explicit per-person-time totals (TSV)")
-    p_fit.add_argument("--min-total-reads", type=int, dest="min_total_reads")
-    p_fit.add_argument(
-        "--absent-as-zero",
-        action=argparse.BooleanOptionalAction,
-        dest="absent_as_zero",
-        default=None,
-        help="treat a sampled person-time without a clone row as a zero count (default on)",
-    )
+    _add_cohort_inputs(p_fit)
     p_fit.add_argument("--epsilon", type=float, dest="epsilon")
     p_fit.add_argument("--max-em-iters", type=int, dest="max_em_iters")
     p_fit.add_argument("--inner-opt-tol", type=float, dest="inner_opt_tol")
@@ -446,18 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="threshold responsibilities into clone calls")
     _add_common(p_cls)
-    p_cls.add_argument("--input", dest="input", help="cohort table (TSV)")
-    p_cls.add_argument("--offsets", dest="offsets")
+    _add_cohort_inputs(p_cls)
     p_cls.add_argument("--responsibilities", dest="responsibilities")
     p_cls.add_argument("--truth", dest="truth", help="truth labels for operating characteristics")
     p_cls.add_argument("--threshold", type=float, dest="threshold")
-    p_cls.add_argument("--min-total-reads", type=int, dest="min_total_reads")
-    p_cls.add_argument(
-        "--absent-as-zero",
-        action=argparse.BooleanOptionalAction,
-        dest="absent_as_zero",
-        default=None,
-    )
     p_cls.set_defaults(func=cmd_classify)
 
     p_sum = sub.add_parser("summarize", help="per-person counts and association tests")

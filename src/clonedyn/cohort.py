@@ -12,7 +12,9 @@ and the start and end offset of each field, found with numpy at the tabs
 and newlines, so no Python object is made per field.  A block with a
 blank line, a wrong field count or an overlong line is parsed by
 csv.reader instead, as is the rest of the file from the first quote or
-lone carriage return on; either way the fields are what csv.reader gives.
+lone carriage return on; either way the fields are what csv.reader gives,
+and one no writer can write back (a quoted tab or line break, or a
+leading quote) is rejected.
 
 The cohort goes from those bytes straight into one packed table: integer
 fields of plain ASCII digits are parsed by digit over whole columns, and
@@ -27,7 +29,7 @@ Writers take columns, and write_table formats each by its kind
 shortest round-trip form and a bool as true or false, each distinct value
 once.  write_cohort emits canonical (person, time, clone) row order, the
 other writers keep the order of their columns, and every target file is
-replaced atomically.
+replaced atomically and synced to disk.
 """
 
 from __future__ import annotations
@@ -185,19 +187,29 @@ class _Block:
 
 
 def _columns(records: list[list[str]], lines: np.ndarray, width: int, path: Path) -> _Block:
-    """Block of the non-blank records, their fields laid end to end; ParseError
-    for a wrong field count."""
-    if any(len(r) != width for r in records):
-        for record, line in zip(records, lines.tolist()):
-            if record and len(record) != width:
-                raise ParseError(f"{path}: expected {width} fields, got {len(record)}", line)
-        lines = lines[[bool(r) for r in records]]
-        records = [r for r in records if r]
-    flat = [f.encode("utf-8") for f in itertools.chain.from_iterable(records)]
+    """Block of the non-blank records, their fields laid end to end.
+
+    The first record with a wrong field count, or with a field no table can
+    be written with, is a ParseError.  Such a field holds a tab, CR or LF,
+    or starts with a quote; only a quoted field can.
+    """
+    n = next((k for k, r in enumerate(records) if r and len(r) != width), len(records))
+    kept = [k for k in range(n) if records[k]]
+    flat = [f.encode("utf-8") for k in kept for f in records[k]]
     lengths = np.fromiter(map(len, flat), np.int64, len(flat)).reshape(-1, width)
     ends = np.cumsum(lengths).reshape(lengths.shape)
     raw = np.frombuffer(b"".join(flat) + bytes(8), np.uint8)
-    return _Block(lines, raw, ends - lengths, ends)
+    block = _Block(lines[kept], raw, ends - lengths, ends)
+    breaks = np.append(0, np.cumsum(np.isin(raw, (9, 10, 13))))
+    bad = (breaks[ends] > breaks[block.starts]) | ((lengths > 0) & (raw[block.starts] == 34))
+    unwritable = bad.any(axis=1), lambda i: (
+        f"{path}: field {block.text(i, int(np.argmax(bad[i])))!r} cannot be written back "
+        "to a table: it holds a tab or line break, or starts with a quote"
+    )
+    block.check([unwritable])
+    if n < len(records):
+        raise ParseError(f"{path}: expected {width} fields, got {len(records[n])}", int(lines[n]))
+    return block
 
 
 def _csv_records(reader, count: int, lineno: int, path: Path) -> list[list[str]]:
@@ -537,14 +549,16 @@ def _segment_sums(values: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, n
     return sums, overflow
 
 
-def read_strata(path: str | Path) -> dict[str, int]:
+def read_strata(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """strata.tsv as (person_id, stratum) columns in file order, each person
+    once and each stratum 0 or 1 (int64)."""
     table = _read_table(path, STRATA_COLUMNS)
     person = table.strs(0)
     stratum, is_int = table.ints(1, "stratum")
     binary = stratum > 1, lambda i: f"stratum must be 0 or 1, got {stratum[i]}"
     unique = _repeats(person), lambda i: f"duplicate person {person[i]!r}"
     table.check([is_int, binary, unique])
-    return dict(zip(person.tolist(), stratum.tolist()))
+    return person, stratum
 
 
 def read_offsets(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -786,7 +800,8 @@ def filter_clones(
 def _atomic_file(path: str | Path) -> Iterator[io.TextIOBase]:
     """A text handle on a temporary file that replaces path in one rename when
     the block completes, created as open() would: mode 0o666 less the process
-    umask."""
+    umask.  The file is synced to disk before the rename, and its directory
+    after it, so a crash leaves either the old file or the whole new one."""
     path = Path(path)
     while True:
         tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
@@ -798,10 +813,17 @@ def _atomic_file(path: str | Path) -> Iterator[io.TextIOBase]:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

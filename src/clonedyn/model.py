@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -200,6 +200,33 @@ def segment_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(int(lengths.sum())) + np.repeat(starts - out_starts, lengths)
 
 
+def match_keys(table: Sequence[np.ndarray], keys: Sequence[np.ndarray]) -> np.ndarray:
+    """Per key (one value from each column of keys), the row of the table
+    columns that holds it, or -1 where none does; a key the table repeats
+    gets its last row.
+
+    Columns already equal match row for row.  Otherwise one stable lexsort
+    of both key sets puts the table rows with a key right before the keys
+    equal to it.
+    """
+    n = table[0].size
+    if keys[0].size == n and all(map(np.array_equal, table, keys)):
+        return np.arange(n)
+    columns = [np.concatenate([t, k]) for t, k in zip(table, keys)]
+    order = np.lexsort((np.arange(columns[0].size) >= n, *reversed(columns)))
+    at = np.flatnonzero(order >= n)  # each key's place in the sorted keys
+    # the last table row at or before each place, as a place and as a row
+    before = np.maximum.accumulate(np.where(order < n, np.arange(order.size), -1))[at]
+    row = np.where(before >= 0, order[before], 0)
+    key = order[at]
+    same = before >= 0
+    for column in columns:
+        same &= column[row] == column[key]
+    rows = np.full(keys[0].size, -1, dtype=np.int64)
+    rows[key - n] = np.where(same, row, -1)
+    return rows
+
+
 class PackedCohort:
     """Many clone series in one CSR table.
 
@@ -242,10 +269,6 @@ class PackedCohort:
 
     def __iter__(self) -> Iterator[CloneSeries]:
         return (self[i] for i in range(len(self)))
-
-    @property
-    def keys(self) -> list[tuple[str, str]]:
-        return list(zip(self.person_id.tolist(), self.clone_id.tolist()))
 
     def segment_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-clone sums of a flat column, each accumulated left to right."""

@@ -207,6 +207,13 @@ def _row_records(path, width: int):
                 continue
             if len(record) != width:
                 raise RowParseError(f"{path}: expected {width} fields, got {len(record)}", line)
+            for field in record:
+                if field.startswith('"') or any(c in field for c in "\t\r\n"):
+                    raise RowParseError(
+                        f"{path}: field {field!r} cannot be written back to a table: it holds "
+                        "a tab or line break, or starts with a quote",
+                        line,
+                    )
             records.append((record, line))
     if not records:
         raise RowValidationError(f"{path}: no data rows")

@@ -19,11 +19,10 @@ from clonedyn import (
     Hyperparams,
     SeriesBatch,
     SimConfig,
-    chi_square_dichotomized,
+    associate,
     classify,
     dynamic_counts_per_person,
     fit_em,
-    loglinear_rate_ratio,
     operating_characteristics,
     simulate,
 )
@@ -297,7 +296,8 @@ def test_em_properties():
     b = fit_em(series, FitConfig(seed=2718))
     identical = (
         a.hyperparams == b.hyperparams
-        and a.cohort.keys == b.cohort.keys
+        and np.array_equal(a.cohort.person_id, b.cohort.person_id)
+        and np.array_equal(a.cohort.clone_id, b.cohort.clone_id)
         and np.array_equal(a.prob_dynamic, b.prob_dynamic)
         and np.array_equal(a.loglik_trace, b.loglik_trace)
         and np.array_equal(a.msq_change_trace, b.msq_change_trace)
@@ -389,15 +389,20 @@ def test_association_procedures():
         counts[f"b{i}"] = 100
     strata.update({f"a{i}": 0 for i in range(30)})
     strata.update({f"b{i}": 1 for i in range(30)})
-    chi = chi_square_dichotomized(counts, strata, cutoff=50)
-    chi_ok = chi.stat == pytest.approx(20.0 / 3.0, rel=1e-12) and chi.pvalue == pytest.approx(
-        0.00982327450752, rel=1e-9
-    )
+    def associate_by_person(counts, strata, cutoff):
+        persons = list(counts)
+        aligned = (np.array([column[p] for p in persons]) for column in (counts, strata))
+        return associate(*aligned, cutoff)
 
-    ll = loglinear_rate_ratio(
-        {"a0": 2, "a1": 4, "b0": 6, "b1": 6}, {"a0": 0, "a1": 0, "b0": 1, "b1": 1}
+    chi = associate_by_person(counts, strata, cutoff=50)
+    chi_ok = chi.chi_sq_stat == pytest.approx(
+        20.0 / 3.0, rel=1e-12
+    ) and chi.chi_sq_pvalue == pytest.approx(0.00982327450752, rel=1e-9)
+
+    ll = associate_by_person(
+        {"a0": 2, "a1": 4, "b0": 6, "b1": 6}, {"a0": 0, "a1": 0, "b0": 1, "b1": 1}, cutoff=0
     )
-    ll_ok = ll.coef == pytest.approx(math.log(2.0), rel=1e-12)
+    ll_ok = ll.loglinear_coef == pytest.approx(math.log(2.0), rel=1e-12)
 
     # two strata, 50 persons each, generated mixing weights 0.30 vs 0.15
     def stratum(tag, pi, seed):
@@ -422,15 +427,15 @@ def test_association_procedures():
     result = fit_em(pack(high + low), FitConfig(seed=9))
     calls = classify(result.prob_dynamic, result.cohort, 0.75)
     per_person = dynamic_counts_per_person(calls)
-    stratum_map = {p: (1 if p.startswith("h") else 0) for p in per_person}
-    dynamic_counts = {p: c.n_dynamic for p, c in per_person.items()}
-    pipeline = loglinear_rate_ratio(dynamic_counts, stratum_map)
-    pipeline_ok = pipeline.coef > 0.0 and pipeline.pvalue < 0.01
+    stratum = np.array([1 if p.startswith("h") else 0 for p in per_person.person_id.tolist()])
+    pipeline = associate(per_person.n_dynamic, stratum, cutoff=50)
+    pipeline_ok = pipeline.loglinear_coef > 0.0 and pipeline.loglinear_pvalue < 0.01
 
     ok = chi_ok and ll_ok and pipeline_ok
     report(
         "association procedures",
         ok,
-        f"chi2 {chi.stat:.4f} (p={chi.pvalue:.4g}); loglinear {ll.coef:.4f}; "
-        f"pipeline coef {pipeline.coef:.3f} (p={pipeline.pvalue:.3g})",
+        f"chi2 {chi.chi_sq_stat:.4f} (p={chi.chi_sq_pvalue:.4g}); "
+        f"loglinear {ll.loglinear_coef:.4f}; pipeline coef {pipeline.loglinear_coef:.3f} "
+        f"(p={pipeline.loglinear_pvalue:.3g})",
     )

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonedyn import (
     Call,
@@ -14,15 +16,15 @@ from clonedyn import (
     FitConfig,
     SimConfig,
     ValidationError,
-    chi_square_dichotomized,
+    associate,
     classify,
     dynamic_counts_per_person,
     fit_em,
-    loglinear_rate_ratio,
     operating_characteristics,
     simulate,
 )
 from clonedyn.classify import DIRECTIONS, truth_of
+from clonedyn.model import match_keys
 from clonedyn.simulate import TruthLabels
 
 from oracles import pack
@@ -185,13 +187,41 @@ class TestOperatingCharacteristics:
             operating_characteristics(calls, np.array([True, False]), 0.75)
 
 
+KEY_PARTS = st.sampled_from(["", "a", "b", "ab", "é", "a\x00"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(KEY_PARTS, st.integers(-2, 2)), unique=True, max_size=12),
+    st.lists(st.tuples(KEY_PARTS, st.integers(-2, 2)), max_size=12),
+    st.booleans(),
+)
+def test_match_keys_agrees_with_a_dict(table_keys, keys, aligned):
+    """Random key sets in any order, with keys the table lacks and table rows
+    no key asks for; and the aligned case, keys equal to the table's."""
+    if aligned:
+        keys = list(table_keys)
+    row_of = {key: row for row, key in enumerate(table_keys)}
+
+    def columns(pairs):
+        return (
+            np.array([p for p, _ in pairs], dtype=object),
+            np.array([t for _, t in pairs], dtype=np.int64),
+        )
+
+    rows = match_keys(columns(table_keys), columns(keys))
+    assert rows.dtype == np.int64
+    assert rows.tolist() == [row_of.get(key, -1) for key in keys]
+
+
 class TestDynamicCounts:
     def test_no_dynamic_calls(self):
         calls = table(("p", "a", 0.1, Call.STATIC, Direction.NOT_APPLICABLE))
         counts = dynamic_counts_per_person(calls)
-        assert counts["p"].n_dynamic == 0
-        assert counts["p"].n_expanding == 0
-        assert counts["p"].n_contracting == 0
+        assert counts.person_id.tolist() == ["p"]
+        assert counts.n_dynamic.tolist() == [0]
+        assert counts.n_expanding.tolist() == [0]
+        assert counts.n_contracting.tolist() == [0]
 
     def test_mixed_calls(self):
         calls = table(
@@ -200,113 +230,153 @@ class TestDynamicCounts:
             ("p", "c", 0.1, Call.STATIC, Direction.NOT_APPLICABLE),
         )
         counts = dynamic_counts_per_person(calls)
-        assert (counts["p"].n_dynamic, counts["p"].n_expanding, counts["p"].n_contracting) == (2, 1, 1)
+        assert (counts.n_dynamic[0], counts.n_expanding[0], counts.n_contracting[0]) == (2, 1, 1)
 
     def test_dynamic_call_without_direction_is_not_contracting(self):
         calls = table(("p", "a", 0.9, Call.DYNAMIC, Direction.NOT_APPLICABLE))
         counts = dynamic_counts_per_person(calls)
-        assert (counts["p"].n_dynamic, counts["p"].n_expanding, counts["p"].n_contracting) == (1, 0, 0)
+        assert (counts.n_dynamic[0], counts.n_expanding[0], counts.n_contracting[0]) == (1, 0, 0)
 
     def test_partition_identity(self):
         clones = simulate(SimConfig(n_clones=500, n_persons=5, seed=16))[0]
         result = fit_em(clones, FitConfig(seed=2))
         calls = classify(result.prob_dynamic, result.cohort, 0.5)
-        for person, counts in dynamic_counts_per_person(calls).items():
-            assert counts.n_dynamic == counts.n_expanding + counts.n_contracting
+        counts = dynamic_counts_per_person(calls)
+        assert np.array_equal(counts.n_dynamic, counts.n_expanding + counts.n_contracting)
+
+    def test_columns_are_sorted_by_person_and_int64(self):
+        calls = table(
+            ("p2", "a", 0.9, Call.DYNAMIC, Direction.CONTRACTING),
+            ("p1", "a", 0.9, Call.DYNAMIC, Direction.EXPANDING),
+            ("p2", "b", 0.1, Call.STATIC, Direction.NOT_APPLICABLE),
+        )
+        counts = dynamic_counts_per_person(calls)
+        assert list(vars(counts)) == ["person_id", "n_dynamic", "n_expanding", "n_contracting"]
+        assert counts.person_id.tolist() == ["p1", "p2"]
+        columns = (counts.n_dynamic, counts.n_expanding, counts.n_contracting)
+        assert [c.tolist() for c in columns] == [[1, 1], [1, 0], [0, 1]]
+        assert all(c.dtype == np.int64 for c in columns)
 
 
 class TestChiSquare:
     @staticmethod
     def build(counts0, counts1):
-        counts = {}
-        strata = {}
-        for i, c in enumerate(counts0):
-            counts[f"a{i}"] = c
-            strata[f"a{i}"] = 0
-        for i, c in enumerate(counts1):
-            counts[f"b{i}"] = c
-            strata[f"b{i}"] = 1
-        return counts, strata
+        """The counts of the persons in stratum 0, then of those in stratum 1,
+        and the strata aligned with them."""
+        return np.array(counts0 + counts1), np.array([0] * len(counts0) + [1] * len(counts1))
 
     def test_independent_table_gives_zero(self):
         # 10/10 above and below the cutoff in each stratum
         counts, strata = self.build([0] * 10 + [100] * 10, [0] * 10 + [100] * 10)
-        result = chi_square_dichotomized(counts, strata, cutoff=50)
-        assert result.stat == 0.0
-        assert result.pvalue == 1.0
-        assert not result.degenerate
+        result = associate(counts, strata, cutoff=50)
+        assert result.chi_sq_stat == 0.0
+        assert result.chi_sq_pvalue == 1.0
+        assert not result.chi_sq_degenerate
 
     def test_hand_computed_two_by_two(self):
         # table [[10, 20], [20, 10]]: stat = 20/3, p = erfc(sqrt(10/3))
         counts, strata = self.build([0] * 10 + [100] * 20, [0] * 20 + [100] * 10)
-        result = chi_square_dichotomized(counts, strata, cutoff=50)
-        assert result.table == ((10, 20), (20, 10))
-        assert result.stat == pytest.approx(20.0 / 3.0, rel=1e-12)
-        assert result.pvalue == pytest.approx(0.00982327450752, rel=1e-9)
+        result = associate(counts, strata, cutoff=50)
+        assert result.chi_sq_table == ((10, 20), (20, 10))
+        assert result.chi_sq_stat == pytest.approx(20.0 / 3.0, rel=1e-12)
+        assert result.chi_sq_pvalue == pytest.approx(0.00982327450752, rel=1e-9)
 
     def test_proportional_rows_give_zero(self):
         counts, strata = self.build([0] * 6 + [100] * 3, [0] * 12 + [100] * 6)
-        result = chi_square_dichotomized(counts, strata, cutoff=50)
-        assert result.stat == pytest.approx(0.0, abs=1e-12)
+        result = associate(counts, strata, cutoff=50)
+        assert result.chi_sq_stat == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_margin_flagged(self):
         counts, strata = self.build([0, 0, 0], [0, 0, 0])
-        result = chi_square_dichotomized(counts, strata, cutoff=50)
-        assert result.degenerate
-        assert result.stat == 0.0
-        assert result.pvalue == 1.0
+        result = associate(counts, strata, cutoff=50)
+        assert result.chi_sq_degenerate
+        assert result.chi_sq_stat == 0.0
+        assert result.chi_sq_pvalue == 1.0
 
     def test_too_few_persons_raises(self):
         counts, strata = self.build([1], [2, 3])
         with pytest.raises(ValidationError):
-            chi_square_dichotomized(counts, strata, cutoff=0)
+            associate(counts, strata, cutoff=0)
 
     def test_missing_stratum_raises(self):
+        # a count without a stratum: strata not aligned with the counts
         with pytest.raises(ValidationError):
-            chi_square_dichotomized({"x": 1, "y": 2}, {"x": 0}, cutoff=0)
+            associate(np.array([1, 2]), np.array([0]), cutoff=0)
+
+    def test_stratum_other_than_0_or_1_raises(self):
+        counts, strata = self.build([1, 2], [3, 4])
+        with pytest.raises(ValidationError):
+            associate(counts, strata * 2, cutoff=0)
 
 
 class TestLogLinear:
+    strata = np.array([0, 0, 1, 1])  # persons a0, a1, b0, b1
+
     def test_equal_means_give_zero(self):
-        counts = {"a0": 4, "a1": 6, "b0": 5, "b1": 5}
-        strata = {"a0": 0, "a1": 0, "b0": 1, "b1": 1}
-        result = loglinear_rate_ratio(counts, strata)
-        assert result.coef == pytest.approx(0.0, abs=1e-15)
-        assert result.pvalue == pytest.approx(1.0)
+        result = associate(np.array([4, 6, 5, 5]), self.strata, cutoff=0)
+        assert result.loglinear_coef == pytest.approx(0.0, abs=1e-15)
+        assert result.loglinear_pvalue == pytest.approx(1.0)
 
     def test_closed_form_log_ratio(self):
         # stratum 0 counts (2, 4), stratum 1 counts (6, 6): log(6 / 3) = log 2
-        counts = {"a0": 2, "a1": 4, "b0": 6, "b1": 6}
-        strata = {"a0": 0, "a1": 0, "b0": 1, "b1": 1}
-        result = loglinear_rate_ratio(counts, strata)
-        assert result.coef == pytest.approx(math.log(2.0), rel=1e-12)
+        result = associate(np.array([2, 4, 6, 6]), self.strata, cutoff=0)
+        assert result.loglinear_coef == pytest.approx(math.log(2.0), rel=1e-12)
         se = math.sqrt(1.0 / 12.0 + 1.0 / 6.0)
-        assert result.pvalue == pytest.approx(math.erfc(abs(result.coef / se) / math.sqrt(2.0)))
+        z = abs(result.loglinear_coef / se)
+        assert result.loglinear_pvalue == pytest.approx(math.erfc(z / math.sqrt(2.0)))
 
     def test_mean_preserving_padding_keeps_coefficient(self):
-        counts = {"a0": 2, "a1": 4, "b0": 6, "b1": 6}
-        strata = {"a0": 0, "a1": 0, "b0": 1, "b1": 1}
-        base = loglinear_rate_ratio(counts, strata)
-        counts2 = dict(counts, a2=3, b2=6)
-        strata2 = dict(strata, a2=0, b2=1)
-        padded = loglinear_rate_ratio(counts2, strata2)
-        assert padded.coef == pytest.approx(base.coef, rel=1e-12)
+        base = associate(np.array([2, 4, 6, 6]), self.strata, cutoff=0)
+        # a2 = 3 joins stratum 0 and b2 = 6 stratum 1
+        padded = associate(np.array([2, 4, 6, 6, 3, 6]), np.array([0, 0, 1, 1, 0, 1]), cutoff=0)
+        assert padded.loglinear_coef == pytest.approx(base.loglinear_coef, rel=1e-12)
 
     def test_stratum_relabeling_flips_sign(self):
-        counts = {"a0": 2, "a1": 4, "b0": 6, "b1": 6}
-        strata = {"a0": 0, "a1": 0, "b0": 1, "b1": 1}
-        flipped = {p: 1 - s for p, s in strata.items()}
-        assert loglinear_rate_ratio(counts, strata).coef == pytest.approx(
-            -loglinear_rate_ratio(counts, flipped).coef, rel=1e-12
+        counts = np.array([2, 4, 6, 6])
+        assert associate(counts, self.strata, cutoff=0).loglinear_coef == pytest.approx(
+            -associate(counts, 1 - self.strata, cutoff=0).loglinear_coef, rel=1e-12
         )
 
     def test_zero_total_stratum_is_degenerate(self):
-        counts = {"a0": 0, "a1": 0, "b0": 6, "b1": 6}
-        strata = {"a0": 0, "a1": 0, "b0": 1, "b1": 1}
-        result = loglinear_rate_ratio(counts, strata)
-        assert result.degenerate
-        assert math.isnan(result.coef)
+        result = associate(np.array([0, 0, 6, 6]), self.strata, cutoff=0)
+        assert result.loglinear_degenerate
+        assert math.isnan(result.loglinear_coef)
 
     def test_empty_stratum_raises(self):
         with pytest.raises(ValidationError):
-            loglinear_rate_ratio({"a0": 1}, {"a0": 0})
+            associate(np.array([1]), np.array([0]), cutoff=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 1)), min_size=4, max_size=30),
+    st.integers(-1, 12),
+)
+def test_associate_equals_python_int_arithmetic_on_the_persons(persons, cutoff):
+    """Every statistic, to the bit, as the 2x2 table and stratum totals give it
+    when built person by person in Python ints."""
+    groups = ([c for c, s in persons if s == 0], [c for c, s in persons if s == 1])
+    counts, strata = (np.array(column) for column in zip(*persons))
+    if min(map(len, groups)) < 2:
+        with pytest.raises(ValidationError, match="two persons per stratum"):
+            associate(counts, strata, cutoff)
+        return
+    result = associate(counts, strata, cutoff)
+    (a, b), (c, d) = [(sum(x <= cutoff for x in g), sum(x > cutoff for x in g)) for g in groups]
+    assert result.chi_sq_table == ((a, b), (c, d))
+    if min(a + c, b + d) == 0:
+        assert (result.chi_sq_stat, result.chi_sq_pvalue, result.chi_sq_degenerate) == (
+            0.0, 1.0, True
+        )
+    else:
+        stat = len(persons) * (a * d - b * c) ** 2 / ((a + b) * (c + d) * (a + c) * (b + d))
+        assert (result.chi_sq_stat, result.chi_sq_degenerate) == (stat, False)
+        assert result.chi_sq_pvalue == math.erfc(math.sqrt(stat / 2.0))
+    total0, total1 = map(sum, groups)
+    if min(total0, total1) == 0:
+        assert result.loglinear_degenerate and math.isnan(result.loglinear_pvalue)
+    else:
+        coef = math.log((total1 / len(groups[1])) / (total0 / len(groups[0])))
+        z = abs(coef / math.sqrt(1.0 / total1 + 1.0 / total0))
+        assert (result.loglinear_coef, result.loglinear_degenerate) == (coef, False)
+        assert result.loglinear_pvalue == math.erfc(z / math.sqrt(2.0))

@@ -377,7 +377,7 @@ class TestRejectedInputs:
         assert code == EXIT_VALIDATION
         assert f"line 3: dynamic must be 0 or 1, got {value}" in capsys.readouterr().err
 
-    def test_truth_that_misses_a_clone(self, tmp_path):
+    def test_truth_that_misses_a_clone(self, tmp_path, capsys):
         path = responsibilities_file(
             tmp_path / "resp.tsv",
             [("p1", "a", 2, 0.9), ("p1", "b", 2, 0.5), ("p1", "c", 1, 0.5)],
@@ -386,6 +386,26 @@ class TestRejectedInputs:
         truth.write_text("person_id\tclone_id\tdynamic\np1\ta\t1\np1\tb\t0\n")
         code = self.classify(tmp_path, path, "--no-absent-as-zero", "--truth", truth)
         assert code == EXIT_VALIDATION
+        assert "truth does not cover clone ('p1', 'c')" in capsys.readouterr().err
+
+    def test_responsibilities_with_a_missing_and_an_extra_clone(self, tmp_path, capsys):
+        path = responsibilities_file(
+            tmp_path / "resp.tsv",
+            [("p1", "a", 2, 0.9), ("p1", "c", 1, 0.5), ("p1", "d", 2, 0.5)],
+        )
+        assert self.classify(tmp_path, path, "--no-absent-as-zero") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "responsibilities and series keys do not align (2 mismatched)" in err
+
+    @pytest.mark.parametrize(
+        "clone", ['"c3\tx"', '"c3\rx"', '"c3\nx"', '"""c3"'], ids=["tab", "cr", "lf", "quote"]
+    )
+    def test_id_that_no_table_can_hold_is_rejected(self, tmp_path, clone, capsys):
+        text = COHORT + f"p1\t0\t{clone}\t3\np1\t1\t{clone}\t4\n"
+        assert self.fit(tmp_path, text) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "line 7: " in err and "cannot be written back" in err
+        assert not (tmp_path / "fit").exists() or not any((tmp_path / "fit").iterdir())
 
 
 def test_classify_accepts_responsibilities_in_any_order(tmp_path):
@@ -537,6 +557,17 @@ def test_summarize_warns_about_persons_without_calls(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("warning: 2 persons") and "['p5', 'p6']" in err[0]
     per_person = (tmp_path / "sum" / "per_person.tsv").read_text().splitlines()
     assert [row.split("\t")[0] for row in per_person[1:]] == ["p1", "p2", "p3", "p4"]
+
+
+def test_summarize_rejects_calls_of_persons_without_a_stratum(tmp_path, capsys):
+    calls = tmp_path / "calls.tsv"
+    calls.write_text(CALLS_HEADER + GOOD_CALLS)
+    strata = tmp_path / "strata.tsv"
+    strata.write_text("person_id\tstratum\np3\t1\np1\t0\np2\t0\n")
+    code = run("summarize", "--input", calls, "--strata", strata, "--cutoff-dynamic", 0,
+               "--cutoff-direction", 0, "--output-dir", tmp_path / "sum")
+    assert code == EXIT_VALIDATION
+    assert "error: persons without a stratum: ['p4'] ...\n" == capsys.readouterr().err
 
 
 def test_mean_proportion_is_exact_beyond_2_to_the_53(tmp_path):

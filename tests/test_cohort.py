@@ -270,7 +270,9 @@ class TestRoundTrips:
         strata = {"p1": 0, "p2": 1}
         spath = tmp_path / "strata.tsv"
         write_strata(spath, strata)
-        assert read_strata(spath) == strata
+        person, stratum = read_strata(spath)
+        assert dict(zip(person.tolist(), stratum.tolist())) == strata
+        assert stratum.dtype == np.int64
 
 
 def test_conflicting_offsets_in_series_rejected():
@@ -290,3 +292,28 @@ def test_outputs_are_created_with_the_umask_mode(tmp_path, umask):
         os.umask(previous)
     assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
     assert path.read_text() == "a\tb\n1\t2\n"
+
+
+def test_outputs_are_synced_before_the_rename_and_the_directory_after(tmp_path, monkeypatch):
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        info = os.fstat(fd)
+        events.append(("fsync", info.st_ino, info.st_size if stat.S_ISREG(info.st_mode) else None))
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino, os.stat(src).st_size))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    path = tmp_path / "table.tsv"
+    write_table(path, {"a": ["1"], "b": ["2"]})
+    written = path.stat()
+    assert events == [
+        ("fsync", written.st_ino, written.st_size),  # the whole temp file, before the rename
+        ("replace", written.st_ino, written.st_size),
+        ("fsync", tmp_path.stat().st_ino, None),  # then the directory holding the new name
+    ]

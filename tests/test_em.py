@@ -113,7 +113,7 @@ class TestEStep:
             series([5, 1], [10, 10], clone="a", person="p1"),
         ]
         result = fit_em(pack(clones), FitConfig())
-        assert result.cohort.keys == [("p1", "a"), ("p2", "z")]
+        assert [s.key for s in result.cohort] == [("p1", "a"), ("p2", "z")]
         hp = result.hyperparams
         expected = [prob_dynamic(SeriesBatch(pack([s])), hp)[0] for s in (clones[1], clones[0])]
         assert result.prob_dynamic.tolist() == expected
@@ -268,7 +268,7 @@ class TestFitEm:
         a = fit_em(clones, FitConfig(seed=123))
         b = fit_em(clones, FitConfig(seed=123))
         assert a.hyperparams == b.hyperparams
-        assert a.cohort.keys == b.cohort.keys
+        assert [s.key for s in a.cohort] == [s.key for s in b.cohort]
         assert np.array_equal(a.prob_dynamic, b.prob_dynamic)
         assert np.array_equal(a.loglik_trace, b.loglik_trace)
         assert np.array_equal(a.msq_change_trace, b.msq_change_trace)

@@ -204,6 +204,8 @@ MALFORMED = [
     "p\t0\tc\t1\t2",  # too many fields
     "",  # blank record: skipped, but counted in line numbers
     '"p"\t0\t"c"\t7',  # quoted fields: csv.reader unquotes them
+    '"p\tq"\t0\tc\t7',  # a quoted tab: no table could be written with this id
+    'p\t0\t"""c"\t7',  # an id starting with a quote: written back, it would read as quoted
     "p\t0\tc\r\t1",  # a lone carriage return ends a record
 ]
 

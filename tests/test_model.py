@@ -240,7 +240,7 @@ class TestPackedCohort:
             CloneSeries("z", "p1", [4, 5, 6], [10, 10, 10]),
         ]
         cohort = pack(clones).sorted()
-        assert cohort.keys == [("p1", "z"), ("p2", "a"), ("p2", "b")]
+        assert [s.key for s in cohort] == [("p1", "z"), ("p2", "a"), ("p2", "b")]
         assert cohort.counts.tolist() == [4, 5, 6, 3, 1, 2]
         assert cohort.times.tolist() == [0, 1, 2, 1, 0, 2]
         assert cohort.sorted() is cohort

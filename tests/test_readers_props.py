@@ -184,7 +184,7 @@ def offsets_columns_by_row(path):
 PERSON_READERS = {
     "offsets": (lambda path: [a.tolist() for a in read_offsets(path)], offsets_columns_by_row),
     "strata": (
-        lambda path: list(read_strata(path).items()),
+        lambda path: list(zip(*(column.tolist() for column in read_strata(path)))),
         lambda path: list(read_strata_by_row(path).items()),
     ),
 }
