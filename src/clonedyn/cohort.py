@@ -19,10 +19,15 @@ leading quote) is rejected.
 The cohort goes from those bytes straight into one packed table: integer
 fields of plain ASCII digits are parsed by digit over whole columns, and
 each distinct id is held once, as UTF-8 bytes; only filter_clones decodes
-ids, and only those of the clones it keeps.  Validation runs once over
-whole columns.  A reader lists its checks in order, and the earliest
-record any check flags is reported, by line, with the message of the
-first check that flags it.
+ids, and only those of the clones it keeps.  Until the last block is read
+ingest holds per record its time, count and two id indices, each in the
+narrowest integer type (8 bytes for a repertoire), and per distinct id
+of a block its 8-byte words and length; ranking those ids in str order
+takes about 34 bytes more per id, and the records are then sorted by one
+permutation, a column at a time.  Validation runs once over whole
+columns.  A reader lists its checks in order, and the earliest record
+any check flags is reported, by line, with the message of the first
+check that flags it.
 
 Writers take columns, and write_table formats each by its kind
 (format_column): a str as it is, an integer as str gives it, a float in
@@ -138,11 +143,12 @@ class CohortTable:
 
 
 class _Block:
-    """Data records of a table, or of one block of it, and their line numbers:
-    the UTF-8 bytes holding every field, and 8 bytes more, and the (records,
-    width) offsets where each field starts and ends."""
+    """Data records of a table, or of one block of it, and their line numbers
+    (a range where they follow one another): the UTF-8 bytes holding every
+    field, and 8 bytes more, and the (records, width) offsets where each
+    field starts and ends."""
 
-    def __init__(self, lines: np.ndarray, raw: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    def __init__(self, lines, raw: np.ndarray, starts: np.ndarray, ends: np.ndarray):
         self.lines, self.raw, self.starts, self.ends = lines, raw, starts, ends
 
     def text(self, i: int, j: int) -> str:
@@ -250,7 +256,6 @@ def _blocks(handle, width: int, path: Path) -> Iterator[_Block]:
         newline = raw == 10
         seps = np.flatnonzero(newline | (raw == 9))
         n = int(np.count_nonzero(newline))
-        numbers = np.arange(lineno, lineno + n)
         # every record has width - 1 tabs exactly when every width-th
         # separator is a newline and there are width per newline
         line_ends = seps[width - 1 :: width]
@@ -262,11 +267,11 @@ def _blocks(handle, width: int, path: Path) -> Iterator[_Block]:
             lines = text.split("\n")
             lines.pop()
             records = _csv_records(csv.reader(lines, delimiter="\t"), n, lineno, path)
-            yield _columns(records, numbers, width, path)
+            yield _columns(records, np.arange(lineno, lineno + n), width, path)
         else:
             # a field starts after the separator that ends the one before it
             starts = np.append(0, seps[:-1] + 1).reshape(n, width)
-            yield _Block(numbers, raw, starts, seps.reshape(n, width))
+            yield _Block(range(lineno, lineno + n), raw, starts, seps.reshape(n, width))
         lineno += n
 
 
@@ -413,91 +418,93 @@ def _words(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, k: int) ->
 
 
 class _IdColumn:
-    """The ids of one column, added block by block; each run of equal
-    consecutive ids is kept once, as the words of its UTF-8 bytes."""
+    """The ids of one column, added block by block; each distinct id of a
+    block is kept once, as the words of its UTF-8 bytes, and each field as
+    the index of that kept id, in the narrowest integer type."""
 
     def __init__(self):
-        self._words: list[np.ndarray] = []
-        self._lengths: list[np.ndarray] = []
-        self._runs = 0
+        self._ids: list[tuple[np.ndarray, np.ndarray]] = []  # words and lengths
+        self._index: list[np.ndarray] = []
+        self._count = 0
 
-    def add(self, raw: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """Per field raw[starts:ends], the index of its run among all runs added."""
+    def add(self, raw: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> None:
+        """Add the ids raw[starts:ends]."""
         lengths = ends - starts
+        # a one-word id equal to the one before it is ranked with it, as one run
         first = _words(raw, starts, lengths, 0)
-        same = np.zeros(lengths.size, dtype=bool)
-        same[1:] = (lengths[1:] == lengths[:-1]) & (first[1:] == first[:-1])
-        pending = np.flatnonzero(same & (lengths > 8))  # equal so far, with words to come
-        k = 1
-        while pending.size:
-            here = _words(raw, starts[pending], lengths[pending], k)
-            equal = here == _words(raw, starts[pending - 1], lengths[pending - 1], k)
-            same[pending[~equal]] = False
-            pending = pending[equal & (lengths[pending] > 8 * (k + 1))]
-            k += 1
-        heads = np.flatnonzero(~same)
+        new = _changes(first, lengths) | (lengths > 8)
+        heads = np.flatnonzero(new)
         starts, lengths = starts[heads], lengths[heads]
         n_words = _word_counts(lengths)
         offsets = np.cumsum(n_words) - n_words
-        words = np.zeros(int(n_words.sum()), dtype=np.uint64)
+        words = np.empty(int(n_words.sum()), dtype=np.uint64)
         words[offsets] = first[heads]
         for k in range(1, int(n_words.max(initial=0))):
             longer = np.flatnonzero(n_words > k)
             words[offsets[longer] + k] = _words(raw, starts[longer], lengths[longer], k)
-        self._words.append(words)
-        self._lengths.append(lengths)
-        run = np.cumsum(~same) + (self._runs - 1)
-        self._runs += heads.size
-        return run
+        words, lengths, rank = _ranked(words, lengths)
+        rank = (rank + self._count).astype(_narrow(self._count + lengths.size))
+        self._index.append(rank[np.cumsum(new) - 1])
+        self._count += lengths.size
+        self._ids.append((words, lengths))
 
     def ranked(self) -> tuple[Ids, np.ndarray]:
-        """The distinct ids in sorted order, and each run's position among them.
+        """The distinct ids in sorted order, and per field added, in order,
+        its id's rank among them."""
+        words, lengths = (np.concatenate(column) for column in zip(*self._ids))
+        self._ids.clear()
+        words, lengths, rank = _ranked(words, lengths)
+        rank, n_words = rank.astype(_narrow(lengths.size)), _word_counts(lengths)
+        ids = Ids(words, np.cumsum(n_words) - n_words, lengths)
+        return ids, np.concatenate([rank[index] for index in self._index])
 
-        Runs are sorted a word at a time, each round only those still tied
-        with another run and longer than the words compared so far.  UTF-8
-        byte order is code point order, so this is str order.
-        """
-        store = np.concatenate([np.zeros(0, np.uint64), *self._words])
-        lengths = np.concatenate([np.zeros(0, np.int64), *self._lengths])
-        n_words = _word_counts(lengths)
-        offsets = np.cumsum(n_words) - n_words
-        # each run's group of equal ids so far, as the group's first
-        # position in sorted order; active: the runs still tied with another
-        # that have words left to compare.  Word k of a run is keyed with
-        # min(length, 8k + 9): an id that ends within the word sorts before
-        # a longer one with the same bytes so far (they tie where the
-        # shorter fills the word or NUL pads it).  The first round, over
-        # every run, has one group and so needs no group key.
-        order = np.lexsort((np.minimum(lengths, 9), store[offsets]))
-        new = _changes(store[offsets[order]], np.minimum(lengths[order], 9))
-        position = np.empty_like(order)
-        position[order] = np.flatnonzero(new)[np.cumsum(new) - 1]
-        tied = ~(new & np.append(new[1:], True))  # not alone among its equals
-        active, k = order[tied & (lengths[order] > 8)], 1
-        while active.size:
-            words = store[offsets[active] + k]
-            ended = np.minimum(lengths[active], 8 * k + 9)
-            order = np.lexsort((ended, words, position[active]))
-            run, group = active[order], position[active][order]
-            new_group = _changes(group)
-            new = new_group | _changes(words[order], ended[order])
-            at = np.arange(run.size)
-            first_in_group = np.maximum.accumulate(np.where(new_group, at, 0))
-            first_in_new = np.maximum.accumulate(np.where(new, at, 0))
-            position[run] = group + first_in_new - first_in_group
-            tied = ~(new & np.append(new[1:], True))  # not alone among its equals
-            active = run[tied & (lengths[run] > 8 * (k + 1))]
-            k += 1
-        leads = np.zeros(lengths.size, dtype=bool)
-        leads[position] = True
-        rank = (np.cumsum(leads) - 1)[position]
-        first = np.zeros(int(rank.max(initial=-1)) + 1, dtype=np.int64)
-        first[rank] = np.arange(rank.size)
-        kept = np.zeros(lengths.size, dtype=bool)
-        kept[first] = True  # one run per distinct id, whose words are kept
-        n_kept = np.where(kept, n_words, 0)
-        offsets = np.cumsum(n_kept) - n_kept
-        return Ids(store[np.repeat(kept, n_words)], offsets[first], lengths[first]), rank
+
+def _ranked(words: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The words and lengths of the distinct ids in sorted order, and each
+    id's rank among them: id i is the first lengths[i] bytes of its words,
+    the ids' words laid end to end.
+
+    Ids are sorted a word at a time, each round only those still tied with
+    another and longer than the words compared so far.  UTF-8 byte order is
+    code point order, so this is str order.  Besides its input, this holds
+    about 34 bytes per id at its peak, and 8 more where an id spans words.
+    """
+    offsets = None  # where each id's words start, when not every id is one word
+    if words.size > lengths.size:
+        offsets = np.cumsum(_word_counts(lengths)) - _word_counts(lengths)
+    # sorted order, refined a word at a time: new marks where a group of ids
+    # equal so far starts, and slots are the places in it of the ids still
+    # tied with another that have words left to compare (all of a group or
+    # none).  Word k of an id is keyed with min(length, 8k + 9): an id that
+    # ends within the word sorts before a longer one with the same bytes so
+    # far (they tie where the shorter fills the word or NUL pads it).
+    first = words if offsets is None else words[offsets]
+    ended = np.minimum(lengths, 9).astype(np.int8)
+    order = np.lexsort((ended, first))
+    new = _changes(first[order], ended[order])
+    del first, ended
+    tied = ~(new & np.append(new[1:], True))  # not alone among its equals
+    slots, k = np.flatnonzero(tied & (lengths[order] > 8)), 1
+    while slots.size:
+        ids, group = order[slots], np.maximum.accumulate(np.where(new[slots], slots, 0))
+        here = words[offsets[ids] + k]
+        ended = np.minimum(lengths[ids], 8 * k + 9)
+        by = np.lexsort((ended, here, group))
+        order[slots] = ids = ids[by]
+        new[slots] = starts = _changes(group[by], here[by], ended[by])
+        tied = ~(starts & np.append(starts[1:], True))
+        slots = slots[tied & (lengths[ids] > 8 * (k + 1))]
+        k += 1
+    rank = np.empty_like(order)
+    group = np.cumsum(new)
+    group -= 1
+    rank[order] = group
+    first = order[new]  # the first of each distinct id, whose words are kept
+    del order, new, group
+    lengths = lengths[first]
+    if offsets is not None:
+        first = segment_rows(offsets[first], _word_counts(lengths))
+    return words[first], lengths, rank
 
 
 def _changes(*columns: np.ndarray) -> np.ndarray:
@@ -536,17 +543,21 @@ def _unique_clones(person: np.ndarray, clone: np.ndarray) -> _Check:
     return _repeats(person, clone), lambda i: f"duplicate clone {(person[i], clone[i])}"
 
 
-def _segment_sums(values: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment int64 sums of non-negative values, saturated at INT64_MAX, and
-    a mask of the segments whose exact sum does not fit in int64."""
-    sums = np.add.reduceat(values, starts)
-    overflow = np.zeros(starts.size, dtype=bool)
-    ends = np.append(starts[1:], values.size)
-    # float sums flag the only segments that can have wrapped around
-    for i in np.flatnonzero(np.add.reduceat(values.astype(np.float64), starts) >= 2.0**62):
-        overflow[i] = sum(values[starts[i] : ends[i]].tolist()) > INT64_MAX
+def _sums(add: Callable[[np.ndarray], np.ndarray], values: np.ndarray):
+    """add(values), int64 sums of non-negative values saturated at INT64_MAX,
+    and a mask of the sums that do not fit in int64: add runs again, on
+    Python ints, only when values.max() * values.size does not fit."""
+    sums = add(values)
+    overflow = np.zeros(sums.size, dtype=bool)
+    if int(values.max(initial=0)) * values.size > INT64_MAX:
+        overflow = add(values.astype(object)) > INT64_MAX
     sums[overflow] = INT64_MAX
     return sums, overflow
+
+
+def _narrow(n: int) -> np.dtype:
+    """The narrowest signed integer type that holds 0 to n."""
+    return np.min_scalar_type(-n - 1)
 
 
 def read_strata(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -633,43 +644,33 @@ def read_calls(path: str | Path) -> CallTable:
 
 
 def _read_cohort_columns(path: Path):
-    """Sorted distinct person and clone ids; person, clone, time, count and
-    line columns of every parsable record, in file order, with each id as
-    its position among the sorted ones; and the ParseError of the first
-    unparsable record (or None).
+    """Sorted distinct person and clone ids; person, clone, time and count
+    columns of every parsable record, in file order, with each id as its
+    rank among the sorted ones in the narrowest integer type; the line
+    numbers of those records, block by block; and the ParseError of the
+    first unparsable record (or None).
 
-    Each id is held once per run of records naming it, as bytes.  Records
-    after an unparsable one are still read, so a wrong field count
+    Records after an unparsable one are still read, so a wrong field count
     anywhere in the file is reported first, as a whole-file check would.
     """
     persons, clones = _IdColumn(), _IdColumn()
-    parts: list[tuple[np.ndarray, ...]] = []
+    times, counts, lines = [], [], []
     error = None
     for block in _read_blocks(path, COHORT_COLUMNS):
         if error is not None:
             continue
-        times, time_is_int = block.ints(1, "time_index")
-        counts, count_is_int = block.ints(3, "count")
-        n, error = block.fault([time_is_int, count_is_int]) or (block.lines.size, None)
-        person = persons.add(block.raw, block.starts[:n, 0], block.ends[:n, 0])
-        clone = clones.add(block.raw, block.starts[:n, 2], block.ends[:n, 2])
-        parts.append((person, clone, times[:n], counts[:n], block.lines[:n]))
-    person_ids, person_rank = persons.ranked()
-    clone_ids, clone_rank = clones.ranked()
-    person, clone, time, count, line = (np.concatenate(c) for c in zip(*parts))
+        time, time_is_int = block.ints(1, "time_index")
+        count, count_is_int = block.ints(3, "count")
+        n, error = block.fault([time_is_int, count_is_int]) or (len(block.lines), None)
+        persons.add(block.raw, block.starts[:n, 0], block.ends[:n, 0])
+        clones.add(block.raw, block.starts[:n, 2], block.ends[:n, 2])
+        times.append(time[:n].astype(_narrow(time.max(initial=0))))
+        counts.append(count[:n].astype(_narrow(count.max(initial=0))))
+        lines.append(block.lines[:n])
+    (person_ids, person), (clone_ids, clone) = persons.ranked(), clones.ranked()
+    time, count = np.concatenate(times), np.concatenate(counts)
     person_names = person_ids.decode(np.arange(len(person_ids)))
-    return person_names, clone_ids, person_rank[person], clone_rank[clone], time, count, line, error
-
-
-def _person_time_keys(person_names, person, time, pt_person, pt_time):
-    """Integer keys that order like (person, time) pairs: of the rows, whose
-    person is a position in person_names, and of the table (pt_person, pt_time)."""
-    names = np.unique(np.concatenate([person_names, pt_person]))
-    values = np.unique(np.concatenate([time, pt_time]))
-    return (
-        np.searchsorted(names, person_names)[person] * values.size + np.searchsorted(values, time),
-        np.searchsorted(names, pt_person) * values.size + np.searchsorted(values, pt_time),
-    )
+    return person_names, clone_ids, [person, clone, time, count], lines, error
 
 
 def ingest(path: str | Path, offsets_path: str | Path | None = None) -> CohortTable:
@@ -679,32 +680,46 @@ def ingest(path: str | Path, offsets_path: str | Path | None = None) -> CohortTa
     the whole repertoire; an explicit offsets file overrides the derived
     sums (it must cover every person-time and dominate every count).
     """
-    person_names, clone_names, person, clone, time, count, line, error = _read_cohort_columns(
-        Path(path)
-    )
-
-    order = np.lexsort((time, clone, person))  # stable: ties stay in file order
-    person, clone, time, count, line = (a[order] for a in (person, clone, time, count, line))
+    person_names, clone_names, columns, lines, error = _read_cohort_columns(Path(path))
+    order = np.lexsort(columns[2::-1])  # by person, clone, time; stable: ties in file order
+    person, clone, time, count = (columns.pop(0)[order] for _ in range(4))  # one at a time
+    order = order.astype(_narrow(order.size))
     same_clone = (person[1:] == person[:-1]) & (clone[1:] == clone[:-1])
     repeats = np.flatnonzero(same_clone & (time[1:] == time[:-1])) + 1
     if repeats.size:
         # the earliest record that repeats a key seen before it; every record
         # read comes before the first unparsable one
-        i = repeats[np.argmin(line[repeats])]
+        i = repeats[np.argmin(order[repeats])]
         clone_id = clone_names.decode([clone[i]])[0]
         dup_key = (person_names[person[i]], int(time[i]), clone_id)
-        raise ParseError(f"duplicate (person_id, time_index, clone_id) {dup_key}", int(line[i]))
+        line = int(np.concatenate(lines)[order[i]])
+        raise ParseError(f"duplicate (person_id, time_index, clone_id) {dup_key}", line)
     if error is not None:
         raise error
 
+    # integer keys that order like (person, time) pairs, of the records and
+    # of the person-time table
+    pt_person, pt_time = person_names[:0], np.zeros(0, dtype=np.int64)
     if offsets_path is not None:
         pt_person, pt_time, pt_total = read_offsets(offsets_path)
-        row_key, pt_key = _person_time_keys(person_names, person, time, pt_person, pt_time)
-        obs_pt = np.minimum(np.searchsorted(pt_key, row_key), pt_key.size - 1)
-        covered = pt_key[obs_pt] == row_key
+    names = np.unique(np.concatenate([person_names, pt_person]))
+    values = np.union1d(np.unique(time), pt_time)
+    row_key = np.searchsorted(names, person_names)[person]
+    row_key *= values.size
+    row_key += np.searchsorted(values, time)
+    pt_key = np.searchsorted(names, pt_person) * values.size + np.searchsorted(values, pt_time)
+    if offsets_path is None:
+        pt_key = np.unique(row_key)
+        pt_person, pt_time = names[pt_key // values.size], values[pt_key % values.size]
+    obs_pt = np.searchsorted(pt_key, row_key)
+    np.minimum(obs_pt, pt_key.size - 1, out=obs_pt)
+    covered = pt_key[obs_pt] == row_key
+    del row_key
+    obs_pt, count = obs_pt.astype(_narrow(pt_key.size)), count.astype(np.int64)
+    if offsets_path is not None:
         bad = np.flatnonzero(~covered | (count > pt_total[obs_pt]))
         if bad.size:
-            i = bad[np.argmin(line[bad])]
+            i = bad[np.argmin(order[bad])]
             pt = (person_names[person[i]], int(time[i]))
             if not covered[i]:
                 raise ValidationError(f"offsets file does not cover person-time {pt}")
@@ -713,12 +728,13 @@ def ingest(path: str | Path, offsets_path: str | Path | None = None) -> CohortTa
                 f"the offset {int(pt_total[obs_pt[i]])} at {pt}"
             )
     else:
-        row_key, _ = _person_time_keys(person_names, person, time, person_names[:0], time[:0])
-        pt_key, obs_pt = np.unique(row_key, return_inverse=True)
-        by_pt = np.argsort(obs_pt, kind="stable")
-        pt_rows = np.flatnonzero(np.diff(obs_pt[by_pt], prepend=-1))
-        pt_person, pt_time = person_names[person[by_pt[pt_rows]]], time[by_pt[pt_rows]]
-        pt_total, overflow = _segment_sums(count[by_pt], pt_rows)
+
+        def per_pt(column: np.ndarray) -> np.ndarray:
+            sums = np.zeros(pt_key.size, dtype=column.dtype)
+            np.add.at(sums, obs_pt, column)
+            return sums
+
+        pt_total, overflow = _sums(per_pt, count)
         # report the person-time whose first record comes first, as a row loop would
         for failing, message in (
             (overflow, "total reads do not fit in a 64-bit integer"),
@@ -726,14 +742,14 @@ def ingest(path: str | Path, offsets_path: str | Path | None = None) -> CohortTa
         ):
             rows = np.flatnonzero(failing[obs_pt])
             if rows.size:
-                i = rows[np.argmin(line[rows])]
+                i = rows[np.argmin(order[rows])]
                 pt = (person_names[person[i]], int(time[i]))
                 raise ValidationError(f"person-time {pt} {message}")
 
     starts = np.flatnonzero(np.concatenate([[True], ~same_clone]))
     return CohortTable(
-        person_names, clone_names, person[starts], clone[starts], starts, count, time, obs_pt,
-        pt_person, pt_time, pt_total,
+        person_names, clone_names, person[starts], clone[starts], starts, count,
+        time.astype(np.int64), obs_pt, pt_person, pt_time, pt_total,
     )  # fmt: skip
 
 
@@ -755,12 +771,13 @@ def filter_clones(
     if min_total_reads > INT64_MAX:
         raise ValidationError("min_total_reads does not fit in a 64-bit integer")
 
-    totals, _ = _segment_sums(table.counts, table.starts)
+    totals, _ = _sums(lambda values: np.add.reduceat(values, table.starts), table.counts)
     keep = np.flatnonzero(totals >= min_total_reads)
+    del totals
     person_id = table.person_names[table.person[keep]]
     clone_id = table.clone_names.decode(table.clone[keep])
     first_obs = table.starts[keep]
-    obs_n_times = np.diff(table.starts, append=table.counts.size)[keep]
+    obs_n_times = np.append(table.starts, table.counts.size)[keep + 1] - first_obs
     obs_rows = segment_rows(first_obs, obs_n_times)
     if not absent_as_zero:
         pt_rows = table.obs_pt[obs_rows]

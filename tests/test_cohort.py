@@ -102,6 +102,28 @@ class TestIngest:
         outlier = kept[[s.clone_id for s in kept].index("C" * 20_000)]
         assert outlier.counts.tolist() == [1500 % 7, 1500 % 7 + 1]
 
+    def test_ingest_holds_a_bounded_number_of_bytes_per_record(self, tmp_path):
+        # shaped like a sequenced repertoire: per person-time, 250 tracked
+        # clones among 8000 one-record 8-byte ids that the filter drops.
+        # Small blocks keep the per-block working set out of the figure.
+        # Ingest and filter peak at ~76 bytes per record; holding int64
+        # temporaries over all records, as a reader can, reaches ~157.
+        rows = []
+        for p in range(4):
+            for t in range(3):
+                rows += [f"p{p}\t{t}\tc{p}{i:06d}\t{50 + i}" for i in range(250)]
+                rows += [f"p{p}\t{t}\tr{p}{t}{i:05d}\t{1 + i % 2}" for i in range(8000)]
+        path = write(tmp_path / "cohort.tsv", HEADER + "\n".join(rows) + "\n")
+        with mock.patch.object(cohort_module, "BLOCK_CHARS", 1 << 16):
+            tracemalloc.start()
+            try:
+                kept = filter_clones(ingest(path), min_total_reads=8)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 100 * len(rows)
+        assert len(kept) == 4 * 250 and all(s.times.tolist() == [0, 1, 2] for s in kept)
+
     @pytest.mark.parametrize("block_chars", [4096, cohort_module.BLOCK_CHARS])
     def test_plain_ascii_cohort_needs_neither_csv_reader_nor_int(self, tmp_path, block_chars):
         # shaped like a sequenced repertoire: per person and time, tracked

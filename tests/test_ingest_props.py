@@ -36,7 +36,14 @@ from oracles import (
 )
 
 HEADER = "person_id\ttime_index\tclone_id\tcount\n"
-IDS = st.text(alphabet="abAB_1é", min_size=1, max_size=4)
+# short ids, and ids of more than one and more than two 8-byte words that
+# share their first words, so that ranking compares later words
+IDS = st.one_of(
+    st.text(alphabet="abAB_1é", min_size=1, max_size=4),
+    st.tuples(
+        st.sampled_from(["abcdefgh", "abcdefghijklmnop"]), st.text(alphabet="abAB_1é", max_size=4)
+    ).map("".join),
+)
 BLOCK_SIZES = [8, 64, 1 << 20]
 BLOCK_CHARS = st.sampled_from(BLOCK_SIZES)
 SETTINGS = settings(
@@ -352,3 +359,36 @@ def test_conflicting_offsets_fail_as_the_per_row_reference_does(cohort, rnd, bum
     series = shuffled_series(cohort[0], rnd, bumps)
     expected = outcome(lambda: [c.tolist() for c in offset_columns(offsets_by_walk(series))])
     assert outcome(lambda: [c.tolist() for c in offsets_from_series(pack(series))]) == expected
+
+
+# ids of 0 to 40 UTF-8 bytes: with NUL, two- and four-byte characters, and
+# first words shared over 8 and 16 bytes
+RANKED_IDS = st.tuples(
+    st.sampled_from(["", "abcdefgh", "abcdefghijklmnop", "éééé", "😀😀"]),
+    st.text(alphabet=["\x00", "a", "b", "z", "é", "😀"], max_size=6),
+).map("".join)
+
+
+@SETTINGS
+@given(
+    st.lists(st.tuples(RANKED_IDS, st.integers(1, 3)), max_size=40),
+    st.lists(st.integers(0, 120), max_size=5),
+)
+@example(  # ids that end where a word ends, before longer ones with the same words
+    [("abcdefghijklmnop", 1), ("abcdefghijklmnopa", 2), ("abcdefgh", 1), ("abcdefgh\x00", 1)],
+    [],
+)
+def test_id_ranking_gives_the_sorted_distinct_ids_and_each_ones_rank(runs, cuts):
+    ids = [i for i, repeats in runs for _ in range(repeats)]  # runs of repeats
+    assert all(len(i.encode("utf-8")) <= 40 for i in ids)
+    cuts = sorted(cut % (len(ids) + 1) for cut in cuts)
+    column = cohort_module._IdColumn()
+    for lo, hi in zip([0, *cuts], [*cuts, len(ids)]):  # random blocks, some empty
+        fields = [i.encode("utf-8") for i in ids[lo:hi]]
+        lengths = np.array([len(f) for f in fields], dtype=np.int64)
+        raw = np.frombuffer(b"".join(fields) + bytes(8), np.uint8)
+        column.add(raw, np.cumsum(lengths) - lengths, np.cumsum(lengths))
+    distinct, rank = column.ranked()
+    expected = sorted(set(ids))
+    assert distinct.decode(np.arange(len(distinct))).tolist() == expected
+    assert [expected[r] for r in rank.tolist()] == ids
