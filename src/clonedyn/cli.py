@@ -104,7 +104,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ValidationError(f"expected a boolean, got {text!r}")
+    raise ValueError(text)
 
 
 class _Options:
@@ -123,7 +123,9 @@ class _Options:
             try:
                 return _parse_bool(raw) if cast is bool else cast(raw)
             except ValueError:
-                raise ValidationError(f"config key {name!r}: cannot parse {raw!r}") from None
+                raise ValidationError(
+                    f"{self._args.config}: config key {name!r}: cannot parse {raw!r}"
+                ) from None
         if required:
             raise ValidationError(f"missing required option {name!r} (flag or config)")
         return default
@@ -215,9 +217,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     write_keyvalues(
         hp_path,
         {
-            "alpha": result.hyperparams.alpha,
-            "beta": result.hyperparams.beta,
-            "pi": result.hyperparams.pi,
+            **vars(result.hyperparams),
             "iterations": result.iterations,
             "converged": result.converged,
             "n_clones": len(result.cohort),
@@ -313,18 +313,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if truth is not None:
         oc = operating_characteristics(calls, truth, threshold)
         oc_path = out / "operating_characteristics.txt"
-        write_keyvalues(
-            oc_path,
-            {
-                "threshold": oc.threshold,
-                "tp": oc.tp,
-                "fp": oc.fp,
-                "tn": oc.tn,
-                "fn": oc.fn,
-                "sensitivity": oc.sensitivity,
-                "specificity": oc.specificity,
-            },
-        )
+        write_keyvalues(oc_path, vars(oc))
         outputs.append(oc_path)
     _check_outputs(outputs)
     return EXIT_OK
@@ -390,6 +379,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output-dir", dest="output_dir", help="directory for output files")
 
 
+def _add_fields(sub: argparse.ArgumentParser, cls, **helps: str) -> None:
+    """A --field-name flag for each field of the dataclass cls, of its default's type."""
+    for f in fields(cls):
+        flag = "--" + f.name.replace("_", "-")
+        sub.add_argument(flag, type=type(f.default), dest=f.name, help=helps.get(f.name))
+
+
 def _add_cohort_inputs(sub: argparse.ArgumentParser) -> None:
     """The cohort and filter flags of fit and classify, which must agree for
     classify to accept fit's responsibilities."""
@@ -414,25 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic cohort with ground truth")
     _add_common(p_sim)
-    p_sim.add_argument("--seed", type=int, dest="seed", help="random seed of the draws")
-    p_sim.add_argument("--n-clones", type=int, dest="n_clones")
-    p_sim.add_argument("--alpha", type=float, dest="alpha")
-    p_sim.add_argument("--beta", type=float, dest="beta")
-    p_sim.add_argument("--pi", type=float, dest="pi")
-    p_sim.add_argument("--n-followups", type=int, dest="n_followups")
-    p_sim.add_argument("--offset-mean", type=float, dest="offset_mean")
-    p_sim.add_argument("--missing-rate", type=float, dest="missing_rate")
-    p_sim.add_argument("--n-persons", type=int, dest="n_persons")
+    _add_fields(p_sim, SimConfig, seed="random seed of the draws")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit hyperparameters and responsibilities by EM")
     _add_common(p_fit)
-    p_fit.add_argument("--seed", type=int, dest="seed", help="random seed of the EM start")
     _add_cohort_inputs(p_fit)
-    p_fit.add_argument("--epsilon", type=float, dest="epsilon")
-    p_fit.add_argument("--max-em-iters", type=int, dest="max_em_iters")
-    p_fit.add_argument("--inner-opt-tol", type=float, dest="inner_opt_tol")
-    p_fit.add_argument("--inner-opt-max-iters", type=int, dest="inner_opt_max_iters")
+    _add_fields(p_fit, FitConfig, seed="random seed of the EM start")
     p_fit.set_defaults(func=cmd_fit)
 
     p_cls = sub.add_parser("classify", help="threshold responsibilities into clone calls")

@@ -24,10 +24,11 @@ ingest holds per record its time, count and two id indices, each in the
 narrowest integer type (8 bytes for a repertoire), and per distinct id
 of a block its 8-byte words and length; ranking those ids in str order
 takes about 34 bytes more per id, and the records are then sorted by one
-permutation, a column at a time.  Validation runs once over whole
-columns.  A reader lists its checks in order, and the earliest record
-any check flags is reported, by line, with the message of the first
-check that flags it.
+permutation, a column at a time.  The table then keeps per record a
+count and its person-time row, which holds its person, time and total.
+Validation runs once over whole columns.  A reader lists its checks in
+order, and the earliest record any check flags is reported, by line,
+with the message of the first check that flags it.
 
 Writers take columns, and write_table formats each by its kind
 (format_column): a str as it is, an integer as str gives it, a float in
@@ -113,25 +114,23 @@ class Ids:
 
 @dataclass(frozen=True, eq=False)
 class CohortTable:
-    """Validated long-format cohort in columns, with its person-time totals.
+    """Validated long-format cohort in columns, with its person-time table.
 
-    Clone i is (person_names[person[i]], clone_names[clone[i]]): ranks
-    into the sorted distinct ids, the clone ids still UTF-8 bytes.  It
-    owns the observations starts[i] up to starts[i + 1] of the flat
-    columns counts and times, in (person_id, clone_id, time_index) order.
-    obs_pt gives the row of the person-time table (pt_person, pt_time,
-    pt_total, sorted by person then time) behind each observation.  The
+    Per record j it holds a count and its person-time row: the person,
+    time and total of record j are those of row obs_pt[j] of the
+    person-time table (pt_person, pt_time, pt_total, sorted by person
+    then time).
+    Clone i, clone_names[clone[i]] (its rank among the sorted distinct
+    ids, still UTF-8 bytes), owns the records starts[i] up to
+    starts[i + 1], in (person_id, clone_id, time_index) order.  The
     person-time table is the offsets sidecar when one was given, else the
     per person-time sums of the unfiltered rows.
     """
 
-    person_names: np.ndarray
     clone_names: Ids
-    person: np.ndarray
     clone: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
-    times: np.ndarray
     obs_pt: np.ndarray
     pt_person: np.ndarray
     pt_time: np.ndarray
@@ -369,14 +368,11 @@ def _strings(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]
     for k in range(0, starts.size, BLOCK_RECORDS):  # bounds the index arrays
         s, e = starts[k : k + BLOCK_RECORDS], ends[k : k + BLOCK_RECORDS]
         # each field and the byte after it, that byte made a newline: one
-        # decode and one split give every field, unless one holds a newline
+        # decode and one split give every field, as no field holds a newline
+        # (the tokenizer splits at each one, and _columns rejects quoted ones)
         joined = raw[segment_rows(s, e - s + 1)]
         joined[np.cumsum(e - s + 1) - 1] = 10
-        text = joined.tobytes().decode("utf-8").split("\n")
-        text.pop()
-        if len(text) != s.size:
-            text = [raw[i:j].tobytes().decode("utf-8") for i, j in zip(s.tolist(), e.tolist())]
-        fields += text
+        fields += joined.tobytes().decode("utf-8").split("\n")[:-1]
     return fields
 
 
@@ -748,9 +744,8 @@ def ingest(path: str | Path, offsets_path: str | Path | None = None) -> CohortTa
 
     starts = np.flatnonzero(np.concatenate([[True], ~same_clone]))
     return CohortTable(
-        person_names, clone_names, person[starts], clone[starts], starts, count,
-        time.astype(np.int64), obs_pt, pt_person, pt_time, pt_total,
-    )  # fmt: skip
+        clone_names, clone[starts], starts, count, obs_pt, pt_person, pt_time, pt_total
+    )
 
 
 def filter_clones(
@@ -774,39 +769,27 @@ def filter_clones(
     totals, _ = _sums(lambda values: np.add.reduceat(values, table.starts), table.counts)
     keep = np.flatnonzero(totals >= min_total_reads)
     del totals
-    person_id = table.person_names[table.person[keep]]
-    clone_id = table.clone_names.decode(table.clone[keep])
     first_obs = table.starts[keep]
-    obs_n_times = np.append(table.starts, table.counts.size)[keep + 1] - first_obs
-    obs_rows = segment_rows(first_obs, obs_n_times)
-    if not absent_as_zero:
-        pt_rows = table.obs_pt[obs_rows]
-        return PackedCohort(
-            person_id,
-            clone_id,
-            np.cumsum(obs_n_times) - obs_n_times,
-            table.counts[obs_rows],
-            table.pt_total[pt_rows],
-            table.times[obs_rows],
-        )
-
-    # each person's sampled times are one block of the person-time table
-    new_person = np.concatenate([[True], table.pt_person[1:] != table.pt_person[:-1]])
-    block_start = np.flatnonzero(new_person)
-    block_len = np.diff(block_start, append=table.pt_person.size)
-    block = (np.cumsum(new_person) - 1)[table.obs_pt[first_obs]]
-    n_times = block_len[block]
-    starts = np.cumsum(n_times) - n_times
-    pt_rows = segment_rows(block_start[block], n_times)
-
-    # scatter each kept clone's recorded counts to their person-times
-    shift = np.repeat(starts - block_start[block], obs_n_times)
-    counts = np.zeros(pt_rows.size, dtype=np.int64)
-    counts[table.obs_pt[obs_rows] + shift] = table.counts[obs_rows]
+    n_times = np.append(table.starts, table.counts.size)[keep + 1] - first_obs
+    obs_rows = segment_rows(first_obs, n_times)
+    pt_rows, counts = table.obs_pt[obs_rows], table.counts[obs_rows]
+    first_pt = table.obs_pt[first_obs]
+    if absent_as_zero:
+        # widen each clone to its person's block of the person-time table
+        # and scatter its recorded counts to their person-times there
+        new_person = np.concatenate([[True], table.pt_person[1:] != table.pt_person[:-1]])
+        block_start = np.flatnonzero(new_person)
+        block = (np.cumsum(new_person) - 1)[first_pt]
+        block_len = np.diff(block_start, append=new_person.size)
+        recorded, n_times = n_times, block_len[block]
+        shift = np.repeat(np.cumsum(n_times) - n_times - block_start[block], recorded)
+        zero_filled = np.zeros(int(n_times.sum()), dtype=np.int64)
+        zero_filled[pt_rows + shift] = counts
+        pt_rows, counts = segment_rows(block_start[block], n_times), zero_filled
     return PackedCohort(
-        person_id,
-        clone_id,
-        starts,
+        table.pt_person[first_pt],
+        table.clone_names.decode(table.clone[keep]),
+        np.cumsum(n_times) - n_times,
         counts,
         table.pt_total[pt_rows],
         table.pt_time[pt_rows],

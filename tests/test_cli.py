@@ -210,6 +210,18 @@ class TestConfigHandling:
         # a config file shared with fit may still hold the seed
         assert "seed" in build_parser().parse_args([command]).config_keys
 
+    @pytest.mark.parametrize(
+        "key, value", [("absent_as_zero", "maybe"), ("min_total_reads", "8.5")]
+    )
+    def test_value_that_does_not_parse_names_its_key_and_file(self, tmp_path, key, value, capsys):
+        cohort = tmp_path / "cohort.tsv"
+        cohort.write_text("person_id\ttime_index\tclone_id\tcount\np1\t0\ta\t10\np1\t1\ta\t5\n")
+        config = tmp_path / "fit.cfg"
+        config.write_text(f"{key} = {value}\n")
+        argv = ("fit", "--config", config, "--input", cohort, "--output-dir", tmp_path / "y")
+        assert run(*argv) == EXIT_VALIDATION
+        assert f"{config}: config key {key!r}: cannot parse {value!r}" in capsys.readouterr().err
+
     def test_config_that_is_not_utf8_is_rejected(self, tmp_path, capsys):
         config = tmp_path / "latin1.cfg"
         config.write_bytes(b"n_clones = 300\n# caf\xe9\n")

@@ -28,17 +28,28 @@ def test_traced_call_site_resolves(module, path):
     assert callable(owner)
 
 
-def test_observers_count_a_traced_pipeline(tmp_path):
+# the filters the benchmark's repertoire and longitudinal workloads run
+FILTERS = {
+    "zero-filled": ["--min-total-reads", 8, "--absent-as-zero"],
+    "as-recorded": ["--min-total-reads", 0, "--no-absent-as-zero"],
+}
+
+
+@pytest.mark.parametrize("filtering", FILTERS)
+def test_observers_count_a_traced_pipeline(tmp_path, filtering):
     """The four stages in-process under the benchmark's wrappers, as its traced
     run calls them: every observer must read the values it is handed."""
     sim, fit, cls, summ = (tmp_path / name for name in ("sim", "fit", "cls", "summ"))
     write_strata(tmp_path / "strata.tsv", {f"p{j:03d}": j % 2 for j in range(6)})
-    cohort = ["--input", sim / "cohort.tsv", "--offsets", sim / "offsets.tsv"]
+    cohort = ["--input", sim / "cohort.tsv", "--offsets", sim / "offsets.tsv", *FILTERS[filtering]]
     stages = {
-        "simulate": ["--n-clones", 600, "--n-persons", 6, "--seed", 3, "--output-dir", sim],
-        "fit": [*cohort, "--min-total-reads", 8, "--seed", 7, "--output-dir", fit],
+        "simulate": [
+            "--n-clones", 600, "--n-persons", 6, "--missing-rate", 0.5, "--seed", 3,
+            "--output-dir", sim,
+        ],
+        "fit": [*cohort, "--seed", 7, "--output-dir", fit],
         "classify": [
-            *cohort, "--min-total-reads", 8, "--responsibilities", fit / "responsibilities.tsv",
+            *cohort, "--responsibilities", fit / "responsibilities.tsv",
             "--truth", sim / "truth.tsv", "--output-dir", cls,
         ],
         "summarize": [
@@ -55,15 +66,15 @@ def test_observers_count_a_traced_pipeline(tmp_path):
                 count_filtering(tracer, stash)
     assert missing == []
     assert tracer.errors == []
-    positive = (
-        "cohort.clones_kept",
-        "cohort.clones_dropped",  # --min-total-reads 8 drops a few of the 600
-        "classify.calls",
-        "em.iterations",
-        "optim.bfgs_iterations",
-    )
-    for name in positive:
+    for name in ("cohort.clones_kept", "classify.calls", "em.iterations", "optim.bfgs_iterations"):
         assert tracer.counts[name] > 0, name
+    if filtering == "zero-filled":
+        # --min-total-reads 8 drops a few of the 600, and half the person-times are missing
+        assert tracer.counts["cohort.clones_dropped"] > 0
+        assert tracer.counts["cohort.zeros_filled"] > 0
+    else:
+        assert tracer.counts["cohort.clones_dropped"] == 0
+        assert tracer.counts["cohort.zeros_filled"] == 0
     # a site the stages call around its traced binding would read zero
     # without failing anything above
     traced = {name for _module, _path, name, _observe in trace_targets(Tracer("t"), {})}
