@@ -154,8 +154,9 @@ def _contracting(cohort: PackedCohort, index: np.ndarray) -> np.ndarray:
     n = cohort.n_times[index]
     rows = segment_rows(cohort.starts[index], n)
     starts = np.cumsum(n) - n
-    x = cohort.times[rows].astype(np.float64)
-    y = cohort.counts[rows] / cohort.offsets[rows]
+    pt = cohort.obs_pt[rows]
+    x = cohort.pt_time[pt].astype(np.float64)
+    y = cohort.counts[rows] / cohort.pt_total[pt]
     sum_x, sum_y = np.add.reduceat(x, starts), np.add.reduceat(y, starts)
     products = (x - np.repeat(sum_x / n, n)) * (y - np.repeat(sum_y / n, n))
     numerator = np.add.reduceat(products, starts)
@@ -168,9 +169,9 @@ def _contracting(cohort: PackedCohort, index: np.ndarray) -> np.ndarray:
     bound += 64 * (n + 2) ** 2 * u * u * sum_x * sum_y
     contracting = numerator < 0.0
     for i in np.flatnonzero((np.abs(numerator) <= bound) & (n >= 2)).tolist():
-        span = slice(int(cohort.starts[index[i]]), int(cohort.starts[index[i]] + n[i]))
-        proportions = cohort.counts[span] / cohort.offsets[span]
-        contracting[i] = _ols_slope(cohort.times[span].astype(np.float64), proportions) < 0.0
+        series = cohort[int(index[i])]
+        proportions = series.counts / series.offsets
+        contracting[i] = _ols_slope(series.times.astype(np.float64), proportions) < 0.0
     return contracting
 
 

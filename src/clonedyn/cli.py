@@ -254,14 +254,15 @@ def _proportions(counts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 def _mean_proportions(cohort: PackedCohort) -> np.ndarray:
     """Per clone, sum(counts) / sum(offsets) as Python's int division would round it."""
+    offsets = cohort.offsets
     with np.errstate(divide="ignore", invalid="ignore"):  # wrapped int64 sums are redone below
-        values = cohort.segment_sums(cohort.counts) / cohort.segment_sums(cohort.offsets)
+        values = cohort.segment_sums(cohort.counts) / cohort.segment_sums(offsets)
     # the int64 sums are exact, and exact in float64, below 2**53 (counts <= offsets);
     # float sums flag the clones whose offsets may sum to more
-    large = cohort.segment_sums(cohort.offsets.astype(np.float64)) >= 2.0**52
+    large = cohort.segment_sums(offsets.astype(np.float64)) >= 2.0**52
     for i in np.flatnonzero(large).tolist():
-        span = slice(int(cohort.starts[i]), int(cohort.starts[i] + cohort.n_times[i]))
-        values[i] = sum(cohort.counts[span].tolist()) / sum(cohort.offsets[span].tolist())
+        series = cohort[i]
+        values[i] = sum(series.counts.tolist()) / sum(series.offsets.tolist())
     return values
 
 

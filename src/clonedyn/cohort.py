@@ -25,7 +25,9 @@ narrowest integer type (8 bytes for a repertoire), and per distinct id
 of a block its 8-byte words and length; ranking those ids in str order
 takes about 34 bytes more per id, and the records are then sorted by one
 permutation, a column at a time.  The table then keeps per record a
-count and its person-time row, which holds its person, time and total.
+count and its person-time row, which holds its person, time and total,
+and filter_clones hands the person-time table on whole to the
+PackedCohort it packs, so a kept observation is a count and a row too.
 Validation runs once over whole columns.  A reader lists its checks in
 order, and the earliest record any check flags is reported, by line,
 with the message of the first check that flags it.
@@ -54,7 +56,7 @@ import numpy as np
 from .classify import CONTRACTING, EXPANDING, NOT_APPLICABLE, Call, CallTable, Direction
 from .em import FitResult
 from .errors import ParseError, ValidationError
-from .model import PackedCohort, segment_rows
+from .model import PackedCohort, narrow_type, segment_rows
 from .simulate import TruthLabels
 
 COHORT_COLUMNS = ("person_id", "time_index", "clone_id", "count")
@@ -439,7 +441,7 @@ class _IdColumn:
             longer = np.flatnonzero(n_words > k)
             words[offsets[longer] + k] = _words(raw, starts[longer], lengths[longer], k)
         words, lengths, rank = _ranked(words, lengths)
-        rank = (rank + self._count).astype(_narrow(self._count + lengths.size))
+        rank = (rank + self._count).astype(narrow_type(self._count + lengths.size))
         self._index.append(rank[np.cumsum(new) - 1])
         self._count += lengths.size
         self._ids.append((words, lengths))
@@ -450,7 +452,7 @@ class _IdColumn:
         words, lengths = (np.concatenate(column) for column in zip(*self._ids))
         self._ids.clear()
         words, lengths, rank = _ranked(words, lengths)
-        rank, n_words = rank.astype(_narrow(lengths.size)), _word_counts(lengths)
+        rank, n_words = rank.astype(narrow_type(lengths.size)), _word_counts(lengths)
         ids = Ids(words, np.cumsum(n_words) - n_words, lengths)
         return ids, np.concatenate([rank[index] for index in self._index])
 
@@ -549,11 +551,6 @@ def _sums(add: Callable[[np.ndarray], np.ndarray], values: np.ndarray):
         overflow = add(values.astype(object)) > INT64_MAX
     sums[overflow] = INT64_MAX
     return sums, overflow
-
-
-def _narrow(n: int) -> np.dtype:
-    """The narrowest signed integer type that holds 0 to n."""
-    return np.min_scalar_type(-n - 1)
 
 
 def read_strata(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -660,8 +657,8 @@ def _read_cohort_columns(path: Path):
         n, error = block.fault([time_is_int, count_is_int]) or (len(block.lines), None)
         persons.add(block.raw, block.starts[:n, 0], block.ends[:n, 0])
         clones.add(block.raw, block.starts[:n, 2], block.ends[:n, 2])
-        times.append(time[:n].astype(_narrow(time.max(initial=0))))
-        counts.append(count[:n].astype(_narrow(count.max(initial=0))))
+        times.append(time[:n].astype(narrow_type(time.max(initial=0))))
+        counts.append(count[:n].astype(narrow_type(count.max(initial=0))))
         lines.append(block.lines[:n])
     (person_ids, person), (clone_ids, clone) = persons.ranked(), clones.ranked()
     time, count = np.concatenate(times), np.concatenate(counts)
@@ -679,7 +676,7 @@ def ingest(path: str | Path, offsets_path: str | Path | None = None) -> CohortTa
     person_names, clone_names, columns, lines, error = _read_cohort_columns(Path(path))
     order = np.lexsort(columns[2::-1])  # by person, clone, time; stable: ties in file order
     person, clone, time, count = (columns.pop(0)[order] for _ in range(4))  # one at a time
-    order = order.astype(_narrow(order.size))
+    order = order.astype(narrow_type(order.size))
     same_clone = (person[1:] == person[:-1]) & (clone[1:] == clone[:-1])
     repeats = np.flatnonzero(same_clone & (time[1:] == time[:-1])) + 1
     if repeats.size:
@@ -711,7 +708,7 @@ def ingest(path: str | Path, offsets_path: str | Path | None = None) -> CohortTa
     np.minimum(obs_pt, pt_key.size - 1, out=obs_pt)
     covered = pt_key[obs_pt] == row_key
     del row_key
-    obs_pt, count = obs_pt.astype(_narrow(pt_key.size)), count.astype(np.int64)
+    obs_pt, count = obs_pt.astype(narrow_type(pt_key.size)), count.astype(np.int64)
     if offsets_path is not None:
         bad = np.flatnonzero(~covered | (count > pt_total[obs_pt]))
         if bad.size:
@@ -758,8 +755,10 @@ def filter_clones(
 
     With absent_as_zero, a kept clone also gets an explicit zero count at
     every person-time where its person was sampled but the clone had no
-    row, so contractions to zero stay in the model.  Offsets always come
-    from the unfiltered table.  Only the kept clones' ids are decoded.
+    row, so contractions to zero stay in the model.  The cohort keeps the
+    table's whole person-time table, so offsets always come from the
+    unfiltered table, and a person-time no kept clone was seen at stays
+    in it unused.  Only the kept clones' ids are decoded.
     """
     if min_total_reads < 0:
         raise ValidationError("min_total_reads must be >= 0")
@@ -773,13 +772,12 @@ def filter_clones(
     n_times = np.append(table.starts, table.counts.size)[keep + 1] - first_obs
     obs_rows = segment_rows(first_obs, n_times)
     pt_rows, counts = table.obs_pt[obs_rows], table.counts[obs_rows]
-    first_pt = table.obs_pt[first_obs]
     if absent_as_zero:
         # widen each clone to its person's block of the person-time table
         # and scatter its recorded counts to their person-times there
         new_person = np.concatenate([[True], table.pt_person[1:] != table.pt_person[:-1]])
         block_start = np.flatnonzero(new_person)
-        block = (np.cumsum(new_person) - 1)[first_pt]
+        block = (np.cumsum(new_person) - 1)[table.obs_pt[first_obs]]
         block_len = np.diff(block_start, append=new_person.size)
         recorded, n_times = n_times, block_len[block]
         shift = np.repeat(np.cumsum(n_times) - n_times - block_start[block], recorded)
@@ -787,12 +785,13 @@ def filter_clones(
         zero_filled[pt_rows + shift] = counts
         pt_rows, counts = segment_rows(block_start[block], n_times), zero_filled
     return PackedCohort(
-        table.pt_person[first_pt],
         table.clone_names.decode(table.clone[keep]),
         np.cumsum(n_times) - n_times,
         counts,
-        table.pt_total[pt_rows],
-        table.pt_time[pt_rows],
+        pt_rows,
+        table.pt_person,
+        table.pt_time,
+        table.pt_total,
     )
 
 
@@ -868,19 +867,17 @@ def write_table(path: str | Path, columns: Mapping[str, np.ndarray | list[str]])
             handle.write("\n".join(map("\t".join, zip(*text, strict=True))) + "\n")
 
 
-def _person_ranks(cohort: PackedCohort) -> np.ndarray:
-    """Per observation, the rank of its clone's person among the cohort's persons."""
-    return np.repeat(np.unique(cohort.person_id, return_inverse=True)[1], cohort.n_times)
-
-
 def write_cohort(path: str | Path, cohort: PackedCohort) -> None:
     """Write cohort rows in canonical (person, time, clone) order."""
     cohort = cohort.sorted()
-    # stable: the clones are in (person, clone) order, which stays within a person-time
-    order = np.lexsort((cohort.times, _person_ranks(cohort)))
+    # the person-time table is in (person, time) order and the clones in
+    # (person, clone) order, which a stable sort keeps within a person-time
+    person_time = np.cumsum(_changes(cohort.pt_person, cohort.pt_time)) - 1
+    order = np.argsort(person_time.astype(cohort.obs_pt.dtype)[cohort.obs_pt], kind="stable")
+    rows = cohort.obs_pt[order]
     columns = (
-        np.repeat(cohort.person_id, cohort.n_times)[order],
-        cohort.times[order],
+        cohort.pt_person[rows],
+        cohort.pt_time[rows],
         np.repeat(cohort.clone_id, cohort.n_times)[order],
         cohort.counts[order],
     )
@@ -894,19 +891,20 @@ def write_offsets(path: str | Path, offsets: tuple[np.ndarray, np.ndarray, np.nd
 
 
 def offsets_from_series(cohort: PackedCohort) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-person-time totals the cohort's offsets record, as the sorted
-    (person_id, time_index, total_reads) columns read_offsets returns."""
-    person = _person_ranks(cohort)
-    order = np.lexsort((cohort.times, person))  # stable: series order within a person-time
-    times, offsets = cohort.times[order], cohort.offsets[order]
-    leads = (np.diff(person[order], prepend=-1) != 0) | (np.diff(times, prepend=-1) != 0)
-    conflicts = order[offsets != offsets[leads][np.cumsum(leads) - 1]]
-    person_ids = np.repeat(cohort.person_id, cohort.n_times)
-    if conflicts.size:
-        i = conflicts.min()  # the first disagreement in series order
-        key = (person_ids[i], int(cohort.times[i]))
-        raise ValidationError(f"conflicting offsets recorded for person-time {key}")
-    return person_ids[order[leads]], times[leads], offsets[leads]
+    """The rows of the cohort's person-time table some observation sits on, as
+    the sorted (person_id, time_index, total_reads) columns read_offsets
+    returns; ValidationError at the first observation whose person-time
+    total differs from one seen before it, as a cohort packed from series
+    may record two."""
+    rows = cohort.used_rows()
+    person, time = cohort.pt_person[rows], cohort.pt_time[rows]
+    if not _changes(person, time).all():
+        first: dict[tuple[str, int], int] = {}
+        for row in cohort.obs_pt.tolist():
+            key = (cohort.pt_person[row], int(cohort.pt_time[row]))
+            if first.setdefault(key, row) != row:
+                raise ValidationError(f"conflicting offsets recorded for person-time {key}")
+    return person, time, cohort.pt_total[rows]
 
 
 def write_truth(path: str | Path, truth: TruthLabels) -> None:

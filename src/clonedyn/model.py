@@ -9,9 +9,11 @@ for the dynamic component (a product of negative binomials).  All
 arithmetic is in natural-log space; counts can reach 1e4 and offsets 1e7
 without overflow or underflow.
 
-ExpectedLoglik is the M-step's objective: the responsibility-weighted sum
-of both log-densities over a batch, evaluated on histograms of the
-batch's distinct values.
+A PackedCohort observation is a count and a row of one person-time
+table, which holds its time and offset: a total is held once per
+person-time, not per observation.  ExpectedLoglik is the M-step's
+objective: the responsibility-weighted sum of both log-densities over a
+batch, evaluated on histograms of the batch's distinct values.
 
 Every operation here is a pure function of its arguments and safe to map
 over clones in parallel.
@@ -194,6 +196,11 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
+def narrow_type(n: int) -> np.dtype:
+    """The narrowest signed integer type that holds 0 to n."""
+    return np.min_scalar_type(-n - 1)
+
+
 def segment_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Indices of the ranges starts[i] : starts[i] + lengths[i], concatenated."""
     out_starts = np.cumsum(lengths) - lengths
@@ -228,30 +235,61 @@ def match_keys(table: Sequence[np.ndarray], keys: Sequence[np.ndarray]) -> np.nd
 
 
 class PackedCohort:
-    """Many clone series in one CSR table.
+    """Many clone series in one CSR table over one person-time table.
 
-    Clone i is (person_id[i], clone_id[i]) (object arrays of str, so an id
-    costs its own length, not the longest one's) and owns the observations
-    starts[i] up to starts[i + 1] (the last clone runs to the end) of the
-    flat int64 columns counts, offsets and times.  Construction checks,
-    once and vectorized, everything CloneSeries checks for one series.
-    Indexing and iteration yield CloneSeries views built on demand.
+    Row r of the person-time table is a person pt_person[r], a time
+    pt_time[r] and its total reads pt_total[r], the rows increasing in
+    (person, time, total) (series may record two totals for a person-time).
+    Clone i, clone_id[i] (object arrays of str, so an id costs its own
+    length), owns the observations starts[i] up to starts[i + 1] (the last
+    clone runs to the end): counts[k] sits on row obs_pt[k], all of them on
+    rows of its person, person_id[i].  Construction checks, once and
+    vectorized, the table's order and everything CloneSeries checks for one
+    series.  Indexing and iteration yield CloneSeries views built on demand.
     """
 
-    def __init__(self, person_id, clone_id, starts, counts, offsets, times):
-        self.person_id = _frozen(person_id, object)
+    def __init__(self, clone_id, starts, counts, obs_pt, pt_person, pt_time, pt_total):
         self.clone_id = _frozen(clone_id, object)
         self.starts = _frozen(starts, np.int64)
         self.counts = _frozen(counts, np.int64)
-        self.offsets = _frozen(offsets, np.int64)
-        self.times = _frozen(times, np.int64)
+        self.pt_person = p = _frozen(pt_person, object)
+        self.pt_time = t = _frozen(pt_time, np.int64)
+        self.pt_total = o = _frozen(pt_total, np.int64)
         n = self.starts.size
-        if self.starts.ndim != 1 or self.person_id.shape != (n,) or self.clone_id.shape != (n,):
+        if self.starts.ndim != 1 or self.clone_id.shape != (n,):
             raise ValidationError("ids and starts must be 1-d and of equal length")
         if self.counts.ndim != 1 or (self.starts[0] != 0 if n else self.counts.size):
             raise ValidationError("counts must be 1-d with the first clone starting at 0")
-        n_times = _check_columns(self.counts, self.offsets, self.times, self.starts)
+        if o.ndim != 1 or p.shape != o.shape or t.shape != o.shape:
+            raise ValidationError("the person-time columns must be 1-d and of equal length")
+        obs_pt = np.asarray(obs_pt)
+        integers = obs_pt.dtype.kind in "iu"
+        if obs_pt.size and not (integers and obs_pt.min() >= 0 and obs_pt.max() < o.size):
+            raise ValidationError(f"obs_pt must index the {o.size} rows of the person-time table")
+        self.obs_pt = _frozen(obs_pt, narrow_type(o.size))
+        same_p = p[1:] == p[:-1]
+        later = (t[1:] > t[:-1]) | (t[1:] == t[:-1]) & (o[1:] > o[:-1])
+        if not np.all((p[1:] > p[:-1]) | same_p & later):
+            raise ValidationError("person-time rows must increase in (person, time, total)")
+        n_times = _check_columns(self.counts, o[self.obs_pt], t[self.obs_pt], self.starts)
+        # the table is in person order: a clone's rows are all of one person
+        # when its lowest and highest are
+        person = np.append(0, np.cumsum(~same_p))
+        lowest, highest = (f.reduceat(self.obs_pt, self.starts) for f in (np.minimum, np.maximum))
+        if np.any(person[lowest] != person[highest]):
+            raise ValidationError("a clone's observations must all be of one person")
+        self.person_id = _frozen(p[lowest], object)
         self.n_times = _frozen(n_times, np.int64)
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Per observation, its person-time's total reads: pt_total[obs_pt]."""
+        return _frozen(self.pt_total[self.obs_pt], np.int64)
+
+    @property
+    def times(self) -> np.ndarray:
+        """Per observation, its follow-up time: pt_time[obs_pt]."""
+        return _frozen(self.pt_time[self.obs_pt], np.int64)
 
     def __len__(self) -> int:
         return int(self.starts.size)
@@ -259,12 +297,13 @@ class PackedCohort:
     def __getitem__(self, i: int) -> CloneSeries:
         i = range(len(self))[i]
         span = slice(int(self.starts[i]), int(self.starts[i] + self.n_times[i]))
+        rows = self.obs_pt[span]
         return CloneSeries(
             clone_id=str(self.clone_id[i]),
             person_id=str(self.person_id[i]),
             counts=self.counts[span],
-            offsets=self.offsets[span],
-            times=self.times[span],
+            offsets=self.pt_total[rows],
+            times=self.pt_time[rows],
         )
 
     def __iter__(self) -> Iterator[CloneSeries]:
@@ -274,18 +313,23 @@ class PackedCohort:
         """Per-clone sums of a flat column, each accumulated left to right."""
         return np.add.reduceat(values, self.starts)
 
+    def used_rows(self) -> np.ndarray:
+        """The rows of the person-time table that some observation sits on, in order."""
+        return np.flatnonzero(np.bincount(self.obs_pt, minlength=self.pt_total.size))
+
     def take(self, index) -> PackedCohort:
-        """The clones at the given positions, in that order."""
+        """The clones at the given positions, in that order, on the same table."""
         index = np.asarray(index, dtype=np.int64)
         n_times = self.n_times[index]
         flat = segment_rows(self.starts[index], n_times)
         return PackedCohort(
-            self.person_id[index],
             self.clone_id[index],
             np.cumsum(n_times) - n_times,
             self.counts[flat],
-            self.offsets[flat],
-            self.times[flat],
+            self.obs_pt[flat],
+            self.pt_person,
+            self.pt_time,
+            self.pt_total,
         )
 
     def sorted(self) -> PackedCohort:
@@ -320,8 +364,13 @@ class SeriesBatch:
         self._segment_sum = cohort.segment_sums
 
         flat_c = cohort.counts.astype(np.float64)
-        flat_o = cohort.offsets.astype(np.float64)
         self._flat_c = flat_c
+        # distinct offsets of the table rows in use: a total no observation
+        # has would add a zero weight to ExpectedLoglik's histograms, which
+        # regroups their pairwise sums
+        self._uniq_o = np.unique(cohort.pt_total[cohort.used_rows()].astype(np.float64))
+        self._inv_o = np.searchsorted(self._uniq_o, cohort.pt_total)[cohort.obs_pt]
+        flat_o = self._uniq_o[self._inv_o]
 
         self.csum = self._segment_sum(flat_c)
         self.osum = self._segment_sum(flat_o)
@@ -329,7 +378,6 @@ class SeriesBatch:
         # distinct-value tables for the (alpha, beta)-dependent terms
         self._uniq_c, self._inv_c = np.unique(flat_c, return_inverse=True)
         self._sum_lgamma_c1 = self._segment_sum(_gammaln(self._uniq_c + 1.0)[self._inv_c])
-        self._uniq_o, self._inv_o = np.unique(flat_o, return_inverse=True)
         self._uniq_csum, self._inv_csum = np.unique(self.csum, return_inverse=True)
         self._uniq_osum, self._inv_osum = np.unique(self.osum, return_inverse=True)
 

@@ -2,13 +2,14 @@
 
 Clones are spread evenly over a configurable number of simulated persons.
 Each person-time gets an exponential total-read offset (rounded up to an
-integer).  Each clone draws, in this order, a dynamic/static label, its
-missed follow-ups (the baseline is never dropped; missingness removes later
-follow-ups independently per clone-time), its Gamma proportions (one shared
-by a static clone's times, one per time for a dynamic clone) and a Poisson
-count around proportion * offset per observation.  The ground truth comes
-back as columns aligned with the cohort: a TruthLabels row per clone, as
-truth.tsv holds it, and the proportion behind each count.
+integer), a row of the cohort's person-time table.  Each clone draws, in
+this order, a dynamic/static label, its missed follow-ups (the baseline is
+never dropped; missingness removes later follow-ups independently per
+clone-time), its Gamma proportions (one shared by a static clone's times,
+one per time for a dynamic clone) and a Poisson count around proportion *
+offset per observation.  The ground truth comes back as columns aligned
+with the cohort: a TruthLabels row per clone, as truth.tsv holds it, and
+the proportion behind each count.
 
 Each count is drawn from a scalar mean, lam * float(offset), since numpy's
 checks of an array parameter (~12 us a call; for a scalar, under 1 us) were
@@ -83,8 +84,9 @@ def simulate(cfg: SimConfig) -> tuple[PackedCohort, TruthLabels, np.ndarray]:
     is independent of any parallel scheduling of the person blocks.
 
     Returns (cohort, truth, lambdas).  The cohort is a PackedCohort in
-    canonical (person_id, clone_id) order; truth labels its clones in that
-    order; lambdas (float64, aligned with cohort.counts) is the proportion
+    canonical (person_id, clone_id) order, its table listing every
+    person-time, even one all its clones missed; truth labels its clones in
+    that order; lambdas (float64, aligned with cohort.counts) is the proportion
     each count was drawn around, a static clone's single draw repeated at
     each of its times.
     """
@@ -127,12 +129,14 @@ def simulate(cfg: SimConfig) -> tuple[PackedCohort, TruthLabels, np.ndarray]:
     times = np.array(times, dtype=np.int64)
     baseline = times == 0  # never dropped, so it starts each clone
     person = np.repeat(np.arange(cfg.n_persons), per_person)
-    obs_offsets = offsets[person[np.cumsum(baseline) - 1], times]
-    counts = np.minimum(np.array(counts, dtype=np.int64), obs_offsets)
+    obs_pt = person[np.cumsum(baseline) - 1] * cfg.n_followups + times  # row of offsets.ravel()
+    counts = np.minimum(np.array(counts, dtype=np.int64), offsets.ravel()[obs_pt])
     # ids are zero-padded, so generation order is canonical order
     person_ids = np.array([f"p{j:0{person_width}d}" for j in range(cfg.n_persons)], dtype=object)
     clone_ids = [f"c{i:0{clone_width}d}" for i in range(cfg.n_clones)]
+    pt_person = np.repeat(person_ids, cfg.n_followups)
+    pt_time = np.tile(np.arange(cfg.n_followups), cfg.n_persons)
     starts = np.flatnonzero(baseline)
-    cohort = PackedCohort(person_ids[person], clone_ids, starts, counts, obs_offsets, times)
+    cohort = PackedCohort(clone_ids, starts, counts, obs_pt, pt_person, pt_time, offsets.ravel())
     truth = TruthLabels(cohort.person_id, cohort.clone_id, np.array(labels, dtype=bool))
     return cohort, truth, np.array(lambdas, dtype=np.float64)

@@ -317,13 +317,27 @@ def row_filter(rows, offsets, min_total_reads: int, absent_as_zero: bool):
 
 def pack_clones(clones):
     """(person_id, clone_id, counts, offsets, times) tuples packed into a
-    PackedCohort, in the order given."""
+    PackedCohort, in the order given, on a person-time table of one row per
+    distinct (person, time, offset) the observations name."""
     from clonedyn.model import PackedCohort
 
     person_id, clone_id, counts, offsets, times = list(zip(*clones)) or [()] * 5
     n_times = np.fromiter(map(len, counts), np.int64, len(counts))
-    flat = (np.concatenate([np.zeros(0, np.int64), *c]) for c in (counts, offsets, times))
-    return PackedCohort(person_id, clone_id, np.cumsum(n_times) - n_times, *flat)
+    keys = [
+        (p, int(t), int(o)) for p, ts, os in zip(person_id, times, offsets) for t, o in zip(ts, os)
+    ]
+    table = sorted(set(keys))
+    row = {key: r for r, key in enumerate(table)}
+    pt_person, pt_time, pt_total = ([key[k] for key in table] for k in range(3))
+    return PackedCohort(
+        clone_id,
+        np.cumsum(n_times) - n_times,
+        np.concatenate([np.zeros(0, np.int64), *counts]),
+        np.array([row[key] for key in keys], dtype=np.int64),
+        pt_person,
+        pt_time,
+        pt_total,
+    )
 
 
 def pack(series):

@@ -667,3 +667,28 @@ def test_no_stage_imports_scipy(tmp_path):
     summarize = ("summarize", "--input", cls / "calls.tsv", "--strata", strata,
                  "--output-dir", tmp_path / "sum")
     assert scipy_loaded(classify_, summarize) == "[False, False, False]"
+
+
+def test_offsets_list_only_the_person_times_the_cohort_names(tmp_path):
+    """A person-time that every clone of its person missed is not written to
+    offsets.tsv."""
+    assert (
+        run(
+            "simulate",
+            "--n-clones", 6,
+            "--n-persons", 3,
+            "--n-followups", 8,
+            "--missing-rate", 0.9,
+            "--seed", 5,
+            "--output-dir", tmp_path,
+        )
+        == EXIT_OK
+    )  # fmt: skip
+
+    def person_times(name):
+        lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()[1:]
+        return [(person, int(time)) for person, time, *_ in (line.split("\t") for line in lines)]
+
+    named = set(person_times("cohort.tsv"))
+    assert len(named) < 3 * 8  # some person-time no clone of its person was seen at
+    assert person_times("offsets.tsv") == sorted(named)

@@ -12,6 +12,7 @@ from clonedyn import (
     FitConfig,
     Hyperparams,
     IdentifiabilityError,
+    PackedCohort,
     SeriesBatch,
     SimConfig,
     ValidationError,
@@ -326,3 +327,30 @@ class TestFitEm:
         # a clone observed once carries no component information
         once = result.prob_dynamic[result.cohort.n_times == 1]
         assert np.all(once == result.hyperparams.pi)
+
+
+def test_person_times_no_clone_uses_change_no_bit_of_the_fit():
+    """Rows of the person-time table that no observation sits on, their totals
+    interleaved among the used ones, add no zero-weight entry to the M-step's
+    histograms, whose pairwise sums would then group differently."""
+    used = simulate(SimConfig(n_clones=400, n_persons=8, beta=150.0, pi=0.3, seed=21))[0]
+    # each person's follow-ups 0-2, which its clones use, then 3 and 4, which none does
+    extra = np.random.default_rng(4).integers(used.pt_total.min(), used.pt_total.max(), (8, 2))
+    padded = PackedCohort(
+        used.clone_id,
+        used.starts,
+        used.counts,
+        used.obs_pt // 3 * 5 + used.obs_pt % 3,
+        np.repeat(np.unique(used.pt_person), 5),
+        np.tile(np.arange(5), 8),
+        np.hstack([used.pt_total.reshape(8, 3), extra]).ravel(),
+    )
+    assert np.unique(used.pt_total).size > 8  # past the unrolled part of numpy's pairwise sum
+    assert not np.isin(extra, used.pt_total).any()
+    assert used.pt_total.min() < extra.min() and extra.max() < used.pt_total.max()
+    assert np.array_equal(padded.offsets, used.offsets)
+    assert padded.used_rows().size == used.pt_total.size
+    cfg = FitConfig(seed=3)
+    a, b = fit_em(padded, cfg), fit_em(used, cfg)
+    assert a.hyperparams == b.hyperparams
+    assert np.array_equal(a.prob_dynamic, b.prob_dynamic)

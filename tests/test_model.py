@@ -222,14 +222,19 @@ class TestPackedCohort:
             fields = {**good, **change}
             with pytest.raises(ValidationError) as single:
                 series(**fields)
+            # clone "a" of person "q" is good, and clone "c" of person "p" has the fields
+            observed = [("q", 1, 1), ("q", 2, 2)]
+            observed += [("p", t, o) for t, o in zip(fields["times"], fields["offsets"])]
+            table = sorted(set(observed))
+            obs_pt = [table.index(key) for key in observed]
             with pytest.raises(ValidationError) as packed:
-                PackedCohort(["q", "p"], ["a", "c"], [0, 2], *(
-                    [1, 2] + fields[name] for name in ("counts", "offsets", "times")
-                ))
+                PackedCohort(["a", "c"], [0, 2], [1, 2] + fields["counts"], obs_pt, *zip(*table))
             assert str(packed.value) == str(single.value)
 
     def test_times_may_restart_at_each_clone(self):
-        cohort = PackedCohort(["p", "p"], ["a", "b"], [0, 2], [1, 2, 3], [9, 9, 9], [3, 4, 0])
+        cohort = PackedCohort(
+            ["a", "b"], [0, 2], [1, 2, 3], [1, 2, 0], ["p"] * 3, [0, 3, 4], [9] * 3
+        )
         assert cohort.n_times.tolist() == [2, 1]
         assert [s.times.tolist() for s in cohort] == [[3, 4], [0]]
 
@@ -265,8 +270,67 @@ def test_series_checks_keep_their_messages(counts, offsets, times, message):
     with pytest.raises(ValidationError) as single:
         series(counts, offsets, times=times)
     assert str(single.value) == message
-    if np.ndim(counts) == 1:  # a packed cohort rejects 2-d columns before these checks
-        times = np.arange(len(counts)) if times is None else times
+    times = np.arange(len(counts)) if times is None else times
+    # a packed cohort rejects 2-d columns before these checks, and its times,
+    # those of the rows its observations sit on, cannot misalign
+    if np.ndim(counts) == 1 and len(times) == len(counts):
+        observed = list(zip(times, offsets))
+        table = sorted(set(observed))
+        pt_time, pt_total = [t for t, _ in table], [o for _, o in table]
+        obs_pt = [table.index(key) for key in observed]
         with pytest.raises(ValidationError) as packed:
-            PackedCohort(["p"], ["c"], [0], counts, offsets, times)
+            PackedCohort(["c"], [0], counts, obs_pt, ["p"] * len(table), pt_time, pt_total)
         assert str(packed.value) == message
+
+
+# a good cohort: clone "a" of person "q" at times 1 and 2, and clone "c" of
+# person "p" at times 0 and 1
+GOOD_COHORT = dict(
+    clone_id=["a", "c"],
+    starts=[0, 2],
+    counts=[1, 2, 3, 4],
+    obs_pt=[2, 3, 0, 1],
+    pt_person=["p", "p", "q", "q"],
+    pt_time=[0, 1, 1, 2],
+    pt_total=[10, 10, 5, 5],
+)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"obs_pt": [2, 4, 0, 1]}, "obs_pt must index the 4 rows of the person-time table"),
+        ({"obs_pt": [2, 3, -1, 1]}, "obs_pt must index the 4 rows of the person-time table"),
+        ({"obs_pt": [2.0, 3, 0, 1]}, "obs_pt must index the 4 rows of the person-time table"),
+        ({"obs_pt": [2, 3, 0]}, "counts and offsets lengths differ: 4 vs 3"),
+        (
+            {"pt_person": ["p", "q", "p", "q"], "pt_time": [0, 1, 1, 2]},
+            "person-time rows must increase in (person, time, total)",
+        ),
+        (
+            {"pt_time": [1, 0, 1, 2]},
+            "person-time rows must increase in (person, time, total)",
+        ),
+        (
+            {"pt_time": [0, 0, 1, 2]},
+            "person-time rows must increase in (person, time, total)",
+        ),
+        ({"pt_total": [10, 10, 5]}, "the person-time columns must be 1-d and of equal length"),
+        ({"obs_pt": [1, 3, 0, 1]}, "a clone's observations must all be of one person"),
+        ({"obs_pt": [3, 2, 0, 1]}, "times must be non-negative and strictly increasing"),
+        ({"obs_pt": [2, 2, 0, 1]}, "times must be non-negative and strictly increasing"),
+        ({"pt_time": [-1, 1, 1, 2]}, "times must be non-negative and strictly increasing"),
+        ({"counts": [1, 2, 3, 11]}, "each offset must be >= the matching count"),
+        ({"counts": [1, 2, -3, 4]}, "counts must be non-negative"),
+        ({"pt_total": [10, 10, 0, 5]}, "offsets must be positive"),
+        ({"pt_total": [-10, 10, 5, 5]}, "offsets must be positive"),
+        ({"starts": [0, 4]}, "counts must be a non-empty 1-d sequence"),
+        ({"starts": [1, 2]}, "counts must be 1-d with the first clone starting at 0"),
+        ({"clone_id": ["a"]}, "ids and starts must be 1-d and of equal length"),
+    ],
+)
+def test_packed_cohort_checks_keep_their_messages(change, message):
+    PackedCohort(**GOOD_COHORT)
+    with pytest.raises(ValidationError) as packed:
+        PackedCohort(**{**GOOD_COHORT, **change})
+    assert str(packed.value) == message
