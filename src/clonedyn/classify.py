@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ValidationError
-from .model import PackedCohort, match_keys, segment_rows
+from .model import PackedCohort, match_keys, segment_rows, strictly_increasing
 from .simulate import TruthLabels
 
 
@@ -169,9 +169,8 @@ def _contracting(cohort: PackedCohort, index: np.ndarray) -> np.ndarray:
     bound += 64 * (n + 2) ** 2 * u * u * sum_x * sum_y
     contracting = numerator < 0.0
     for i in np.flatnonzero((np.abs(numerator) <= bound) & (n >= 2)).tolist():
-        series = cohort[int(index[i])]
-        proportions = series.counts / series.offsets
-        contracting[i] = _ols_slope(series.times.astype(np.float64), proportions) < 0.0
+        span = slice(starts[i], starts[i] + n[i])
+        contracting[i] = _ols_slope(x[span], y[span]) < 0.0
     return contracting
 
 
@@ -189,7 +188,7 @@ def classify(prob_dynamic: np.ndarray, cohort: PackedCohort, threshold: float) -
     """
     if not 0.0 < threshold < 1.0:
         raise ValidationError(f"threshold must lie in (0, 1), got {threshold}")
-    if cohort.sorted() is not cohort or cohort.has_duplicate_keys():
+    if not strictly_increasing(cohort.person_id, cohort.clone_id):
         raise ValidationError("clones must be in (person_id, clone_id) order without duplicates")
     probs = np.asarray(prob_dynamic, dtype=np.float64)
     if probs.shape != (len(cohort),):

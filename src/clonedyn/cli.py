@@ -261,8 +261,8 @@ def _mean_proportions(cohort: PackedCohort) -> np.ndarray:
     # float sums flag the clones whose offsets may sum to more
     large = cohort.segment_sums(offsets.astype(np.float64)) >= 2.0**52
     for i in np.flatnonzero(large).tolist():
-        series = cohort[i]
-        values[i] = sum(series.counts.tolist()) / sum(series.offsets.tolist())
+        span = slice(cohort.starts[i], cohort.starts[i] + cohort.n_times[i])
+        values[i] = sum(cohort.counts[span].tolist()) / sum(offsets[span].tolist())
     return values
 
 

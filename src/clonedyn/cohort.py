@@ -56,7 +56,7 @@ import numpy as np
 from .classify import CONTRACTING, EXPANDING, NOT_APPLICABLE, Call, CallTable, Direction
 from .em import FitResult
 from .errors import ParseError, ValidationError
-from .model import PackedCohort, narrow_type, segment_rows
+from .model import PackedCohort, narrow_type, segment_rows, strictly_increasing
 from .simulate import TruthLabels
 
 COHORT_COLUMNS = ("person_id", "time_index", "clone_id", "count")
@@ -524,11 +524,7 @@ def _word_counts(lengths: np.ndarray) -> np.ndarray:
 def _repeats(*columns: np.ndarray) -> np.ndarray:
     """Mask of the records whose key, one value from each column, an earlier record has."""
     n = columns[0].size
-    increasing, tied = np.zeros(max(n - 1, 0), dtype=bool), np.ones(max(n - 1, 0), dtype=bool)
-    for column in columns:
-        increasing |= tied & (column[1:] > column[:-1])
-        tied &= column[1:] == column[:-1]
-    if increasing.all():
+    if strictly_increasing(*columns):
         return np.zeros(n, dtype=bool)  # strictly increasing, as the writers write
     # setdefault gives each record the position of its key's first record
     first: dict[tuple, int] = {}
@@ -868,12 +864,12 @@ def write_table(path: str | Path, columns: Mapping[str, np.ndarray | list[str]])
 
 
 def write_cohort(path: str | Path, cohort: PackedCohort) -> None:
-    """Write cohort rows in canonical (person, time, clone) order."""
+    """Write cohort rows in canonical (person, time, clone) order: the
+    person-time rows are in (person, time) order, one per person-time, and
+    the clones in (person, clone) order, which a stable sort of the rows
+    keeps within a person-time."""
     cohort = cohort.sorted()
-    # the person-time table is in (person, time) order and the clones in
-    # (person, clone) order, which a stable sort keeps within a person-time
-    person_time = np.cumsum(_changes(cohort.pt_person, cohort.pt_time)) - 1
-    order = np.argsort(person_time.astype(cohort.obs_pt.dtype)[cohort.obs_pt], kind="stable")
+    order = np.argsort(cohort.obs_pt, kind="stable")
     rows = cohort.obs_pt[order]
     columns = (
         cohort.pt_person[rows],
@@ -893,18 +889,9 @@ def write_offsets(path: str | Path, offsets: tuple[np.ndarray, np.ndarray, np.nd
 def offsets_from_series(cohort: PackedCohort) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows of the cohort's person-time table some observation sits on, as
     the sorted (person_id, time_index, total_reads) columns read_offsets
-    returns; ValidationError at the first observation whose person-time
-    total differs from one seen before it, as a cohort packed from series
-    may record two."""
+    returns."""
     rows = cohort.used_rows()
-    person, time = cohort.pt_person[rows], cohort.pt_time[rows]
-    if not _changes(person, time).all():
-        first: dict[tuple[str, int], int] = {}
-        for row in cohort.obs_pt.tolist():
-            key = (cohort.pt_person[row], int(cohort.pt_time[row]))
-            if first.setdefault(key, row) != row:
-                raise ValidationError(f"conflicting offsets recorded for person-time {key}")
-    return person, time, cohort.pt_total[rows]
+    return cohort.pt_person[rows], cohort.pt_time[rows], cohort.pt_total[rows]
 
 
 def write_truth(path: str | Path, truth: TruthLabels) -> None:

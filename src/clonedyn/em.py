@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdentifiabilityError, OptimizerError, ValidationError
-from .model import ExpectedLoglik, Hyperparams, PackedCohort, SeriesBatch, stable_responsibility
+from .model import ExpectedLoglik, Hyperparams, PackedCohort, SeriesBatch
+from .model import stable_responsibility, strictly_increasing
 from .optim import maximize_bfgs
 
 PI_FLOOR = 1e-6
@@ -99,7 +100,8 @@ def m_step(
     (alpha, beta) are maximized by BFGS in log coordinates with the
     current values as the warm start, on the histogram form of
     ExpectedLoglik.  Never returns hyperparameters with a lower expected
-    complete-data value than hp_current.
+    complete-data value than hp_current; OptimizerError when hp_current has
+    no finite value, as the maximization then has no start.
     """
     r = np.asarray(responsibilities, dtype=np.float64)
     if r.shape != (batch.n,):
@@ -109,6 +111,12 @@ def m_step(
 
     pi_new = float(np.clip(r.mean(), PI_FLOOR, 1.0 - PI_FLOOR))
     q = ExpectedLoglik(batch, r)
+    q_incumbent = q.with_mixing_weight(hp_current)
+    if not math.isfinite(q_incumbent):
+        raise OptimizerError(
+            "the incumbent hyperparameters have no finite expected complete-data "
+            "log-likelihood, so the M-step has no starting point"
+        )
     theta0 = np.array([math.log(hp_current.alpha), math.log(hp_current.beta)])
     result = maximize_bfgs(
         q.in_log_coords,
@@ -121,15 +129,7 @@ def m_step(
     )
 
     q_candidate = q.with_mixing_weight(candidate)
-    q_incumbent = q.with_mixing_weight(hp_current)
-    if math.isfinite(q_candidate) and q_candidate >= q_incumbent:
-        return candidate
-    if not math.isfinite(q_incumbent):
-        raise OptimizerError(
-            "maximization failed to find an ascent step and the incumbent "
-            "hyperparameters have no finite objective value"
-        )
-    return hp_current
+    return candidate if math.isfinite(q_candidate) and q_candidate >= q_incumbent else hp_current
 
 
 def _moment_start(batch: SeriesBatch, pi: float) -> Hyperparams:
@@ -160,7 +160,7 @@ def fit_em(cohort: PackedCohort, cfg: FitConfig) -> FitResult:
     cohort = cohort.sorted()
     if len(cohort) < 2:
         raise ValidationError("need at least two clone series to fit")
-    if cohort.has_duplicate_keys():
+    if not strictly_increasing(cohort.person_id, cohort.clone_id):
         raise ValidationError("duplicate (person_id, clone_id) keys in input")
     n_single = int(np.count_nonzero(cohort.n_times == 1))
     if n_single == len(cohort):

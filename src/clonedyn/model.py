@@ -34,9 +34,11 @@ import numpy as np
 from .errors import ValidationError
 
 
-def _check_columns(counts, offsets, times, starts) -> np.ndarray:
+def _check_columns(counts, offsets, order, starts, times) -> np.ndarray:
     """Check the int64 columns of series packed back to back, series i starting
-    at starts[i], as one CloneSeries is checked; return the series' lengths."""
+    at starts[i], as one CloneSeries is checked; return the series' lengths.
+    Within a series, order (the times, or the person-time rows) increases
+    exactly when the times do; times holds every time."""
     if counts.ndim != 1 or np.any((n_times := np.diff(starts, append=counts.size)) < 1):
         raise ValidationError("counts must be a non-empty 1-d sequence")
     if offsets.shape != counts.shape:
@@ -47,9 +49,9 @@ def _check_columns(counts, offsets, times, starts) -> np.ndarray:
         raise ValidationError("offsets must be positive")
     if np.any(offsets < counts):
         raise ValidationError("each offset must be >= the matching count")
-    if times.shape != counts.shape:
+    if order.shape != counts.shape:
         raise ValidationError("times must align with counts")
-    steps = np.diff(times)
+    steps = np.diff(order)
     steps[starts[1:] - 1] = 1  # a series' first time follows nothing
     if np.any(times < 0) or np.any(steps <= 0):
         raise ValidationError("times must be non-negative and strictly increasing")
@@ -77,7 +79,7 @@ class CloneSeries:
         counts = np.asarray(self.counts, dtype=np.int64)
         offsets = np.asarray(self.offsets, dtype=np.int64)
         times = np.asarray(np.arange(counts.size) if self.times is None else self.times, np.int64)
-        _check_columns(counts, offsets, times, np.zeros(1, dtype=np.int64))
+        _check_columns(counts, offsets, times, np.zeros(1, dtype=np.int64), times)
         for name, arr in (("counts", counts), ("offsets", offsets), ("times", times)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -207,6 +209,15 @@ def segment_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(int(lengths.sum())) + np.repeat(starts - out_starts, lengths)
 
 
+def strictly_increasing(*columns: np.ndarray) -> bool:
+    """Whether the keys, one value from each column, strictly increase."""
+    increasing, tied = np.zeros(max(columns[0].size - 1, 0), bool), True
+    for column in columns:
+        increasing |= tied & (column[1:] > column[:-1])
+        tied &= column[1:] == column[:-1]
+    return bool(increasing.all())
+
+
 def match_keys(table: Sequence[np.ndarray], keys: Sequence[np.ndarray]) -> np.ndarray:
     """Per key (one value from each column of keys), the row of the table
     columns that holds it, or -1 where none does; a key the table repeats
@@ -238,14 +249,15 @@ class PackedCohort:
     """Many clone series in one CSR table over one person-time table.
 
     Row r of the person-time table is a person pt_person[r], a time
-    pt_time[r] and its total reads pt_total[r], the rows increasing in
-    (person, time, total) (series may record two totals for a person-time).
-    Clone i, clone_id[i] (object arrays of str, so an id costs its own
-    length), owns the observations starts[i] up to starts[i + 1] (the last
-    clone runs to the end): counts[k] sits on row obs_pt[k], all of them on
-    rows of its person, person_id[i].  Construction checks, once and
-    vectorized, the table's order and everything CloneSeries checks for one
-    series.  Indexing and iteration yield CloneSeries views built on demand.
+    pt_time[r] and its total reads pt_total[r], the rows strictly increasing
+    in (person, time): one total per person-time.  Clone i, clone_id[i]
+    (object arrays of str, so an id costs its own length), owns the
+    observations starts[i] up to starts[i + 1] (the last clone runs to the
+    end): counts[k] sits on row obs_pt[k], all of them on rows of its
+    person, person_id[i].  Construction checks, once and vectorized, the
+    table's order and everything CloneSeries checks for one series; as a
+    person has one row per time, a clone's times increase exactly when its
+    rows do.  Indexing and iteration yield CloneSeries views built on demand.
     """
 
     def __init__(self, clone_id, starts, counts, obs_pt, pt_person, pt_time, pt_total):
@@ -267,18 +279,16 @@ class PackedCohort:
         if obs_pt.size and not (integers and obs_pt.min() >= 0 and obs_pt.max() < o.size):
             raise ValidationError(f"obs_pt must index the {o.size} rows of the person-time table")
         self.obs_pt = _frozen(obs_pt, narrow_type(o.size))
-        same_p = p[1:] == p[:-1]
-        later = (t[1:] > t[:-1]) | (t[1:] == t[:-1]) & (o[1:] > o[:-1])
-        if not np.all((p[1:] > p[:-1]) | same_p & later):
-            raise ValidationError("person-time rows must increase in (person, time, total)")
-        n_times = _check_columns(self.counts, o[self.obs_pt], t[self.obs_pt], self.starts)
-        # the table is in person order: a clone's rows are all of one person
-        # when its lowest and highest are
-        person = np.append(0, np.cumsum(~same_p))
-        lowest, highest = (f.reduceat(self.obs_pt, self.starts) for f in (np.minimum, np.maximum))
-        if np.any(person[lowest] != person[highest]):
+        if not strictly_increasing(p, t):
+            raise ValidationError("person-time rows must increase in (person, time)")
+        n_times = _check_columns(self.counts, o[self.obs_pt], self.obs_pt, self.starts, t)
+        # the table is in person order: a clone's rows, which increase, are
+        # all of one person when its first and last are
+        person = np.append(0, np.cumsum(p[1:] != p[:-1]))
+        first, last = self.obs_pt[self.starts], self.obs_pt[self.starts + n_times - 1]
+        if np.any(person[first] != person[last]):
             raise ValidationError("a clone's observations must all be of one person")
-        self.person_id = _frozen(p[lowest], object)
+        self.person_id = _frozen(p[first], object)
         self.n_times = _frozen(n_times, np.int64)
 
     @property
@@ -333,16 +343,10 @@ class PackedCohort:
         )
 
     def sorted(self) -> PackedCohort:
-        """The clones in canonical (person_id, clone_id) order; self if already so."""
+        """The clones in canonical (person_id, clone_id) order; self if already
+        so with no key repeated."""
         p, c = self.person_id, self.clone_id
-        if np.all((p[1:] > p[:-1]) | ((p[1:] == p[:-1]) & (c[1:] >= c[:-1]))):
-            return self
-        return self.take(np.lexsort((c, p)))
-
-    def has_duplicate_keys(self) -> bool:
-        """True when two adjacent clones share (person_id, clone_id)."""
-        p, c = self.person_id, self.clone_id
-        return bool(np.any((p[1:] == p[:-1]) & (c[1:] == c[:-1])))
+        return self if strictly_increasing(p, c) else self.take(np.lexsort((c, p)))
 
 
 class SeriesBatch:

@@ -318,7 +318,9 @@ def row_filter(rows, offsets, min_total_reads: int, absent_as_zero: bool):
 def pack_clones(clones):
     """(person_id, clone_id, counts, offsets, times) tuples packed into a
     PackedCohort, in the order given, on a person-time table of one row per
-    distinct (person, time, offset) the observations name."""
+    (person, time) the observations name.  Series that record two offsets
+    at one person-time give that person-time two rows, which the
+    constructor rejects."""
     from clonedyn.model import PackedCohort
 
     person_id, clone_id, counts, offsets, times = list(zip(*clones)) or [()] * 5

@@ -1,5 +1,7 @@
 """End-to-end command-line pipeline and exit-code mapping."""
 
+import math
+
 import pytest
 
 from clonedyn import CloneSeries
@@ -289,6 +291,24 @@ class TestExitCodes:
             )
             == EXIT_OPTIMIZER
         )
+
+    def test_objective_not_finite_at_the_incumbent_exits_4(self, tmp_path, monkeypatch, capsys):
+        from clonedyn.model import ExpectedLoglik
+
+        def nan_everywhere(self, alpha, beta):
+            return math.nan, math.nan, math.nan
+
+        monkeypatch.setattr(ExpectedLoglik, "value_and_grad", nan_everywhere)
+        cohort = tmp_path / "cohort.tsv"
+        cohort.write_text(
+            "person_id\ttime_index\tclone_id\tcount\n"
+            "p1\t0\ta\t10\np1\t1\ta\t20\np1\t0\tb\t5\np1\t1\tb\t6\n"
+        )
+        argv = ("fit", "--input", cohort, "--min-total-reads", 0, "--output-dir", tmp_path / "out")
+        assert run(*argv) == EXIT_OPTIMIZER
+        err = capsys.readouterr().err
+        assert err.startswith("error: the incumbent hyperparameters have no finite")
+        assert "Traceback" not in err
 
 
 def test_keyvalue_round_trip(tmp_path):

@@ -358,6 +358,8 @@ def test_columnar_writers_match_the_per_row_reference_on_shuffled_series(cohort,
 def test_conflicting_offsets_fail_as_the_per_row_reference_does(cohort, rnd, bumps):
     series = shuffled_series(cohort[0], rnd, bumps)
     expected = outcome(lambda: [c.tolist() for c in offset_columns(offsets_by_walk(series))])
+    if expected[0] != "ok":  # two offsets at one person-time: no person-time table holds them
+        expected = ("invalid", "person-time rows must increase in (person, time)")
     assert outcome(lambda: [c.tolist() for c in offsets_from_series(pack(series))]) == expected
 
 

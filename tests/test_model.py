@@ -305,15 +305,15 @@ GOOD_COHORT = dict(
         ({"obs_pt": [2, 3, 0]}, "counts and offsets lengths differ: 4 vs 3"),
         (
             {"pt_person": ["p", "q", "p", "q"], "pt_time": [0, 1, 1, 2]},
-            "person-time rows must increase in (person, time, total)",
+            "person-time rows must increase in (person, time)",
         ),
         (
             {"pt_time": [1, 0, 1, 2]},
-            "person-time rows must increase in (person, time, total)",
+            "person-time rows must increase in (person, time)",
         ),
         (
             {"pt_time": [0, 0, 1, 2]},
-            "person-time rows must increase in (person, time, total)",
+            "person-time rows must increase in (person, time)",
         ),
         ({"pt_total": [10, 10, 5]}, "the person-time columns must be 1-d and of equal length"),
         ({"obs_pt": [1, 3, 0, 1]}, "a clone's observations must all be of one person"),
@@ -327,6 +327,24 @@ GOOD_COHORT = dict(
         ({"starts": [0, 4]}, "counts must be a non-empty 1-d sequence"),
         ({"starts": [1, 2]}, "counts must be 1-d with the first clone starting at 0"),
         ({"clone_id": ["a"]}, "ids and starts must be 1-d and of equal length"),
+        (  # row 1, which no observation sits on, gives person-time ("p", 0) a second total
+            {
+                "obs_pt": [3, 4, 0, 2],
+                "pt_person": ["p", "p", "p", "q", "q"],
+                "pt_time": [0, 0, 1, 1, 2],
+                "pt_total": [10, 20, 10, 5, 5],
+            },
+            "person-time rows must increase in (person, time)",
+        ),
+        (  # row 0 is used by no observation
+            {
+                "obs_pt": [3, 4, 1, 2],
+                "pt_person": ["p", "p", "p", "q", "q"],
+                "pt_time": [-1, 0, 1, 1, 2],
+                "pt_total": [7, 10, 10, 5, 5],
+            },
+            "times must be non-negative and strictly increasing",
+        ),
     ],
 )
 def test_packed_cohort_checks_keep_their_messages(change, message):

@@ -43,7 +43,7 @@ def cohorts(draw, max_clones=8):
         counts = draw(st.lists(COUNTS, min_size=t, max_size=t))
         extra = draw(st.lists(EXTRA_READS, min_size=t, max_size=t))
         offsets = [c + e for c, e in zip(counts, extra)]
-        series.append(CloneSeries(f"c{i}", f"p{i % 3}", counts, offsets))
+        series.append(CloneSeries(f"c{i}", f"p{i}", counts, offsets))
     return series
 
 

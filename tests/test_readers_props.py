@@ -242,7 +242,7 @@ FLAT_WITH_A_GAP = ([0, 1, 2, 3, 4, 5, 6, 7, 9, 10], [1] * 10, [50] * 10)
 @example([FLAT_WITH_A_GAP])  # _ols_slope gives +6e-35 here, not an exact zero
 def test_directions_equal_the_sign_of_ols_slope_on_each_series(series):
     clones = [
-        CloneSeries(f"c{i:03d}", "p", counts, offsets, times)
+        CloneSeries(f"c{i:03d}", f"p{i:03d}", counts, offsets, times)
         for i, (times, counts, offsets) in enumerate(series)
     ]
     calls = classify(np.ones(len(clones)), pack(clones), 0.5)
