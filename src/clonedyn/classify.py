@@ -71,50 +71,57 @@ class PersonCounts:
 
 @dataclass(frozen=True)
 class AssociationResult:
+    """One metric's row of association.tsv: its columns after metric, in
+    order, then chi_sq_table, which is not written."""
+
+    cutoff: int
     chi_sq_stat: float
     chi_sq_pvalue: float
+    chi_sq_degenerate: bool
     loglinear_coef: float
     loglinear_pvalue: float
-    dichotomy_cutoff: int
-    chi_sq_degenerate: bool
     loglinear_degenerate: bool
     chi_sq_table: tuple[tuple[int, int], tuple[int, int]]  # rows: stratum 0/1; cols: <=, > cutoff
 
 
-# CallTable.direction codes index DIRECTIONS
-DIRECTIONS = (Direction.NOT_APPLICABLE, Direction.EXPANDING, Direction.CONTRACTING)
+# the (call, direction) of each CallTable.direction code, as calls.tsv spells them
+KINDS = (
+    (Call.STATIC, Direction.NOT_APPLICABLE),
+    (Call.DYNAMIC, Direction.EXPANDING),
+    (Call.DYNAMIC, Direction.CONTRACTING),
+)
 NOT_APPLICABLE, EXPANDING, CONTRACTING = range(3)
-_CALL_TEXT = np.array([Call.STATIC.value, Call.DYNAMIC.value], dtype=object)
-_DIRECTION_TEXT = np.array([d.value for d in DIRECTIONS], dtype=object)
 
 
 class CallTable:
-    """Clone calls as columns: person_id and clone_id (object arrays of str),
-    prob_dynamic (float64), a dynamic mask and a direction code (int8, an
-    index into DIRECTIONS).
+    """Clone calls as the columns of calls.tsv: person_id and clone_id (object
+    arrays of str), prob_dynamic (float64) and a direction code (int8, an
+    index into KINDS), which gives both the call and its direction, so a
+    dynamic call always has one.
 
     len, integer indexing and iteration give CloneCall objects built on
     demand, as PackedCohort gives CloneSeries.
     """
 
-    def __init__(self, person_id, clone_id, prob_dynamic, dynamic, direction):
+    def __init__(self, person_id, clone_id, prob_dynamic, direction):
         self.person_id = np.asarray(person_id, dtype=object)
         self.clone_id = np.asarray(clone_id, dtype=object)
         self.prob_dynamic = np.asarray(prob_dynamic, dtype=np.float64)
-        self.dynamic = np.asarray(dynamic, dtype=bool)
         self.direction = np.asarray(direction, dtype=np.int8)
+
+    @property
+    def dynamic(self) -> np.ndarray:
+        """Whether each call is dynamic: whether it has a direction."""
+        return self.direction != NOT_APPLICABLE
 
     def __len__(self) -> int:
         return int(self.person_id.size)
 
     def __getitem__(self, i: int) -> CloneCall:
         i = range(len(self))[i]
+        call, direction = KINDS[self.direction[i]]
         return CloneCall(
-            self.person_id[i],
-            self.clone_id[i],
-            float(self.prob_dynamic[i]),
-            Call.DYNAMIC if self.dynamic[i] else Call.STATIC,
-            DIRECTIONS[self.direction[i]],
+            self.person_id[i], self.clone_id[i], float(self.prob_dynamic[i]), call, direction
         )
 
     def __iter__(self) -> Iterator[CloneCall]:
@@ -122,11 +129,11 @@ class CallTable:
 
     def call_text(self) -> np.ndarray:
         """Each call's Call value ("dynamic" or "static"), as an object array."""
-        return _CALL_TEXT[self.dynamic.astype(np.intp)]
+        return np.array([call.value for call, _ in KINDS], dtype=object)[self.direction]
 
     def direction_text(self) -> np.ndarray:
         """Each call's Direction value, as an object array."""
-        return _DIRECTION_TEXT[self.direction]
+        return np.array([direction.value for _, direction in KINDS], dtype=object)[self.direction]
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -194,11 +201,10 @@ def classify(prob_dynamic: np.ndarray, cohort: PackedCohort, threshold: float) -
     if probs.shape != (len(cohort),):
         raise ValidationError(f"expected {len(cohort)} responsibilities, got {probs.shape}")
 
-    dynamic = probs > threshold
     direction = np.full(len(cohort), NOT_APPLICABLE, dtype=np.int8)
-    index = np.flatnonzero(dynamic)
+    index = np.flatnonzero(probs > threshold)
     direction[index] = np.where(_contracting(cohort, index), CONTRACTING, EXPANDING)
-    return CallTable(cohort.person_id, cohort.clone_id, probs, dynamic, direction)
+    return CallTable(cohort.person_id, cohort.clone_id, probs, direction)
 
 
 def truth_of(calls: CallTable, truth: TruthLabels) -> np.ndarray:
@@ -241,14 +247,9 @@ def _codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def dynamic_counts_per_person(calls: CallTable) -> PersonCounts:
     """Per-person totals of dynamic, expanding and contracting calls."""
     persons, person = _codes(calls.person_id)
-    dynamic = calls.dynamic
     tallies = (
         np.bincount(person[mask], minlength=persons.size).astype(np.int64, copy=False)
-        for mask in (
-            dynamic,
-            dynamic & (calls.direction == EXPANDING),
-            dynamic & (calls.direction == CONTRACTING),
-        )
+        for mask in (calls.dynamic, calls.direction == EXPANDING, calls.direction == CONTRACTING)
     )
     return PersonCounts(persons, *tallies)
 
@@ -290,6 +291,6 @@ def associate(counts: np.ndarray, stratum: np.ndarray, cutoff: int) -> Associati
         se = math.sqrt(1.0 / total1 + 1.0 / total0)
         loglinear_pvalue = math.erfc(abs(coef / se) / math.sqrt(2.0))
     return AssociationResult(
-        stat, chi_sq_pvalue, coef, loglinear_pvalue, cutoff, chi_sq_degenerate,
+        cutoff, stat, chi_sq_pvalue, chi_sq_degenerate, coef, loglinear_pvalue,
         loglinear_degenerate, chi_sq_table=((a, b), (c, d)),
     )  # fmt: skip

@@ -23,6 +23,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .classify import (
+    AssociationResult,
     associate,
     classify,
     dynamic_counts_per_person,
@@ -73,7 +74,7 @@ def read_keyvalues(path: str | Path, keys: Collection[str] | None = None) -> dic
     """
     values: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -229,7 +230,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
         },
     )
     resp_path = out / "responsibilities.tsv"
-    write_responsibilities(resp_path, result)
+    cohort = result.cohort
+    write_responsibilities(
+        resp_path,
+        Responsibilities(cohort.person_id, cohort.clone_id, cohort.n_times, result.prob_dynamic),
+    )
     trace_path = out / "fit_trace.tsv"
     write_table(
         trace_path,
@@ -352,25 +357,13 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         ("expanding", counts.n_expanding, cutoff_direction),
         ("contracting", counts.n_contracting, cutoff_direction),
     )
-    results = {name: associate(column, stratum, cutoff) for name, column, cutoff in metrics}
-
-    def column(field: str, dtype) -> np.ndarray:
-        return np.array([getattr(r, field) for r in results.values()], dtype=dtype)
-
+    results = [associate(column, stratum, cutoff) for _, column, cutoff in metrics]
     association_path = out / "association.tsv"
-    write_table(
-        association_path,
-        {
-            "metric": list(results),
-            "cutoff": column("dichotomy_cutoff", np.int64),
-            "chi_sq_stat": column("chi_sq_stat", np.float64),
-            "chi_sq_pvalue": column("chi_sq_pvalue", np.float64),
-            "chi_sq_degenerate": column("chi_sq_degenerate", bool),
-            "loglinear_coef": column("loglinear_coef", np.float64),
-            "loglinear_pvalue": column("loglinear_pvalue", np.float64),
-            "loglinear_degenerate": column("loglinear_degenerate", bool),
-        },
-    )
+    columns = {"metric": [name for name, _, _ in metrics]}
+    for f in fields(AssociationResult):
+        if f.name != "chi_sq_table":
+            columns[f.name] = np.array([getattr(r, f.name) for r in results])
+    write_table(association_path, columns)
     _check_outputs([person_path, association_path])
     return EXIT_OK
 

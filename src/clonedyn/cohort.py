@@ -1,6 +1,7 @@
 """Every table format of the pipeline: ingestion, validation and file output.
 
-Cohort files are UTF-8, tab-delimited, with a header row and long-format
+Cohort files are UTF-8 (a leading byte-order mark is ignored, as in every
+table), tab-delimited, with a header row and long-format
 records (person_id, time_index, clone_id, count).  Per-person-time
 offsets are derived as the sum of counts over all clones at that
 person-time, before any filtering, unless an explicit offsets sidecar is
@@ -32,7 +33,11 @@ Validation runs once over whole columns.  A reader lists its checks in
 order, and the earliest record any check flags is reported, by line,
 with the message of the first check that flags it.
 
-Writers take columns, and write_table formats each by its kind
+Each sidecar table has one type, holding exactly its columns, that its
+reader returns and its writer takes: a Responsibilities, a CallTable
+(whose one direction code per call gives both its call and direction
+text, classify.KINDS) and TruthLabels; offsets and strata are tuples of
+columns.  Writers take columns, and write_table formats each by its kind
 (format_column): a str as it is, an integer as str gives it, a float in
 shortest round-trip form and a bool as true or false, each distinct value
 once.  write_cohort emits canonical (person, time, clone) row order, the
@@ -53,8 +58,7 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .classify import CONTRACTING, EXPANDING, NOT_APPLICABLE, Call, CallTable, Direction
-from .em import FitResult
+from .classify import KINDS, CallTable
 from .errors import ParseError, ValidationError
 from .model import PackedCohort, narrow_type, segment_rows, strictly_increasing
 from .simulate import TruthLabels
@@ -289,7 +293,7 @@ def _read_blocks(path: str | Path, columns: Sequence[str]) -> Iterator[_Block]:
     """
     path = Path(path)
     any_rows = False
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         try:
             header = _csv_records(csv.reader(handle, delimiter="\t"), 1, 1, path)
             if not header:
@@ -608,28 +612,22 @@ def read_responsibilities(path: str | Path) -> Responsibilities:
     return Responsibilities(person, clone, n_times, prob)
 
 
-# the (call, direction) pairs classify writes, each with its direction code
-CALL_KINDS = {
-    (Call.DYNAMIC.value, Direction.EXPANDING.value): EXPANDING,
-    (Call.DYNAMIC.value, Direction.CONTRACTING.value): CONTRACTING,
-    (Call.STATIC.value, Direction.NOT_APPLICABLE.value): NOT_APPLICABLE,
-}
-
-
 def read_calls(path: str | Path) -> CallTable:
     """calls.tsv as classify writes it: one row per clone, a prob_dynamic in
-    [0, 1], a direction on every dynamic call and none on a static one."""
+    [0, 1], and a (call, direction) pair of classify.KINDS, whose index
+    is the call's direction code."""
     table = _read_table(path, CALLS_COLUMNS)
     person, clone = table.strs(0), table.strs(1)
     prob, is_number, in_unit_interval = table.probabilities(2)
-    kinds = map(CALL_KINDS.get, zip(table.strs(3), table.strs(4)), itertools.repeat(-1))
+    codes = {(call.value, direction.value): code for code, (call, direction) in enumerate(KINDS)}
+    kinds = map(codes.get, zip(table.strs(3), table.strs(4)), itertools.repeat(-1))
     direction = np.fromiter(kinds, np.int8, person.size)
     known = direction < 0, lambda i: (
         f"call {table.text(i, 3)!r} with direction {table.text(i, 4)!r}: "
         "expected dynamic with expanding or contracting, or static with na"
     )
     table.check([_unique_clones(person, clone), known, is_number, in_unit_interval])
-    return CallTable(person, clone, prob, direction != NOT_APPLICABLE, direction)
+    return CallTable(person, clone, prob, direction)
 
 
 def _read_cohort_columns(path: Path):
@@ -900,10 +898,9 @@ def write_truth(path: str | Path, truth: TruthLabels) -> None:
     write_table(path, dict(zip(TRUTH_COLUMNS, columns)))
 
 
-def write_responsibilities(path: str | Path, result: FitResult) -> None:
-    cohort = result.cohort
-    columns = (cohort.person_id, cohort.clone_id, cohort.n_times, result.prob_dynamic)
-    write_table(path, dict(zip(RESPONSIBILITIES_COLUMNS, columns)))
+def write_responsibilities(path: str | Path, responsibilities: Responsibilities) -> None:
+    """Write the columns in their order, as read_responsibilities gives them."""
+    write_table(path, vars(responsibilities))
 
 
 def write_calls(path: str | Path, calls: CallTable, prob_text: list[str]) -> None:

@@ -23,7 +23,7 @@ from clonedyn import (
     operating_characteristics,
     simulate,
 )
-from clonedyn.classify import DIRECTIONS, truth_of
+from clonedyn.classify import KINDS, truth_of
 from clonedyn.model import match_keys
 from clonedyn.simulate import TruthLabels
 
@@ -39,8 +39,7 @@ def series(counts, offsets, clone="c", person="p", times=None):
 def table(*calls):
     """CallTable of (person_id, clone_id, prob_dynamic, Call, Direction) rows."""
     person, clone, prob, call, direction = zip(*calls)
-    dynamic = [c is Call.DYNAMIC for c in call]
-    return CallTable(person, clone, prob, dynamic, [DIRECTIONS.index(d) for d in direction])
+    return CallTable(person, clone, prob, [KINDS.index(kind) for kind in zip(call, direction)])
 
 
 class TestClassify:
@@ -232,10 +231,12 @@ class TestDynamicCounts:
         counts = dynamic_counts_per_person(calls)
         assert (counts.n_dynamic[0], counts.n_expanding[0], counts.n_contracting[0]) == (2, 1, 1)
 
-    def test_dynamic_call_without_direction_is_not_contracting(self):
-        calls = table(("p", "a", 0.9, Call.DYNAMIC, Direction.NOT_APPLICABLE))
-        counts = dynamic_counts_per_person(calls)
-        assert (counts.n_dynamic[0], counts.n_expanding[0], counts.n_contracting[0]) == (1, 0, 0)
+    def test_a_call_is_dynamic_exactly_when_its_code_has_a_direction(self):
+        calls = CallTable(["p"] * 3, ["a", "b", "c"], [0.9, 0.8, 0.1], [1, 2, 0])
+        assert calls.dynamic.tolist() == [True, True, False]
+        assert [(c.call, c.direction) for c in calls] == [KINDS[1], KINDS[2], KINDS[0]]
+        assert calls.call_text().tolist() == ["dynamic", "dynamic", "static"]
+        assert calls.direction_text().tolist() == ["expanding", "contracting", "na"]
 
     def test_partition_identity(self):
         clones = simulate(SimConfig(n_clones=500, n_persons=5, seed=16))[0]

@@ -504,6 +504,36 @@ class TestSummarizeRejectsBadCalls:
         assert "line 7" in capsys.readouterr().err
 
 
+def test_association_tsv_holds_every_column_and_value(tmp_path):
+    """Every byte of association.tsv, on strata that leave stratum 0 without a
+    contracting clone: that metric's log-linear test is degenerate (nan), and
+    no person is above its cutoff, so its chi-square is degenerate too."""
+    calls, strata = tmp_path / "calls.tsv", tmp_path / "strata.tsv"
+    kinds = {
+        "p1": ["expanding"] * 3 + ["na"],
+        "p2": ["expanding"],
+        "p3": ["contracting"] * 2 + ["na"] * 2,
+        "p4": ["expanding"] * 3,
+    }
+    rows = [
+        f"{p}\tc{j}\t{0.1 if d == 'na' else 0.9}\t{'static' if d == 'na' else 'dynamic'}\t{d}\n"
+        for p, directions in kinds.items()
+        for j, d in enumerate(directions)
+    ]
+    calls.write_text(CALLS_HEADER + "".join(rows))
+    strata.write_text("person_id\tstratum\np1\t0\np2\t0\np3\t1\np4\t1\n")
+    assert run("summarize", "--input", calls, "--strata", strata, "--cutoff-dynamic", 1,
+               "--cutoff-direction", 2, "--output-dir", tmp_path / "sum") == EXIT_OK
+    assert (tmp_path / "sum" / "association.tsv").read_text().splitlines() == [
+        "metric\tcutoff\tchi_sq_stat\tchi_sq_pvalue\tchi_sq_degenerate"
+        "\tloglinear_coef\tloglinear_pvalue\tloglinear_degenerate",
+        "dynamic\t1\t1.3333333333333333\t0.24821307898992362\tfalse"
+        "\t0.22314355131420976\t0.7394039571331066\tfalse",
+        "expanding\t2\t0.0\t1.0\tfalse\t-0.2876820724517809\t0.7064231340970836\tfalse",
+        "contracting\t2\t0.0\t1.0\ttrue\tnan\tnan\ttrue",
+    ]
+
+
 @pytest.mark.parametrize("table", ["cohort", "strata"])
 def test_field_beyond_the_csv_field_limit_exits_2_naming_file_and_line(tmp_path, table, capsys):
     long_id = "c" * 200_000  # csv.field_size_limit() is 131072 characters

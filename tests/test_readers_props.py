@@ -4,7 +4,8 @@ responsibilities.tsv, calls.tsv, truth.tsv, offsets.tsv and strata.tsv
 tables are made from random cohorts, written in canonical or shuffled
 order, and damaged with malformed records; the columnar readers must
 return what the per-row references in oracles.py return, or fail with
-the same message on the same line.  Call directions of many series classified at once must equal
+the same message on the same line.  A leading byte-order mark changes no
+reader's result.  Call directions of many series classified at once must equal
 the sign of _ols_slope on each series alone.
 """
 
@@ -14,13 +15,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clonedyn import CloneSeries, Direction, classify
 from clonedyn.classify import _ols_slope
-from clonedyn.cli import read_calls, read_responsibilities
-from clonedyn.cohort import read_offsets, read_strata, read_truth_labels
+from clonedyn.cli import read_calls, read_keyvalues, read_responsibilities
+from clonedyn.cohort import ingest, read_offsets, read_strata, read_truth_labels
 
 from oracles import (
     pack,
@@ -208,6 +210,62 @@ def test_offsets_and_strata_readers_match_the_row_references(kind, data, damaged
         actual, expected = outcome(lambda: columnar(path)), outcome(lambda: by_row(path))
     assert damaged or expected[0] == "ok"
     assert actual == expected
+
+
+# per reader: a valid file of two records, and a record that fails it on line 4
+BOM_CASES = {
+    "cohort": (
+        lambda path: list(ingest(path).rows),
+        "person_id\ttime_index\tclone_id\tcount\np\t0\tc\t3\np\t1\tc\t4\n",
+        "p\t2\tc\tx",
+    ),
+    "offsets": (
+        PERSON_READERS["offsets"][0],
+        "person_id\ttime_index\ttotal_reads\np\t0\t10\np\t1\t12\n",
+        "p\t1\t12",
+    ),
+    "strata": (PERSON_READERS["strata"][0], "person_id\tstratum\np\t0\nq\t1\n", "r\t2"),
+    "truth": (
+        READERS["truth"][0],
+        "person_id\tclone_id\tdynamic\np\ta\t1\np\tb\t0\n",
+        "p\tc\t7",
+    ),
+    "responsibilities": (
+        READERS["responsibilities"][0],
+        "person_id\tclone_id\tn_times\tprob_dynamic\np\ta\t2\t0.5\np\tb\t1\t0.25\n",
+        "p\tc\t2\tnan",
+    ),
+    "calls": (
+        READERS["calls"][0],
+        "person_id\tclone_id\tprob_dynamic\tcall\tdirection\n"
+        "p\ta\t0.9\tdynamic\texpanding\np\tb\t0.1\tstatic\tna\n",
+        "p\tc\t0.9\tdynamic\tna",
+    ),
+    "config": (
+        lambda path: read_keyvalues(path, {"seed", "n_clones"}),
+        "seed = 3\n# n_clones = 4\nn_clones = 5\n",
+        "seed = 4",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", BOM_CASES)
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, kind):
+    """Every reader, --config's too, gives a file that starts with a UTF-8
+    byte-order mark the result it gives without one, or the same error on
+    the same line."""
+    read, text, bad = BOM_CASES[kind]
+    path = tmp_path / "table.tsv"
+    for body, line in ((text, None), (text + bad + "\n", 4)):
+        results = []
+        for encoding in ("utf-8", "utf-8-sig"):  # utf-8-sig writes the mark
+            path.write_text(body, encoding=encoding)
+            results.append(outcome(lambda: read(path)))
+        assert results[0] == results[1]
+        if line is None:
+            assert results[0][0] == "ok"
+        else:
+            assert (results[0][0], results[0][2]) == ("parse", line)
 
 
 @st.composite

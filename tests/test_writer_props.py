@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -20,6 +19,7 @@ from hypothesis import strategies as st
 
 from clonedyn import CallTable, TruthLabels, cohort
 from clonedyn.cohort import (
+    Responsibilities,
     format_column,
     read_calls,
     read_offsets,
@@ -32,7 +32,7 @@ from clonedyn.cohort import (
     write_truth,
 )
 
-from oracles import pack_clones, table_text_by_row
+from oracles import table_text_by_row
 from test_ingest_props import IDS, SETTINGS
 
 INT64 = st.one_of(
@@ -127,19 +127,12 @@ def test_sidecar_writers_and_readers_round_trip_their_columns(keys, data):
     back = round_trip(lambda p: write_truth(p, truth), read_truth_labels)
     assert_same_columns(vars(back).values(), vars(truth).values())
 
-    n_times = column(st.integers(1, 4))
-    clones = (
-        (p, c, np.zeros(k, np.int64), np.ones(k, np.int64), np.arange(k))
-        for p, c, k in zip(person.tolist(), clone.tolist(), n_times.tolist())
+    responsibilities = Responsibilities(person, clone, column(st.integers(1, 2**63 - 1)), prob)
+    back = round_trip(
+        lambda p: write_responsibilities(p, responsibilities), read_responsibilities
     )
-    result = SimpleNamespace(cohort=pack_clones(clones), prob_dynamic=prob)
-    back = round_trip(lambda p: write_responsibilities(p, result), read_responsibilities)
-    assert_same_columns(vars(back).values(), (person, clone, n_times, prob))
+    assert_same_columns(vars(back).values(), vars(responsibilities).values())
 
-    direction = column(st.integers(0, 2), np.int8)
-    calls = CallTable(person, clone, prob, direction != 0, direction)
+    calls = CallTable(person, clone, prob, column(st.integers(0, 2), np.int8))
     back = round_trip(lambda p: write_calls(p, calls, format_column(prob)), read_calls)
-    columns = ("person_id", "clone_id", "prob_dynamic", "dynamic", "direction")
-    assert_same_columns(
-        [getattr(back, name) for name in columns], [getattr(calls, name) for name in columns]
-    )
+    assert_same_columns(vars(back).values(), vars(calls).values())
