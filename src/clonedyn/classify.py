@@ -181,6 +181,12 @@ def _contracting(cohort: PackedCohort, index: np.ndarray) -> np.ndarray:
     return contracting
 
 
+def check_threshold(threshold: float) -> None:
+    """ValidationError unless 0 < threshold < 1."""
+    if not 0.0 < threshold < 1.0:
+        raise ValidationError(f"threshold must lie in (0, 1), got {threshold}")
+
+
 def classify(prob_dynamic: np.ndarray, cohort: PackedCohort, threshold: float) -> CallTable:
     """Hard calls: dynamic iff prob_dynamic > threshold (strictly).
 
@@ -193,8 +199,7 @@ def classify(prob_dynamic: np.ndarray, cohort: PackedCohort, threshold: float) -
     With two time points this is the sign of the follow-up minus baseline
     proportion.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValidationError(f"threshold must lie in (0, 1), got {threshold}")
+    check_threshold(threshold)
     if not strictly_increasing(cohort.person_id, cohort.clone_id):
         raise ValidationError("clones must be in (person_id, clone_id) order without duplicates")
     probs = np.asarray(prob_dynamic, dtype=np.float64)

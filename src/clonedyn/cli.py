@@ -25,6 +25,7 @@ import numpy as np
 from .classify import (
     AssociationResult,
     associate,
+    check_threshold,
     classify,
     dynamic_counts_per_person,
     operating_characteristics,
@@ -34,16 +35,19 @@ from .cohort import (
     INT64_MAX,
     Responsibilities,
     atomic_write_text,
+    cohort_key,
     filter_clones,
     format_column,
     ingest,
     offsets_from_series,
     read_calls,
+    read_cohort_pack,
     read_responsibilities,
     read_strata,
     read_truth_labels,
     write_calls,
     write_cohort,
+    write_cohort_pack,
     write_offsets,
     write_responsibilities,
     write_table,
@@ -64,6 +68,8 @@ EXIT_VALIDATION = 2
 EXIT_IDENTIFIABILITY = 3
 EXIT_OPTIMIZER = 4
 EXIT_IO = 5
+
+PACK_NAME = "cohort.pack"  # fit's cohort, beside its responsibilities.tsv
 
 
 def read_keyvalues(path: str | Path, keys: Collection[str] | None = None) -> dict[str, str]:
@@ -150,16 +156,21 @@ def _check_outputs(paths: Iterable[Path]) -> None:
             raise OSError(f"output {path} was not written")
 
 
-def _load_series(opts: _Options) -> PackedCohort:
-    table = ingest(
+def _cohort_inputs(opts: _Options) -> tuple[str, str | None, int, bool]:
+    """The cohort options of fit and classify: input, offsets,
+    min_total_reads and absent_as_zero."""
+    return (
         opts.get("input", str, required=True),
-        offsets_path=opts.get("offsets", str),
+        opts.get("offsets", str),
+        opts.get("min_total_reads", int, 8),
+        opts.get("absent_as_zero", bool, True),
     )
-    return filter_clones(
-        table,
-        min_total_reads=opts.get("min_total_reads", int, 8),
-        absent_as_zero=opts.get("absent_as_zero", bool, True),
-    )
+
+
+def _load_series(inputs: tuple[str, str | None, int, bool]) -> PackedCohort:
+    path, offsets, min_total_reads, absent_as_zero = inputs
+    table = ingest(path, offsets_path=offsets)
+    return filter_clones(table, min_total_reads=min_total_reads, absent_as_zero=absent_as_zero)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -203,7 +214,9 @@ def align_responsibilities(table: Responsibilities, cohort: PackedCohort) -> np.
 def cmd_fit(args: argparse.Namespace) -> int:
     opts = _Options(args)
     out = _ensure_output_dir(opts)
-    series = _load_series(opts)
+    inputs = _cohort_inputs(opts)
+    series = _load_series(inputs)
+    key = cohort_key(*inputs)  # after ingest, whose peak RSS hashlib's import would add to
     cfg = opts.build(FitConfig)
     result = fit_em(series, cfg)
     if not result.converged:
@@ -235,6 +248,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         resp_path,
         Responsibilities(cohort.person_id, cohort.clone_id, cohort.n_times, result.prob_dynamic),
     )
+    pack_path = out / PACK_NAME
+    write_cohort_pack(pack_path, series, key)
     trace_path = out / "fit_trace.tsv"
     write_table(
         trace_path,
@@ -244,7 +259,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "msq_change": result.msq_change_trace,
         },
     )
-    _check_outputs([hp_path, resp_path, trace_path])
+    _check_outputs([hp_path, resp_path, pack_path, trace_path])
     return EXIT_OK
 
 
@@ -274,12 +289,22 @@ def _mean_proportions(cohort: PackedCohort) -> np.ndarray:
 def cmd_classify(args: argparse.Namespace) -> int:
     opts = _Options(args)
     out = _ensure_output_dir(opts)
-    cohort = _load_series(opts)
-    responsibilities = opts.get("responsibilities", str, required=True)
-    prob_dynamic = align_responsibilities(read_responsibilities(responsibilities), cohort)
     threshold = opts.get("threshold", float, 0.75)
+    check_threshold(threshold)
+    responsibilities = Path(opts.get("responsibilities", str, required=True))
+    inputs = _cohort_inputs(opts)
+    pack_path = responsibilities.with_name(PACK_NAME)
+    if pack_path.is_file():
+        cohort = read_cohort_pack(pack_path, cohort_key(*inputs))
+    else:
+        cohort = _load_series(inputs)
+    prob_dynamic = align_responsibilities(read_responsibilities(responsibilities), cohort)
     calls = classify(prob_dynamic, cohort, threshold)
+    truth_path_in = opts.get("truth", str)
+    truth = truth_of(calls, read_truth_labels(truth_path_in)) if truth_path_in else None
+    oc = None if truth is None else operating_characteristics(calls, truth, threshold)
 
+    # every check has passed: write
     prob_text = format_column(calls.prob_dynamic)  # written to calls.tsv and membership_points.tsv
     calls_path = out / "calls.tsv"
     write_calls(calls_path, calls, prob_text)
@@ -287,8 +312,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     person_path = out / "per_person.tsv"
     write_table(person_path, vars(dynamic_counts_per_person(calls)))
 
-    truth_path_in = opts.get("truth", str)
-    truth = truth_of(calls, read_truth_labels(truth_path_in)) if truth_path_in else None
     points_path = out / "membership_points.tsv"
     write_table(
         points_path,
@@ -316,8 +339,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     )
 
     outputs = [calls_path, person_path, points_path, traj_path]
-    if truth is not None:
-        oc = operating_characteristics(calls, truth, threshold)
+    if oc is not None:
         oc_path = out / "operating_characteristics.txt"
         write_keyvalues(oc_path, vars(oc))
         outputs.append(oc_path)
@@ -348,16 +370,17 @@ def cmd_summarize(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     stratum = strata[rows]
-    person_path = out / "per_person.tsv"
-    # person_id keeps the first place, and stratum comes right after it
-    write_table(person_path, {"person_id": counts.person_id, "stratum": stratum, **vars(counts)})
-
     metrics = (
         ("dynamic", counts.n_dynamic, cutoff_dynamic),
         ("expanding", counts.n_expanding, cutoff_direction),
         ("contracting", counts.n_contracting, cutoff_direction),
     )
     results = [associate(column, stratum, cutoff) for _, column, cutoff in metrics]
+
+    # every check has passed: write
+    person_path = out / "per_person.tsv"
+    # person_id keeps the first place, and stratum comes right after it
+    write_table(person_path, {"person_id": counts.person_id, "stratum": stratum, **vars(counts)})
     association_path = out / "association.tsv"
     columns = {"metric": [name for name, _, _ in metrics]}
     for f in fields(AssociationResult):

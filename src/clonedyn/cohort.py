@@ -40,9 +40,18 @@ text, classify.KINDS) and TruthLabels; offsets and strata are tuples of
 columns.  Writers take columns, and write_table formats each by its kind
 (format_column): a str as it is, an integer as str gives it, a float in
 shortest round-trip form and a bool as true or false, each distinct value
-once.  write_cohort emits canonical (person, time, clone) row order, the
-other writers keep the order of their columns, and every target file is
-replaced atomically and synced to disk.
+once, WRITE_RECORDS rows at a time.  write_cohort emits canonical
+(person, time, clone) row order, the other writers keep the order of
+their columns, and every target file is replaced atomically and synced
+to disk.
+
+The one binary format is the cohort pack, fit's filtered cohort for
+classify: a format line, its key as `name = value` lines (the sha256 of
+the cohort and offsets files' bytes, and the filter settings), then the
+PackedCohort's columns as .npy arrays, its ids as UTF-8 joined by
+newlines.  read_cohort_pack checks the key before it reads an array,
+reads none that needs unpickling, and rebuilds the cohort through
+PackedCohort's checks.
 """
 
 from __future__ import annotations
@@ -74,6 +83,8 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 BLOCK_CHARS = 1 << 20  # text read at a time on the fast path
 BLOCK_RECORDS = 1 << 16  # records parsed at a time by csv.reader
 DIGITS_MAX = 18  # any 18-digit integer fits in int64
+WRITE_RECORDS = 1 << 12  # rows formatted at a time: their text is a few hundred kB
+FLOAT_CHARS = 24  # the longest repr of a float64
 # a mask over a table's records and the message of a flagged record, by index
 _Check = tuple[np.ndarray, Callable[[int], str]]
 
@@ -361,8 +372,31 @@ def _float_fields(
     raw: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """float() of the fields raw[starts:ends], and a mask of the fields float()
-    rejects (nan there)."""
-    values, bad = _parse_each(float, _strings(raw, starts, ends), np.float64)
+    rejects (nan there).
+
+    A field of 1 to FLOAT_CHARS plain ASCII bytes other than NUL is handed
+    to float() as bytes, cut from a fixed-width bytes array, which float()
+    reads as it reads their text; only the other fields are decoded.
+    (Other text may hold digits float() reads, as '١', and a bytes array
+    drops a NUL at a field's end.)
+    """
+    values, bad = np.empty(starts.size), np.zeros(starts.size, dtype=bool)
+    if raw.size < FLOAT_CHARS:
+        raw = np.append(raw, np.zeros(FLOAT_CHARS, dtype=np.uint8))
+    windows = np.lib.stride_tricks.sliding_window_view(raw, FLOAT_CHARS)
+    for k in range(0, starts.size, BLOCK_RECORDS):  # bounds the (records, FLOAT_CHARS) bytes
+        s, e = starts[k : k + BLOCK_RECORDS], ends[k : k + BLOCK_RECORDS]
+        plain = np.flatnonzero((e > s) & (e - s <= FLOAT_CHARS) & (s < windows.shape[0]))
+        lengths = (e - s)[plain]
+        fields = windows[s[plain]] * (np.arange(FLOAT_CHARS) < lengths[:, None])
+        ascii = (fields.max(axis=1) < 128) & (np.count_nonzero(fields, axis=1) == lengths)
+        plain, fields = plain[ascii], fields[ascii].view(f"S{FLOAT_CHARS}")[:, 0]
+        values[k + plain], bad[k + plain] = _parse_each(float, fields.tolist(), np.float64)
+        rest = np.ones(s.size, dtype=bool)
+        rest[plain] = False
+        rest = np.flatnonzero(rest)
+        text = _strings(raw, s[rest], e[rest])
+        values[k + rest], bad[k + rest] = _parse_each(float, text, np.float64)
     values[bad] = np.nan
     return values, bad
 
@@ -790,11 +824,12 @@ def filter_clones(
 
 
 @contextmanager
-def _atomic_file(path: str | Path) -> Iterator[io.TextIOBase]:
-    """A text handle on a temporary file that replaces path in one rename when
-    the block completes, created as open() would: mode 0o666 less the process
-    umask.  The file is synced to disk before the rename, and its directory
-    after it, so a crash leaves either the old file or the whole new one."""
+def _atomic_file(path: str | Path, binary: bool = False) -> Iterator[io.IOBase]:
+    """A text handle (a binary one if binary) on a temporary file that
+    replaces path in one rename when the block completes, created as open()
+    would: mode 0o666 less the process umask.  The file is synced to disk
+    before the rename, and its directory after it, so a crash leaves either
+    the old file or the whole new one."""
     path = Path(path)
     while True:
         tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
@@ -804,7 +839,8 @@ def _atomic_file(path: str | Path) -> Iterator[io.TextIOBase]:
         except FileExistsError:
             continue
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        text = {} if binary else {"encoding": "utf-8", "newline": ""}
+        with os.fdopen(fd, "wb" if binary else "w", **text) as handle:
             yield handle
             handle.flush()
             os.fsync(handle.fileno())
@@ -855,8 +891,8 @@ def write_table(path: str | Path, columns: Mapping[str, np.ndarray | list[str]])
     column written to two tables is formatted once."""
     with _atomic_file(path) as handle:
         handle.write("\t".join(columns) + "\n")
-        for k in range(0, max(map(len, columns.values()), default=0), BLOCK_RECORDS):
-            block = (column[k : k + BLOCK_RECORDS] for column in columns.values())
+        for k in range(0, max(map(len, columns.values()), default=0), WRITE_RECORDS):
+            block = (column[k : k + WRITE_RECORDS] for column in columns.values())
             text = [c if isinstance(c, list) else format_column(c) for c in block]
             handle.write("\n".join(map("\t".join, zip(*text, strict=True))) + "\n")
 
@@ -909,3 +945,105 @@ def write_calls(path: str | Path, calls: CallTable, prob_text: list[str]) -> Non
         calls.person_id, calls.clone_id, prob_text, calls.call_text(), calls.direction_text()
     )
     write_table(path, dict(zip(CALLS_COLUMNS, columns)))
+
+
+PACK_FORMAT = b"clonedyn cohort pack 1\n"
+
+
+def _sha256(path: str | Path) -> str:
+    # imported on first use: hashlib loads OpenSSL, ~3.7 MB of RSS, which
+    # fit then takes on after ingest's peak rather than on top of it
+    import hashlib
+
+    with open(path, "rb") as handle:
+        return hashlib.file_digest(handle, "sha256").hexdigest()
+
+
+def cohort_key(
+    path: str | Path, offsets_path: str | Path | None, min_total_reads: int, absent_as_zero: bool
+) -> dict[str, str]:
+    """What a cohort pack is keyed by, field by field, as its header holds
+    it: the sha256 of the cohort file's bytes and of the offsets file's
+    (none without one), and the filter settings."""
+    return {
+        "input": _sha256(path),
+        "offsets": "none" if offsets_path is None else _sha256(offsets_path),
+        "min_total_reads": str(min_total_reads),
+        "absent_as_zero": str(absent_as_zero).lower(),
+    }
+
+
+def _joined(ids: np.ndarray) -> np.ndarray:
+    """The UTF-8 bytes of the ids joined by newlines, which no id holds."""
+    text = "\n".join(ids.tolist())
+    if text.count("\n") != max(ids.size - 1, 0):
+        raise ValidationError("an id holds a line break, which a cohort pack cannot hold")
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+
+
+def _split(data: np.ndarray, n: int) -> np.ndarray:
+    """The n ids _joined gave data for, as an object array of str;
+    ValueError if data holds another number of ids or is not UTF-8."""
+    ids = data.tobytes().decode("utf-8").split("\n") if n else []
+    if len(ids) != n:
+        raise ValueError(f"{len(ids)} ids for {n} rows")
+    return np.array(ids, dtype=object)
+
+
+def write_cohort_pack(path: str | Path, cohort: PackedCohort, key: Mapping[str, str]) -> None:
+    """Replace path with the cohort in binary: PACK_FORMAT and a `name =
+    value` line per key field, then the cohort's columns as .npy arrays,
+    written straight to the file: the clone and person ids (_joined),
+    starts, counts, obs_pt, pt_time and pt_total."""
+    header = "".join(f"{name} = {value}\n" for name, value in key.items()).encode("utf-8")
+    columns = (
+        _joined(cohort.clone_id),
+        _joined(cohort.pt_person),
+        cohort.starts,
+        cohort.counts,
+        cohort.obs_pt,
+        cohort.pt_time,
+        cohort.pt_total,
+    )
+    with _atomic_file(path, binary=True) as handle:
+        handle.write(PACK_FORMAT + header)
+        for column in columns:
+            np.lib.format.write_array(handle, column, allow_pickle=False)
+
+
+def read_cohort_pack(path: str | Path, key: Mapping[str, str]) -> PackedCohort:
+    """The cohort write_cohort_pack wrote to path under the same key.
+
+    A key field of another value is a ValidationError that names the first
+    such field, and so is a file that is not a whole pack of this format.
+    No array is unpickled, and PackedCohort checks the cohort it rebuilds.
+    """
+    path = Path(path)
+    garbled = ValidationError(f"{path}: not a whole cohort pack of this format")
+    with open(path, "rb") as handle:
+        if handle.readline(len(PACK_FORMAT)) != PACK_FORMAT:
+            raise garbled
+        for name, value in key.items():
+            line = handle.readline(256).decode("utf-8", errors="replace")
+            field, _, stored = line.rstrip("\n").partition(" = ")
+            if field != name or not line.endswith("\n"):
+                raise garbled
+            if stored != value:
+                raise ValidationError(
+                    f"{path} was written for another {name} ({stored} there, {value} here): "
+                    "classify must read the cohort fit read, with the same filter settings"
+                )
+        try:
+            # a garbled shape may ask for more memory than there is
+            arrays = [np.lib.format.read_array(handle, allow_pickle=False) for _ in range(7)]
+            kinds = [array.dtype.kind if array.ndim == 1 else "" for array in arrays]
+            if handle.read(1) or kinds != ["u", "u", "i", "i", "i", "i", "i"]:
+                raise garbled
+            clone_id, pt_person, starts, counts, obs_pt, pt_time, pt_total = arrays
+            clone_id, pt_person = _split(clone_id, starts.size), _split(pt_person, pt_total.size)
+        except (ValueError, EOFError, MemoryError):
+            raise garbled from None
+    try:
+        return PackedCohort(clone_id, starts, counts, obs_pt, pt_person, pt_time, pt_total)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

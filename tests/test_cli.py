@@ -152,7 +152,7 @@ class TestPipeline:
             )
             == EXIT_OK
         )
-        for name in ("hyperparams.txt", "responsibilities.tsv", "fit_trace.tsv"):
+        for name in ("hyperparams.txt", "responsibilities.tsv", "cohort.pack", "fit_trace.tsv"):
             assert (out / name).read_bytes() == (fit_dir / name).read_bytes()
 
 
@@ -419,6 +419,15 @@ class TestRejectedInputs:
         code = self.classify(tmp_path, path, "--no-absent-as-zero", "--truth", truth)
         assert code == EXIT_VALIDATION
         assert "truth does not cover clone ('p1', 'c')" in capsys.readouterr().err
+        assert list((tmp_path / "cls").iterdir()) == []  # every check runs before any write
+
+    def test_threshold_is_checked_before_the_cohort_is_read(self, tmp_path, capsys):
+        code = run(
+            "classify", "--input", tmp_path / "missing.tsv", "--responsibilities",
+            tmp_path / "missing-resp.tsv", "--threshold", 1.5, "--output-dir", tmp_path / "cls",
+        )  # fmt: skip
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: threshold must lie in (0, 1), got 1.5\n"
 
     def test_responsibilities_with_a_missing_and_an_extra_clone(self, tmp_path, capsys):
         path = responsibilities_file(
@@ -619,6 +628,18 @@ def test_summarize_warns_about_persons_without_calls(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("warning: 2 persons") and "['p5', 'p6']" in err[0]
     per_person = (tmp_path / "sum" / "per_person.tsv").read_text().splitlines()
     assert [row.split("\t")[0] for row in per_person[1:]] == ["p1", "p2", "p3", "p4"]
+
+
+def test_summarize_that_fails_a_test_writes_nothing(tmp_path, capsys):
+    calls = tmp_path / "calls.tsv"
+    calls.write_text(CALLS_HEADER + GOOD_CALLS)
+    strata = tmp_path / "strata.tsv"
+    strata.write_text("person_id\tstratum\np1\t0\np2\t0\np3\t0\np4\t0\n")
+    code = run("summarize", "--input", calls, "--strata", strata, "--cutoff-dynamic", 0,
+               "--cutoff-direction", 0, "--output-dir", tmp_path / "sum")
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: need at least two persons per stratum\n"
+    assert list((tmp_path / "sum").iterdir()) == []  # associate runs before any write
 
 
 def test_summarize_rejects_calls_of_persons_without_a_stratum(tmp_path, capsys):

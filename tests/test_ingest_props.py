@@ -155,6 +155,9 @@ def test_shuffled_rows_give_the_same_packed_cohort_and_fit(cohort, rnd, absent_a
             outputs = sorted(
                 (f.name, f.read_bytes()) for f in (base / "fit").glob("*") if code == 0
             )
+            # the pack's key holds the sha256 of the input bytes, which the
+            # shuffle changes; its arrays, from the first .npy on, must not
+            outputs = [(n, b[b.find(b"\x93NUMPY") :] if n == "cohort.pack" else b) for n, b in outputs]
             results.append((packed, code, outputs))
     (packed_a, code_a, out_a), (packed_b, code_b, out_b) = results
     if isinstance(packed_a, list):
