@@ -36,6 +36,7 @@ from .cohort import (
     Responsibilities,
     atomic_write_text,
     cohort_key,
+    file_digests,
     filter_clones,
     format_column,
     ingest,
@@ -167,9 +168,11 @@ def _cohort_inputs(opts: _Options) -> tuple[str, str | None, int, bool]:
     )
 
 
-def _load_series(inputs: tuple[str, str | None, int, bool]) -> PackedCohort:
+def _load_series(
+    inputs: tuple[str, str | None, int, bool], digests: dict[str, str | None] | None = None
+) -> PackedCohort:
     path, offsets, min_total_reads, absent_as_zero = inputs
-    table = ingest(path, offsets_path=offsets)
+    table = ingest(path, offsets_path=offsets, digests=digests)
     return filter_clones(table, min_total_reads=min_total_reads, absent_as_zero=absent_as_zero)
 
 
@@ -215,8 +218,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     opts = _Options(args)
     out = _ensure_output_dir(opts)
     inputs = _cohort_inputs(opts)
-    series = _load_series(inputs)
-    key = cohort_key(*inputs)  # after ingest, whose peak RSS hashlib's import would add to
+    digests: dict[str, str | None] = {}
+    series = _load_series(inputs, digests)  # hashes the bytes it parses: a pipe is read once
     cfg = opts.build(FitConfig)
     result = fit_em(series, cfg)
     if not result.converged:
@@ -249,7 +252,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         Responsibilities(cohort.person_id, cohort.clone_id, cohort.n_times, result.prob_dynamic),
     )
     pack_path = out / PACK_NAME
-    write_cohort_pack(pack_path, series, key)
+    write_cohort_pack(pack_path, series, cohort_key(digests, *inputs[2:]))
     trace_path = out / "fit_trace.tsv"
     write_table(
         trace_path,
@@ -295,7 +298,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     inputs = _cohort_inputs(opts)
     pack_path = responsibilities.with_name(PACK_NAME)
     if pack_path.is_file():
-        cohort = read_cohort_pack(pack_path, cohort_key(*inputs))
+        key = cohort_key(file_digests(*inputs[:2]), *inputs[2:])
+        cohort = read_cohort_pack(pack_path, key)
     else:
         cohort = _load_series(inputs)
     prob_dynamic = align_responsibilities(read_responsibilities(responsibilities), cohort)

@@ -47,11 +47,12 @@ to disk.
 
 The one binary format is the cohort pack, fit's filtered cohort for
 classify: a format line, its key as `name = value` lines (the sha256 of
-the cohort and offsets files' bytes, and the filter settings), then the
-PackedCohort's columns as .npy arrays, its ids as UTF-8 joined by
-newlines.  read_cohort_pack checks the key before it reads an array,
-reads none that needs unpickling, and rebuilds the cohort through
-PackedCohort's checks.
+the cohort and offsets bytes that ingest parsed, hashed as it read them,
+and the filter settings), then the PackedCohort's columns as .npy
+arrays, its ids as UTF-8 joined by newlines, and last the sha256 of
+every byte before it.  read_cohort_pack checks the key before it reads
+an array, reads none that needs unpickling, checks the sha256, and
+rebuilds the cohort through PackedCohort's checks.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ BLOCK_CHARS = 1 << 20  # text read at a time on the fast path
 BLOCK_RECORDS = 1 << 16  # records parsed at a time by csv.reader
 DIGITS_MAX = 18  # any 18-digit integer fits in int64
 WRITE_RECORDS = 1 << 12  # rows formatted at a time: their text is a few hundred kB
-FLOAT_CHARS = 24  # the longest repr of a float64
 # a mask over a table's records and the message of a flagged record, by index
 _Check = tuple[np.ndarray, Callable[[int], str]]
 
@@ -291,8 +291,57 @@ def _blocks(handle, width: int, path: Path) -> Iterator[_Block]:
         lineno += n
 
 
-def _read_blocks(path: str | Path, columns: Sequence[str]) -> Iterator[_Block]:
-    """Data records of a TSV with a header, block by block.
+def _sha256(path: str | Path | None = None):
+    """A new hashlib sha256 object, fed every byte of path if one is given."""
+    # imported on first use: hashlib maps OpenSSL, ~3.6 MB of RSS, which a
+    # stage that hashes nothing need not hold
+    import hashlib
+
+    digest = hashlib.sha256()
+    if path is not None:
+        with open(path, "rb") as handle:
+            while chunk := handle.read(1 << 20):
+                digest.update(chunk)
+    return digest
+
+
+class _Hashed(io.RawIOBase):
+    """A binary file that feeds a hashlib object every byte read from it or
+    written to it; closing it leaves the file open."""
+
+    def __init__(self, file, digest):
+        self.file, self.digest = file, digest
+
+    def readable(self) -> bool:
+        return self.file.readable()
+
+    def writable(self) -> bool:
+        return self.file.writable()
+
+    def readinto(self, buffer) -> int:
+        n = self.file.readinto(buffer)
+        self.digest.update(memoryview(buffer)[:n])
+        return n
+
+    def write(self, data) -> int:
+        self.digest.update(data)
+        return self.file.write(data)
+
+
+@contextmanager
+def _open_text(path: Path, digest=None) -> Iterator[io.TextIOWrapper]:
+    """path opened as the readers read it: UTF-8, a leading byte-order mark
+    dropped, line endings kept; with a digest (a hashlib object), a handle
+    that feeds it every byte read from path."""
+    with open(path, "rb", buffering=0) as file:
+        binary = io.BufferedReader(file if digest is None else _Hashed(file, digest))
+        with io.TextIOWrapper(binary, encoding="utf-8-sig", newline="") as handle:
+            yield handle
+
+
+def _read_blocks(path: str | Path, columns: Sequence[str], digest=None) -> Iterator[_Block]:
+    """Data records of a TSV with a header, block by block, each byte of
+    the file read once (and fed to digest, if given: see _open_text).
 
     Fields are what csv.reader with a tab delimiter gives.  A block of
     text with no quote, lone carriage return, blank line, overlong line
@@ -304,7 +353,7 @@ def _read_blocks(path: str | Path, columns: Sequence[str]) -> Iterator[_Block]:
     """
     path = Path(path)
     any_rows = False
-    with open(path, encoding="utf-8-sig", newline="") as handle:
+    with _open_text(path, digest) as handle:
         try:
             header = _csv_records(csv.reader(handle, delimiter="\t"), 1, 1, path)
             if not header:
@@ -321,9 +370,9 @@ def _read_blocks(path: str | Path, columns: Sequence[str]) -> Iterator[_Block]:
         raise ValidationError(f"{path}: no data rows")
 
 
-def _read_table(path: str | Path, columns: Sequence[str]) -> _Block:
+def _read_table(path: str | Path, columns: Sequence[str], digest=None) -> _Block:
     """Every data record of a TSV with a header, as one block."""
-    blocks = list(_read_blocks(path, columns))
+    blocks = list(_read_blocks(path, columns, digest))
     shifts = np.cumsum([0] + [b.raw.size for b in blocks[:-1]])
     return _Block(
         np.concatenate([b.lines for b in blocks]),
@@ -372,31 +421,8 @@ def _float_fields(
     raw: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """float() of the fields raw[starts:ends], and a mask of the fields float()
-    rejects (nan there).
-
-    A field of 1 to FLOAT_CHARS plain ASCII bytes other than NUL is handed
-    to float() as bytes, cut from a fixed-width bytes array, which float()
-    reads as it reads their text; only the other fields are decoded.
-    (Other text may hold digits float() reads, as '١', and a bytes array
-    drops a NUL at a field's end.)
-    """
-    values, bad = np.empty(starts.size), np.zeros(starts.size, dtype=bool)
-    if raw.size < FLOAT_CHARS:
-        raw = np.append(raw, np.zeros(FLOAT_CHARS, dtype=np.uint8))
-    windows = np.lib.stride_tricks.sliding_window_view(raw, FLOAT_CHARS)
-    for k in range(0, starts.size, BLOCK_RECORDS):  # bounds the (records, FLOAT_CHARS) bytes
-        s, e = starts[k : k + BLOCK_RECORDS], ends[k : k + BLOCK_RECORDS]
-        plain = np.flatnonzero((e > s) & (e - s <= FLOAT_CHARS) & (s < windows.shape[0]))
-        lengths = (e - s)[plain]
-        fields = windows[s[plain]] * (np.arange(FLOAT_CHARS) < lengths[:, None])
-        ascii = (fields.max(axis=1) < 128) & (np.count_nonzero(fields, axis=1) == lengths)
-        plain, fields = plain[ascii], fields[ascii].view(f"S{FLOAT_CHARS}")[:, 0]
-        values[k + plain], bad[k + plain] = _parse_each(float, fields.tolist(), np.float64)
-        rest = np.ones(s.size, dtype=bool)
-        rest[plain] = False
-        rest = np.flatnonzero(rest)
-        text = _strings(raw, s[rest], e[rest])
-        values[k + rest], bad[k + rest] = _parse_each(float, text, np.float64)
+    rejects (nan there)."""
+    values, bad = _parse_each(float, _strings(raw, starts, ends), np.float64)
     values[bad] = np.nan
     return values, bad
 
@@ -599,10 +625,10 @@ def read_strata(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return person, stratum
 
 
-def read_offsets(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def read_offsets(path: str | Path, digest=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """offsets.tsv as (person_id, time_index, total_reads) columns, sorted by
-    person then time."""
-    table = _read_table(path, OFFSETS_COLUMNS)
+    person then time; every byte read is fed to digest, if given."""
+    table = _read_table(path, OFFSETS_COLUMNS, digest)
     person = table.strs(0)
     time, time_is_int = table.ints(1, "time_index")
     total, total_is_int = table.ints(2, "total_reads", minimum=1)
@@ -664,7 +690,7 @@ def read_calls(path: str | Path) -> CallTable:
     return CallTable(person, clone, prob, direction)
 
 
-def _read_cohort_columns(path: Path):
+def _read_cohort_columns(path: Path, digest=None):
     """Sorted distinct person and clone ids; person, clone, time and count
     columns of every parsable record, in file order, with each id as its
     rank among the sorted ones in the narrowest integer type; the line
@@ -677,7 +703,7 @@ def _read_cohort_columns(path: Path):
     persons, clones = _IdColumn(), _IdColumn()
     times, counts, lines = [], [], []
     error = None
-    for block in _read_blocks(path, COHORT_COLUMNS):
+    for block in _read_blocks(path, COHORT_COLUMNS, digest):
         if error is not None:
             continue
         time, time_is_int = block.ints(1, "time_index")
@@ -694,14 +720,25 @@ def _read_cohort_columns(path: Path):
     return person_names, clone_ids, [person, clone, time, count], lines, error
 
 
-def ingest(path: str | Path, offsets_path: str | Path | None = None) -> CohortTable:
+def ingest(
+    path: str | Path,
+    offsets_path: str | Path | None = None,
+    digests: dict[str, str | None] | None = None,
+) -> CohortTable:
     """Read and validate a cohort table.
 
     Offsets are computed from the full, unfiltered table so they reflect
     the whole repertoire; an explicit offsets file overrides the derived
     sums (it must cover every person-time and dominate every count).
+
+    Given a dict as digests, ingest sets its "input" and "offsets" items
+    to what file_digests gives, from the bytes it parses: each file is
+    read once, so either may be a pipe.
     """
-    person_names, clone_names, columns, lines, error = _read_cohort_columns(Path(path))
+    input_hash = offsets_hash = None
+    if digests is not None:
+        input_hash, offsets_hash = _sha256(), _sha256()
+    person_names, clone_names, columns, lines, error = _read_cohort_columns(Path(path), input_hash)
     order = np.lexsort(columns[2::-1])  # by person, clone, time; stable: ties in file order
     person, clone, time, count = (columns.pop(0)[order] for _ in range(4))  # one at a time
     order = order.astype(narrow_type(order.size))
@@ -722,7 +759,7 @@ def ingest(path: str | Path, offsets_path: str | Path | None = None) -> CohortTa
     # of the person-time table
     pt_person, pt_time = person_names[:0], np.zeros(0, dtype=np.int64)
     if offsets_path is not None:
-        pt_person, pt_time, pt_total = read_offsets(offsets_path)
+        pt_person, pt_time, pt_total = read_offsets(offsets_path, offsets_hash)
     names = np.unique(np.concatenate([person_names, pt_person]))
     values = np.union1d(np.unique(time), pt_time)
     row_key = np.searchsorted(names, person_names)[person]
@@ -767,6 +804,9 @@ def ingest(path: str | Path, offsets_path: str | Path | None = None) -> CohortTa
                 pt = (person_names[person[i]], int(time[i]))
                 raise ValidationError(f"person-time {pt} {message}")
 
+    if digests is not None:
+        digests["input"] = input_hash.hexdigest()
+        digests["offsets"] = None if offsets_path is None else offsets_hash.hexdigest()
     starts = np.flatnonzero(np.concatenate([[True], ~same_clone]))
     return CohortTable(
         clone_names, clone[starts], starts, count, obs_pt, pt_person, pt_time, pt_total
@@ -950,24 +990,25 @@ def write_calls(path: str | Path, calls: CallTable, prob_text: list[str]) -> Non
 PACK_FORMAT = b"clonedyn cohort pack 1\n"
 
 
-def _sha256(path: str | Path) -> str:
-    # imported on first use: hashlib loads OpenSSL, ~3.7 MB of RSS, which
-    # fit then takes on after ingest's peak rather than on top of it
-    import hashlib
-
-    with open(path, "rb") as handle:
-        return hashlib.file_digest(handle, "sha256").hexdigest()
+def file_digests(path: str | Path, offsets_path: str | Path | None) -> dict[str, str | None]:
+    """The sha256 (hex) of the cohort file's bytes, as "input", and of the
+    offsets file's, as "offsets" (None without one); each file is read once."""
+    return {
+        "input": _sha256(path).hexdigest(),
+        "offsets": None if offsets_path is None else _sha256(offsets_path).hexdigest(),
+    }
 
 
 def cohort_key(
-    path: str | Path, offsets_path: str | Path | None, min_total_reads: int, absent_as_zero: bool
+    digests: Mapping[str, str | None], min_total_reads: int, absent_as_zero: bool
 ) -> dict[str, str]:
     """What a cohort pack is keyed by, field by field, as its header holds
-    it: the sha256 of the cohort file's bytes and of the offsets file's
-    (none without one), and the filter settings."""
+    it: the digests of the cohort and offsets bytes, as ingest or
+    file_digests gives them (none without offsets), and the filter
+    settings."""
     return {
-        "input": _sha256(path),
-        "offsets": "none" if offsets_path is None else _sha256(offsets_path),
+        "input": digests["input"],
+        "offsets": digests["offsets"] or "none",
         "min_total_reads": str(min_total_reads),
         "absent_as_zero": str(absent_as_zero).lower(),
     }
@@ -990,11 +1031,18 @@ def _split(data: np.ndarray, n: int) -> np.ndarray:
     return np.array(ids, dtype=object)
 
 
+def _trailer(digest) -> bytes:
+    """The last line of a pack: the sha256 of every byte before it."""
+    return f"sha256 = {digest.hexdigest()}\n".encode("ascii")
+
+
 def write_cohort_pack(path: str | Path, cohort: PackedCohort, key: Mapping[str, str]) -> None:
     """Replace path with the cohort in binary: PACK_FORMAT and a `name =
     value` line per key field, then the cohort's columns as .npy arrays,
-    written straight to the file: the clone and person ids (_joined),
-    starts, counts, obs_pt, pt_time and pt_total."""
+    hashed as they go to the file, with no copy of the file in memory: the
+    clone and person ids (_joined), starts, counts, obs_pt, pt_time and
+    pt_total; last, the line `sha256 = ` and the hex digest of every byte
+    before it."""
     header = "".join(f"{name} = {value}\n" for name, value in key.items()).encode("utf-8")
     columns = (
         _joined(cohort.clone_id),
@@ -1005,22 +1053,28 @@ def write_cohort_pack(path: str | Path, cohort: PackedCohort, key: Mapping[str, 
         cohort.pt_time,
         cohort.pt_total,
     )
+    digest = _sha256()
     with _atomic_file(path, binary=True) as handle:
-        handle.write(PACK_FORMAT + header)
+        hashed = _Hashed(handle, digest)
+        hashed.write(PACK_FORMAT + header)
         for column in columns:
-            np.lib.format.write_array(handle, column, allow_pickle=False)
+            np.lib.format.write_array(hashed, column, allow_pickle=False)
+        handle.write(_trailer(digest))
 
 
 def read_cohort_pack(path: str | Path, key: Mapping[str, str]) -> PackedCohort:
     """The cohort write_cohort_pack wrote to path under the same key.
 
     A key field of another value is a ValidationError that names the first
-    such field, and so is a file that is not a whole pack of this format.
-    No array is unpickled, and PackedCohort checks the cohort it rebuilds.
+    such field, and so is a file that is not a whole pack of this format,
+    its last line's sha256 included.  No array is unpickled, and
+    PackedCohort checks the cohort it rebuilds.
     """
     path = Path(path)
     garbled = ValidationError(f"{path}: not a whole cohort pack of this format")
-    with open(path, "rb") as handle:
+    digest = _sha256()
+    with open(path, "rb") as file:
+        handle = _Hashed(file, digest)
         if handle.readline(len(PACK_FORMAT)) != PACK_FORMAT:
             raise garbled
         for name, value in key.items():
@@ -1036,14 +1090,19 @@ def read_cohort_pack(path: str | Path, key: Mapping[str, str]) -> PackedCohort:
         try:
             # a garbled shape may ask for more memory than there is
             arrays = [np.lib.format.read_array(handle, allow_pickle=False) for _ in range(7)]
-            kinds = [array.dtype.kind if array.ndim == 1 else "" for array in arrays]
-            if handle.read(1) or kinds != ["u", "u", "i", "i", "i", "i", "i"]:
-                raise garbled
-            clone_id, pt_person, starts, counts, obs_pt, pt_time, pt_total = arrays
-            clone_id, pt_person = _split(clone_id, starts.size), _split(pt_person, pt_total.size)
         except (ValueError, EOFError, MemoryError):
             raise garbled from None
+        trailer = _trailer(digest)
+        if file.read(len(trailer) + 1) != trailer:
+            raise garbled
+    kinds = [array.dtype.kind if array.ndim == 1 else "" for array in arrays]
+    if kinds != ["u", "u", "i", "i", "i", "i", "i"]:
+        raise garbled
+    clone_id, pt_person, starts, counts, obs_pt, pt_time, pt_total = arrays
     try:
+        clone_id, pt_person = _split(clone_id, starts.size), _split(pt_person, pt_total.size)
         return PackedCohort(clone_id, starts, counts, obs_pt, pt_person, pt_time, pt_total)
+    except ValueError:
+        raise garbled from None
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

@@ -1,17 +1,23 @@
 """The fit -> classify handoff: fit's cohort.pack beside responsibilities.tsv.
 
 classify takes the cohort from the pack when its key (the sha256 of the
-cohort and offsets files and the filter settings) matches its own options,
-and must then write exactly what it writes after ingesting the table; any
-other key, or a pack that is not a whole one of this format, exits 2.
+cohort and offsets bytes fit parsed and the filter settings) matches its
+own options, and must then write exactly what it writes after ingesting
+the table; any other key, or a pack that is not a whole one of this
+format (whose last line is the sha256 of every byte before it), exits 2.
+Each stage reads each input once, so a pipe serves.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import pickle
+import re
 import stat
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -25,6 +31,7 @@ from clonedyn.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, PACK_NAME, main
 from clonedyn.cohort import (
     Responsibilities,
     cohort_key,
+    file_digests,
     filter_clones,
     ingest,
     write_cohort_pack,
@@ -107,12 +114,14 @@ def test_classify_of_any_ids_writes_the_same_with_the_pack(case, min_total_reads
             lines = "".join(f"{p}\t{t}\t{n}\n" for (p, t), n in sidecar.items())
             offsets.write_text("person_id\ttime_index\ttotal_reads\n" + lines, encoding="utf-8")
             args += ["--offsets", offsets]
+        digests = {}
         try:
-            table = ingest(root / "cohort.tsv", offsets)
+            table = ingest(root / "cohort.tsv", offsets, digests)
         except ValidationError:
             return  # fit exits 2 on such a cohort, so it writes no pack
+        assert digests == file_digests(root / "cohort.tsv", offsets)
         cohort = filter_clones(table, min_total_reads, absent_as_zero)
-        key = cohort_key(root / "cohort.tsv", offsets, min_total_reads, absent_as_zero)
+        key = cohort_key(digests, min_total_reads, absent_as_zero)
         write_fitted(root / "ingest", cohort)
         write_fitted(root / "pack", cohort, key)
         codes = [classify(root / name, root / f"out-{name}", args) for name in ("ingest", "pack")]
@@ -193,17 +202,76 @@ def test_a_pack_keys_the_input_bytes_not_the_path(fitted, simulated, tmp_path):
     assert classify(fit, tmp_path / "cls", swap(args, "--input", copy)) == EXIT_OK
 
 
+STAGE = "import sys; from clonedyn.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_on_stdin(data: bytes, *argv) -> subprocess.CompletedProcess:
+    """A stage run in a fresh interpreter, data piped to its standard input:
+    /dev/fd/0 there is a pipe, read once to its end."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    argv = [sys.executable, "-c", STAGE, *map(str, argv)]
+    return subprocess.run(argv, input=data, env=env, capture_output=True, timeout=120)
+
+
+def test_fit_and_classify_read_a_pipe_once(fitted, simulated, tmp_path):
+    """A cohort that can be read only once, as `--input <(zcat cohort.tsv.gz)`
+    gives it: fit keys its pack to the bytes it parsed, so the pack equals
+    that of a fit on the file, and classify on the same bytes takes it."""
+    fit, args = fitted
+    data = (simulated / "cohort.tsv").read_bytes()
+    piped = swap(args, "--input", "/dev/fd/0")
+    done = run_on_stdin(data, "fit", *piped, "--seed", 7, "--output-dir", tmp_path / "fit")
+    assert done.returncode == EXIT_OK, done.stderr
+    assert (tmp_path / "fit" / PACK_NAME).read_bytes() == (fit / PACK_NAME).read_bytes()
+    argv = ["classify", *piped, "--responsibilities", tmp_path / "fit" / "responsibilities.tsv"]
+    done = run_on_stdin(data, *argv, "--output-dir", tmp_path / "cls")
+    assert done.returncode == EXIT_OK, done.stderr
+    assert classify(fit, tmp_path / "file", args) == EXIT_OK
+    assert outputs(tmp_path / "cls") == outputs(tmp_path / "file")
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["tokenizer", "csv.reader"])
+def test_ingest_digests_the_bytes_it_parses(simulated, tmp_path, quoted):
+    """On the byte tokenizer's path and on csv.reader's, which takes the
+    rest of the file from the first quote on, with a byte-order mark and
+    CRLF line ends."""
+    lines = (simulated / "cohort.tsv").read_text(encoding="utf-8").splitlines()
+    if quoted:
+        person, time, clone, count = lines[-1].split("\t")
+        lines[-1] = "\t".join([person, time, f'"{clone}"', count])
+    path = tmp_path / "cohort.tsv"
+    path.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(lines).encode("utf-8") + b"\r\n")
+    digests = {}
+    ingest(path, simulated / "offsets.tsv", digests)
+    assert digests == file_digests(path, simulated / "offsets.tsv")
+    assert digests["input"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 DAMAGES = [
     "empty", "tag only", "header only", "cut in a key line", "cut in the arrays", "one byte short",
-    "one byte more", "another format", "not numpy", "a pickled array", "a negative total",
+    "one byte more", "another format", "not numpy", "a pickled array", "a count off by one",
+    "a negative total under its sha256",
 ]  # fmt: skip
+
+
+def resealed(body: bytes) -> bytes:
+    """body with the last line write_cohort_pack would end it with."""
+    return body + b"sha256 = " + hashlib.sha256(body).hexdigest().encode() + b"\n"
 
 
 def damaged(pack: bytes, kind: str) -> bytes:
     """The pack cut short, garbled, of another format or holding a pickle."""
     arrays = pack.index(b"\x93NUMPY")
+    body = pack[: pack.rindex(b"sha256 = ")]
+    assert resealed(body) == pack
     pickled = io.BytesIO()
     np.lib.format.write_array(pickled, np.array([{"a": 1}], dtype=object), allow_pickle=True)
+    # the lowest byte of the first count: the first data byte of the fourth array
+    counts_at = [m.start() for m in re.finditer(b"\x93NUMPY", pack)][3]
+    counts = io.BytesIO(pack[counts_at:])
+    assert np.lib.format.read_magic(counts) == (1, 0)
+    np.lib.format.read_array_header_1_0(counts)
+    first_count = counts_at + counts.tell()
     return {
         "empty": b"",
         "tag only": pack[: pack.index(b"\n") + 1],
@@ -215,7 +283,12 @@ def damaged(pack: bytes, kind: str) -> bytes:
         "another format": pack.replace(b"clonedyn cohort pack 1", b"clonedyn cohort pack 2", 1),
         "not numpy": pack[:arrays] + bytes(len(pack) - arrays),
         "a pickled array": pack[:arrays] + pickled.getvalue() + pack[arrays:],
-        "a negative total": pack[:-8] + b"\xff" * 8,  # the last pt_total, as int64
+        # well formed, so only the sha256 tells
+        "a count off by one": pack[:first_count]
+        + bytes([pack[first_count] ^ 1])
+        + pack[first_count + 1 :],
+        # the last pt_total, as int64: only PackedCohort's checks tell
+        "a negative total under its sha256": resealed(body[:-8] + b"\xff" * 8),
     }[kind]
 
 
@@ -236,6 +309,8 @@ def test_a_damaged_pack_exits_2_without_unpickling(fitted, tmp_path, kind, capsy
     assert classify(broken, tmp_path / "cls", args) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith(f"error: {broken / PACK_NAME}") and "Traceback" not in err, err
+    if kind == "a count off by one":
+        assert "not a whole cohort pack of this format" in err, err
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077])

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,8 +22,7 @@ from hypothesis import strategies as st
 from clonedyn import CloneSeries, Direction, classify
 from clonedyn.classify import _ols_slope
 from clonedyn.cli import read_calls, read_keyvalues, read_responsibilities
-import clonedyn.cohort as cohort_module
-from clonedyn.cohort import _float_fields, ingest, read_offsets, read_strata, read_truth_labels
+from clonedyn.cohort import ingest, read_offsets, read_strata, read_truth_labels
 
 from oracles import (
     pack,
@@ -312,42 +310,3 @@ def test_directions_equal_the_sign_of_ols_slope_on_each_series(series):
         assert call.direction is (
             Direction.CONTRACTING if slope < 0.0 else Direction.EXPANDING
         ), (clone, slope)
-
-
-# pieces of number-like text: digits (ASCII, Arabic-Indic, fullwidth),
-# signs, exponents, underscores, the words float() knows, whitespace that
-# float() strips and whitespace it does not, NUL and other non-ASCII text
-NUMBER_PIECES = st.sampled_from(
-    ["0", "1", "9", "٣", "１", ".", "e", "E", "+", "-", "_", "nan", "inf", "Infinity", "x"]
-    + [" ", "\x0b", "\x0c", "\r", "\x1c", "\x85", "\xa0", "\u2003", "\x00", "é"]
-)
-NUMBER_LIKE = st.one_of(
-    st.floats().map(repr),
-    st.floats(allow_nan=False, allow_infinity=False).map("{:.40e}".format),  # longer than a repr
-    st.lists(NUMBER_PIECES, max_size=10).map("".join),
-    st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=30),
-)
-
-
-@settings(SETTINGS, max_examples=300)
-@given(st.lists(NUMBER_LIKE, min_size=1, max_size=40), st.sampled_from([2, 7, 1 << 16]))
-@example(["١", "0.5\x00"], 1 << 16)  # float() reads the first and rejects the second
-def test_float_fields_accept_and_reject_what_float_does(fields, block_records):
-    """The values _float_fields accepts, bit for bit, and the fields it
-    rejects are float()'s, blocks of records at a time."""
-    data = [field.encode("utf-8") for field in fields]
-    raw = np.frombuffer(b"".join(data) + bytes(8), dtype=np.uint8)  # as a reader's block holds it
-    ends = np.cumsum([len(d) for d in data])
-    starts = ends - [len(d) for d in data]
-    with mock.patch.object(cohort_module, "BLOCK_RECORDS", block_records):
-        values, bad = _float_fields(raw, starts, ends)
-    expected, rejected = [], []
-    for field in fields:
-        try:
-            expected.append(float(field))
-            rejected.append(False)
-        except ValueError:
-            expected.append(float("nan"))
-            rejected.append(True)
-    assert bad.tolist() == rejected
-    assert values.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
