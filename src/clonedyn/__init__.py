@@ -8,6 +8,24 @@ responsibilities yield per-clone calls and cohort-level association
 statistics.
 """
 
+import os
+import sys
+
+# numpy's OpenBLAS starts worker threads when it loads (one on 2 vCPUs,
+# which spins for ~0.13 s of CPU in every process), and no clonedyn
+# computation makes a BLAS call that threads help.  OpenBLAS reads its thread
+# count only while it loads, so the variable is removed again at once and
+# no child process sees it.  A variable the user set, or a numpy loaded
+# before clonedyn, is left alone.
+if "numpy" not in sys.modules and not any(
+    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .classify import (
     AssociationResult,
     Call,

@@ -84,6 +84,7 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 BLOCK_CHARS = 1 << 20  # text read at a time on the fast path
 BLOCK_RECORDS = 1 << 16  # records parsed at a time by csv.reader
 DIGITS_MAX = 18  # any 18-digit integer fits in int64
+STRING_BYTES = 1 << 18  # field bytes decoded at a time: an int64 index per byte
 WRITE_RECORDS = 1 << 12  # rows formatted at a time: their text is a few hundred kB
 # a mask over a table's records and the message of a flagged record, by index
 _Check = tuple[np.ndarray, Callable[[int], str]]
@@ -431,14 +432,19 @@ def _strings(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]
     """The UTF-8 fields raw[starts:ends], decoded; raw holds a byte more after
     the last one."""
     fields: list[str] = []
-    for k in range(0, starts.size, BLOCK_RECORDS):  # bounds the index arrays
-        s, e = starts[k : k + BLOCK_RECORDS], ends[k : k + BLOCK_RECORDS]
-        # each field and the byte after it, that byte made a newline: one
-        # decode and one split give every field, as no field holds a newline
-        # (the tokenizer splits at each one, and _columns rejects quoted ones)
-        joined = raw[segment_rows(s, e - s + 1)]
-        joined[np.cumsum(e - s + 1) - 1] = 10
+    # each field and the byte after it, that byte made a newline: one decode
+    # and one split give every field, as no field holds a newline (the
+    # tokenizer splits at each one, and _columns rejects quoted ones)
+    sizes = ends - starts + 1
+    joined_ends = np.cumsum(sizes)
+    k = 0
+    while k < starts.size:  # STRING_BYTES at a time, or one longer field
+        begin = joined_ends[k] - sizes[k]
+        stop = max(int(np.searchsorted(joined_ends, begin + STRING_BYTES, "right")), k + 1)
+        joined = raw[segment_rows(starts[k:stop], sizes[k:stop])]
+        joined[joined_ends[k:stop] - begin - 1] = 10
         fields += joined.tobytes().decode("utf-8").split("\n")[:-1]
+        k = stop
     return fields
 
 
@@ -926,7 +932,7 @@ def format_column(values: np.ndarray) -> list[str]:
 
 def write_table(path: str | Path, columns: Mapping[str, np.ndarray | list[str]]) -> None:
     """Replace path with a header of the column names and a tab-joined row per
-    record, formatted and written BLOCK_RECORDS at a time.  An array column is
+    record, formatted and written WRITE_RECORDS at a time.  An array column is
     formatted by format_column; a list is format_column's text already, so a
     column written to two tables is formatted once."""
     with _atomic_file(path) as handle:

@@ -4,22 +4,24 @@ responsibilities.tsv, calls.tsv, truth.tsv, offsets.tsv and strata.tsv
 tables are made from random cohorts, written in canonical or shuffled
 order, and damaged with malformed records; the columnar readers must
 return what the per-row references in oracles.py return, or fail with
-the same message on the same line.  A leading byte-order mark changes no
-reader's result.  Call directions of many series classified at once must equal
-the sign of _ols_slope on each series alone.
+the same message on the same line, also with the bound on the field bytes
+decoded at a time cut to a field or a few.  A leading byte-order mark
+changes no reader's result.  Call directions of many series classified at
+once must equal the sign of _ols_slope on each series alone.
 """
 
 from __future__ import annotations
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clonedyn import CloneSeries, Direction, classify
+from clonedyn import CloneSeries, Direction, classify, cohort
 from clonedyn.classify import _ols_slope
 from clonedyn.cli import read_calls, read_keyvalues, read_responsibilities
 from clonedyn.cohort import ingest, read_offsets, read_strata, read_truth_labels
@@ -34,6 +36,8 @@ from oracles import (
 )
 from test_ingest_props import IDS, SETTINGS, cohorts, outcome
 
+# STRING_BYTES as shipped, and bounds that decode a field or a few at a time
+STRING_BYTES = st.sampled_from([cohort.STRING_BYTES, 1, 16])
 PROBS = st.one_of(
     st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 0.75, 5e-324, 1.0 - 2.0**-53])
 )
@@ -109,19 +113,22 @@ READERS = {
 }
 
 
-def read_both(kind: str, header: str, lines: list[str]):
+def read_both(kind: str, header: str, lines: list[str], string_bytes: int):
     columnar, by_row = READERS[kind]
     with tempfile.TemporaryDirectory() as root:
         path = Path(root) / "table.tsv"
         path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
-        return outcome(lambda: columnar(path)), outcome(lambda: by_row(path))
+        with mock.patch.object(cohort, "STRING_BYTES", string_bytes):
+            actual = outcome(lambda: columnar(path))
+        return actual, outcome(lambda: by_row(path))
 
 
 @SETTINGS
-@given(st.sampled_from(sorted(READERS)), st.data())
-def test_columnar_readers_match_the_row_references_on_valid_tables(kind, data):
+@given(st.sampled_from(sorted(READERS)), st.data(), STRING_BYTES)
+def test_columnar_readers_match_the_row_references_on_valid_tables(kind, data, string_bytes):
+    """At a bound of 1 or 16 bytes, fields are decoded across chunk boundaries."""
     header, lines = data.draw(tables(kind))
-    actual, expected = read_both(kind, header, lines)
+    actual, expected = read_both(kind, header, lines, string_bytes)
     assert expected[0] == "ok"
     if kind == "responsibilities":
         expected = ("ok", [list(column) for column in expected[1]])
@@ -129,8 +136,8 @@ def test_columnar_readers_match_the_row_references_on_valid_tables(kind, data):
 
 
 @SETTINGS
-@given(st.sampled_from(sorted(READERS)), st.data())
-def test_malformed_records_fail_on_the_same_line_as_the_row_reference(kind, data):
+@given(st.sampled_from(sorted(READERS)), st.data(), STRING_BYTES)
+def test_malformed_records_fail_on_the_same_line_as_the_row_reference(kind, data, string_bytes):
     header, lines = data.draw(tables(kind))
     records = st.sampled_from(MALFORMED[kind] + ["duplicate"])
     damage = st.lists(st.tuples(st.integers(0, 10_000), records), min_size=1, max_size=3)
@@ -138,7 +145,7 @@ def test_malformed_records_fail_on_the_same_line_as_the_row_reference(kind, data
         if record == "duplicate":
             record = lines[position % len(lines)]
         lines.insert(position % (len(lines) + 1), record)
-    actual, expected = read_both(kind, header, lines)
+    actual, expected = read_both(kind, header, lines, string_bytes)
     assert actual == expected
 
 

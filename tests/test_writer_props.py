@@ -74,11 +74,11 @@ def written(write) -> str:
 
 
 @SETTINGS
-@given(tables(), st.sampled_from([cohort.BLOCK_RECORDS, 2]))
-def test_write_table_formats_every_value_as_the_row_reference_does(columns, block_records):
+@given(tables(), st.sampled_from([cohort.WRITE_RECORDS, 2]))
+def test_write_table_formats_every_value_as_the_row_reference_does(columns, write_records):
     """At a block of 2 records, tables cross block boundaries, with a repeated
     value or a list column's text split over blocks."""
-    with mock.patch.object(cohort, "BLOCK_RECORDS", block_records):
+    with mock.patch.object(cohort, "WRITE_RECORDS", write_records):
         text = written(lambda path: write_table(path, columns))
     assert text == table_text_by_row(columns)
 
