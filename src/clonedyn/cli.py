@@ -1,9 +1,9 @@
 """Command-line pipeline: simulate, fit, classify, summarize.
 
 Each subcommand reads a flat key = value config file (optional) with
-command-line flags taking precedence, writes tab-delimited tables plus
-key-value documents into --output-dir, and exits with a distinct code
-per failure class:
+command-line flags taking precedence, writes tab-delimited tables,
+key-value documents and (fit and classify) a pack for the next stage
+into --output-dir, and exits with a distinct code per failure class:
 
     0  success, all requested outputs written
     2  parse or validation failure
@@ -36,17 +36,20 @@ from .cohort import (
     Responsibilities,
     atomic_write_text,
     cohort_key,
+    file_digest,
     file_digests,
     filter_clones,
     format_column,
     ingest,
     offsets_from_series,
     read_calls,
+    read_calls_pack,
     read_cohort_pack,
     read_responsibilities,
     read_strata,
     read_truth_labels,
     write_calls,
+    write_calls_pack,
     write_cohort,
     write_cohort_pack,
     write_offsets,
@@ -70,7 +73,8 @@ EXIT_IDENTIFIABILITY = 3
 EXIT_OPTIMIZER = 4
 EXIT_IO = 5
 
-PACK_NAME = "cohort.pack"  # fit's cohort, beside its responsibilities.tsv
+PACK_NAME = "cohort.pack"  # fit's cohort and prob_dynamic, beside its responsibilities.tsv
+CALLS_PACK_NAME = "calls.pack"  # classify's per-person counts, beside its calls.tsv
 
 
 def read_keyvalues(path: str | Path, keys: Collection[str] | None = None) -> dict[str, str]:
@@ -247,12 +251,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     )
     resp_path = out / "responsibilities.tsv"
     cohort = result.cohort
-    write_responsibilities(
+    resp_digest = write_responsibilities(
         resp_path,
         Responsibilities(cohort.person_id, cohort.clone_id, cohort.n_times, result.prob_dynamic),
     )
     pack_path = out / PACK_NAME
-    write_cohort_pack(pack_path, series, cohort_key(digests, *inputs[2:]))
+    key = cohort_key(digests, *inputs[2:], resp_digest)
+    write_cohort_pack(pack_path, cohort, result.prob_dynamic, key)
     trace_path = out / "fit_trace.tsv"
     write_table(
         trace_path,
@@ -298,11 +303,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
     inputs = _cohort_inputs(opts)
     pack_path = responsibilities.with_name(PACK_NAME)
     if pack_path.is_file():
-        key = cohort_key(file_digests(*inputs[:2]), *inputs[2:])
-        cohort = read_cohort_pack(pack_path, key)
+        key = cohort_key(file_digests(*inputs[:2]), *inputs[2:], file_digest(responsibilities))
+        cohort, prob_dynamic = read_cohort_pack(pack_path, key)
     else:
         cohort = _load_series(inputs)
-    prob_dynamic = align_responsibilities(read_responsibilities(responsibilities), cohort)
+        prob_dynamic = align_responsibilities(read_responsibilities(responsibilities), cohort)
     calls = classify(prob_dynamic, cohort, threshold)
     truth_path_in = opts.get("truth", str)
     truth = truth_of(calls, read_truth_labels(truth_path_in)) if truth_path_in else None
@@ -311,10 +316,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     # every check has passed: write
     prob_text = format_column(calls.prob_dynamic)  # written to calls.tsv and membership_points.tsv
     calls_path = out / "calls.tsv"
-    write_calls(calls_path, calls, prob_text)
+    calls_digest = write_calls(calls_path, calls, prob_text)
 
+    counts = dynamic_counts_per_person(calls)
     person_path = out / "per_person.tsv"
-    write_table(person_path, vars(dynamic_counts_per_person(calls)))
+    write_table(person_path, vars(counts))
+    calls_pack_path = out / CALLS_PACK_NAME
+    write_calls_pack(calls_pack_path, counts, calls_digest)
 
     points_path = out / "membership_points.tsv"
     write_table(
@@ -342,7 +350,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         },
     )
 
-    outputs = [calls_path, person_path, points_path, traj_path]
+    outputs = [calls_path, person_path, calls_pack_path, points_path, traj_path]
     if oc is not None:
         oc_path = out / "operating_characteristics.txt"
         write_keyvalues(oc_path, vars(oc))
@@ -354,14 +362,18 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_summarize(args: argparse.Namespace) -> int:
     opts = _Options(args)
     out = _ensure_output_dir(opts)
-    calls = read_calls(opts.get("input", str, required=True))
+    calls_path = Path(opts.get("input", str, required=True))
+    pack_path = calls_path.with_name(CALLS_PACK_NAME)
+    if pack_path.is_file():
+        counts = read_calls_pack(pack_path, file_digest(calls_path))
+    else:
+        counts = dynamic_counts_per_person(read_calls(calls_path))
     strata_person, strata = read_strata(opts.get("strata", str, required=True))
     cutoff_dynamic = opts.get("cutoff_dynamic", int, 50)
     cutoff_direction = opts.get("cutoff_direction", int, 25)
     if not all(-INT64_MAX - 1 <= c <= INT64_MAX for c in (cutoff_dynamic, cutoff_direction)):
         raise ValidationError("cutoff_dynamic and cutoff_direction must fit in a 64-bit integer")
 
-    counts = dynamic_counts_per_person(calls)
     rows = match_keys((strata_person,), (counts.person_id,))
     if (rows < 0).any():
         uncovered = counts.person_id[rows < 0].tolist()  # sorted, as counts' persons are

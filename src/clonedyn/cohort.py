@@ -45,14 +45,21 @@ once, WRITE_RECORDS rows at a time.  write_cohort emits canonical
 their columns, and every target file is replaced atomically and synced
 to disk.
 
-The one binary format is the cohort pack, fit's filtered cohort for
-classify: a format line, its key as `name = value` lines (the sha256 of
-the cohort and offsets bytes that ingest parsed, hashed as it read them,
-and the filter settings), then the PackedCohort's columns as .npy
-arrays, its ids as UTF-8 joined by newlines, and last the sha256 of
-every byte before it.  read_cohort_pack checks the key before it reads
-an array, reads none that needs unpickling, checks the sha256, and
-rebuilds the cohort through PackedCohort's checks.
+The two binary formats are packs, each the parsed form of a table one
+stage writes for the next, keyed to the bytes it stands for: the cohort
+pack, fit's filtered cohort and its prob_dynamic for classify, and the
+calls pack, classify's per-person call counts for summarize.  Both are
+written and read by one pair of functions: a format line, the key as
+`name = value` lines, then columns as .npy arrays (ids as UTF-8 joined
+by newlines), and last the sha256 of every byte before it.  The cohort
+pack's key is the sha256 of the cohort and offsets bytes that ingest
+parsed, hashed as it read them, the filter settings and the sha256 of
+responsibilities.tsv; the calls pack's is the sha256 of calls.tsv.  The
+writers hash a table as they write it (write_table's digest), so no
+output is read back.  A pack reader checks the key field by field
+before it reads an array, reads none that needs unpickling, checks the
+sha256, and then the columns themselves: the cohort through
+PackedCohort's checks.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .classify import KINDS, CallTable
+from .classify import KINDS, CallTable, PersonCounts
 from .errors import ParseError, ValidationError
 from .model import PackedCohort, narrow_type, segment_rows, strictly_increasing
 from .simulate import TruthLabels
@@ -292,18 +299,13 @@ def _blocks(handle, width: int, path: Path) -> Iterator[_Block]:
         lineno += n
 
 
-def _sha256(path: str | Path | None = None):
-    """A new hashlib sha256 object, fed every byte of path if one is given."""
+def _sha256():
+    """A new hashlib sha256 object."""
     # imported on first use: hashlib maps OpenSSL, ~3.6 MB of RSS, which a
     # stage that hashes nothing need not hold
     import hashlib
 
-    digest = hashlib.sha256()
-    if path is not None:
-        with open(path, "rb") as handle:
-            while chunk := handle.read(1 << 20):
-                digest.update(chunk)
-    return digest
+    return hashlib.sha256()
 
 
 class _Hashed(io.RawIOBase):
@@ -325,8 +327,9 @@ class _Hashed(io.RawIOBase):
         return n
 
     def write(self, data) -> int:
-        self.digest.update(data)
-        return self.file.write(data)
+        n = self.file.write(data)  # a raw file may take fewer bytes than it is given
+        self.digest.update(memoryview(data)[:n])
+        return n
 
 
 @contextmanager
@@ -870,12 +873,13 @@ def filter_clones(
 
 
 @contextmanager
-def _atomic_file(path: str | Path, binary: bool = False) -> Iterator[io.IOBase]:
+def _atomic_file(path: str | Path, binary: bool = False, digest=None) -> Iterator[io.IOBase]:
     """A text handle (a binary one if binary) on a temporary file that
     replaces path in one rename when the block completes, created as open()
     would: mode 0o666 less the process umask.  The file is synced to disk
     before the rename, and its directory after it, so a crash leaves either
-    the old file or the whole new one."""
+    the old file or the whole new one.  With a digest (a hashlib object),
+    every byte written to the file is fed to it on its way there."""
     path = Path(path)
     while True:
         tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
@@ -885,11 +889,14 @@ def _atomic_file(path: str | Path, binary: bool = False) -> Iterator[io.IOBase]:
         except FileExistsError:
             continue
     try:
-        text = {} if binary else {"encoding": "utf-8", "newline": ""}
-        with os.fdopen(fd, "wb" if binary else "w", **text) as handle:
-            yield handle
-            handle.flush()
-            os.fsync(handle.fileno())
+        with open(fd, "wb", buffering=0) as file:
+            handle = io.BufferedWriter(file if digest is None else _Hashed(file, digest))
+            if not binary:
+                handle = io.TextIOWrapper(handle, encoding="utf-8", newline="")
+            with handle:
+                yield handle
+                handle.flush()
+                os.fsync(file.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -930,12 +937,15 @@ def format_column(values: np.ndarray) -> list[str]:
     return np.array(list(text), dtype=object)[inverse].tolist()
 
 
-def write_table(path: str | Path, columns: Mapping[str, np.ndarray | list[str]]) -> None:
+def write_table(
+    path: str | Path, columns: Mapping[str, np.ndarray | list[str]], digest=None
+) -> None:
     """Replace path with a header of the column names and a tab-joined row per
     record, formatted and written WRITE_RECORDS at a time.  An array column is
     formatted by format_column; a list is format_column's text already, so a
-    column written to two tables is formatted once."""
-    with _atomic_file(path) as handle:
+    column written to two tables is formatted once.  Every byte written is
+    fed to digest (a hashlib object), if one is given."""
+    with _atomic_file(path, digest=digest) as handle:
         handle.write("\t".join(columns) + "\n")
         for k in range(0, max(map(len, columns.values()), default=0), WRITE_RECORDS):
             block = (column[k : k + WRITE_RECORDS] for column in columns.values())
@@ -980,43 +990,60 @@ def write_truth(path: str | Path, truth: TruthLabels) -> None:
     write_table(path, dict(zip(TRUTH_COLUMNS, columns)))
 
 
-def write_responsibilities(path: str | Path, responsibilities: Responsibilities) -> None:
-    """Write the columns in their order, as read_responsibilities gives them."""
-    write_table(path, vars(responsibilities))
+def write_responsibilities(path: str | Path, responsibilities: Responsibilities) -> str:
+    """Write the columns in their order, as read_responsibilities gives them;
+    the sha256 (hex) of the bytes written."""
+    digest = _sha256()
+    write_table(path, vars(responsibilities), digest)
+    return digest.hexdigest()
 
 
-def write_calls(path: str | Path, calls: CallTable, prob_text: list[str]) -> None:
-    """calls.tsv, with prob_text the format_column of calls.prob_dynamic."""
+def write_calls(path: str | Path, calls: CallTable, prob_text: list[str]) -> str:
+    """calls.tsv, with prob_text the format_column of calls.prob_dynamic; the
+    sha256 (hex) of the bytes written."""
     columns = (
         calls.person_id, calls.clone_id, prob_text, calls.call_text(), calls.direction_text()
     )
-    write_table(path, dict(zip(CALLS_COLUMNS, columns)))
+    digest = _sha256()
+    write_table(path, dict(zip(CALLS_COLUMNS, columns)), digest)
+    return digest.hexdigest()
 
 
-PACK_FORMAT = b"clonedyn cohort pack 1\n"
+def file_digest(path: str | Path) -> str:
+    """The sha256 (hex) of the file's bytes, read once."""
+    digest = _sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def file_digests(path: str | Path, offsets_path: str | Path | None) -> dict[str, str | None]:
     """The sha256 (hex) of the cohort file's bytes, as "input", and of the
     offsets file's, as "offsets" (None without one); each file is read once."""
     return {
-        "input": _sha256(path).hexdigest(),
-        "offsets": None if offsets_path is None else _sha256(offsets_path).hexdigest(),
+        "input": file_digest(path),
+        "offsets": None if offsets_path is None else file_digest(offsets_path),
     }
 
 
 def cohort_key(
-    digests: Mapping[str, str | None], min_total_reads: int, absent_as_zero: bool
+    digests: Mapping[str, str | None],
+    min_total_reads: int,
+    absent_as_zero: bool,
+    responsibilities: str,
 ) -> dict[str, str]:
     """What a cohort pack is keyed by, field by field, as its header holds
     it: the digests of the cohort and offsets bytes, as ingest or
-    file_digests gives them (none without offsets), and the filter
-    settings."""
+    file_digests gives them (none without offsets), the filter settings,
+    and the sha256 of responsibilities.tsv, as write_responsibilities or
+    file_digest gives it."""
     return {
         "input": digests["input"],
         "offsets": digests["offsets"] or "none",
         "min_total_reads": str(min_total_reads),
         "absent_as_zero": str(absent_as_zero).lower(),
+        "responsibilities": responsibilities,
     }
 
 
@@ -1024,17 +1051,45 @@ def _joined(ids: np.ndarray) -> np.ndarray:
     """The UTF-8 bytes of the ids joined by newlines, which no id holds."""
     text = "\n".join(ids.tolist())
     if text.count("\n") != max(ids.size - 1, 0):
-        raise ValidationError("an id holds a line break, which a cohort pack cannot hold")
+        raise ValidationError("an id holds a line break, which a pack cannot hold")
     return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
 
 
 def _split(data: np.ndarray, n: int) -> np.ndarray:
     """The n ids _joined gave data for, as an object array of str;
     ValueError if data holds another number of ids or is not UTF-8."""
-    ids = data.tobytes().decode("utf-8").split("\n") if n else []
+    ids = data.tobytes().decode("utf-8").split("\n") if n or data.size else []
     if len(ids) != n:
         raise ValueError(f"{len(ids)} ids for {n} rows")
     return np.array(ids, dtype=object)
+
+
+@dataclass(frozen=True)
+class _PackFormat:
+    """A pack format: its name and version, which its first line spells,
+    the dtype kind of each of its .npy arrays, in order, and what a key
+    field of another value tells the user to do."""
+
+    name: str
+    version: int
+    kinds: str
+    remedy: str
+
+    @property
+    def tag(self) -> bytes:
+        return f"clonedyn {self.name} {self.version}\n".encode("ascii")
+
+
+_COHORT_PACK = _PackFormat(
+    "cohort pack", 2, "uuiiiiif",
+    "classify must read the cohort fit read, with the same filter settings, and the "
+    "responsibilities.tsv fit wrote beside the pack",
+)  # fmt: skip
+_CALLS_PACK = _PackFormat(
+    "calls pack", 1, "uiii",
+    "summarize must read the calls.tsv classify wrote beside the pack; remove the pack "
+    "to summarize another",
+)  # fmt: skip
 
 
 def _trailer(digest) -> bytes:
@@ -1042,14 +1097,69 @@ def _trailer(digest) -> bytes:
     return f"sha256 = {digest.hexdigest()}\n".encode("ascii")
 
 
-def write_cohort_pack(path: str | Path, cohort: PackedCohort, key: Mapping[str, str]) -> None:
-    """Replace path with the cohort in binary: PACK_FORMAT and a `name =
-    value` line per key field, then the cohort's columns as .npy arrays,
-    hashed as they go to the file, with no copy of the file in memory: the
-    clone and person ids (_joined), starts, counts, obs_pt, pt_time and
-    pt_total; last, the line `sha256 = ` and the hex digest of every byte
-    before it."""
+def _write_pack(
+    path: str | Path, form: _PackFormat, key: Mapping[str, str], columns: Sequence[np.ndarray]
+) -> None:
+    """Replace path with a pack: form's tag and a `name = value` line per key
+    field, then the columns as .npy arrays, hashed as they go to the file,
+    with no copy of the file in memory; last, the line `sha256 = ` and the
+    hex digest of every byte before it."""
     header = "".join(f"{name} = {value}\n" for name, value in key.items()).encode("utf-8")
+    digest = _sha256()
+    with _atomic_file(path, binary=True) as handle:
+        hashed = _Hashed(handle, digest)
+        hashed.write(form.tag + header)
+        for column in columns:
+            np.lib.format.write_array(hashed, column, allow_pickle=False)
+        handle.write(_trailer(digest))
+
+
+def _garbled(path: Path, form: _PackFormat) -> ValidationError:
+    return ValidationError(f"{path}: not a whole {form.name} of this format")
+
+
+def _read_pack(path: Path, form: _PackFormat, key: Mapping[str, str]) -> list[np.ndarray]:
+    """The columns _write_pack wrote to path under the same key, each 1-D of
+    its kind in form.kinds.
+
+    A key field of another value is a ValidationError that names the first
+    such field, and so is a file that is not a whole pack of this format,
+    its last line's sha256 included.  No array is unpickled.
+    """
+    digest = _sha256()
+    with open(path, "rb") as file:
+        handle = _Hashed(file, digest)
+        if handle.readline(len(form.tag)) != form.tag:
+            raise _garbled(path, form)
+        for name, value in key.items():
+            line = handle.readline(256).decode("utf-8", errors="replace")
+            field, _, stored = line.rstrip("\n").partition(" = ")
+            if field != name or not line.endswith("\n"):
+                raise _garbled(path, form)
+            if stored != value:
+                raise ValidationError(
+                    f"{path} was written for another {name} ({stored} there, {value} here): "
+                    f"{form.remedy}"
+                )
+        try:
+            # a garbled shape may ask for more memory than there is
+            arrays = [np.lib.format.read_array(handle, allow_pickle=False) for _ in form.kinds]
+        except (ValueError, EOFError, MemoryError):
+            raise _garbled(path, form) from None
+        trailer = _trailer(digest)
+        if file.read(len(trailer) + 1) != trailer:
+            raise _garbled(path, form)
+    if "".join(array.dtype.kind if array.ndim == 1 else "-" for array in arrays) != form.kinds:
+        raise _garbled(path, form)
+    return arrays
+
+
+def write_cohort_pack(
+    path: str | Path, cohort: PackedCohort, prob_dynamic: np.ndarray, key: Mapping[str, str]
+) -> None:
+    """Replace path with the cohort and the prob_dynamic of each of its
+    clones, under key (cohort_key): the clone and person ids (_joined),
+    starts, counts, obs_pt, pt_time, pt_total and prob_dynamic (float64)."""
     columns = (
         _joined(cohort.clone_id),
         _joined(cohort.pt_person),
@@ -1058,57 +1168,74 @@ def write_cohort_pack(path: str | Path, cohort: PackedCohort, key: Mapping[str, 
         cohort.obs_pt,
         cohort.pt_time,
         cohort.pt_total,
+        np.asarray(prob_dynamic, dtype=np.float64),
     )
-    digest = _sha256()
-    with _atomic_file(path, binary=True) as handle:
-        hashed = _Hashed(handle, digest)
-        hashed.write(PACK_FORMAT + header)
-        for column in columns:
-            np.lib.format.write_array(hashed, column, allow_pickle=False)
-        handle.write(_trailer(digest))
+    _write_pack(path, _COHORT_PACK, key, columns)
 
 
-def read_cohort_pack(path: str | Path, key: Mapping[str, str]) -> PackedCohort:
-    """The cohort write_cohort_pack wrote to path under the same key.
+def read_cohort_pack(
+    path: str | Path, key: Mapping[str, str]
+) -> tuple[PackedCohort, np.ndarray]:
+    """The cohort and prob_dynamic write_cohort_pack wrote to path under the
+    same key.
 
     A key field of another value is a ValidationError that names the first
     such field, and so is a file that is not a whole pack of this format,
-    its last line's sha256 included.  No array is unpickled, and
+    its last line's sha256 included, or one fit could not have written: it
+    must hold a clone, as responsibilities.tsv must hold a row, and each
+    prob_dynamic must lie in [0, 1].  No array is unpickled, and
     PackedCohort checks the cohort it rebuilds.
     """
     path = Path(path)
-    garbled = ValidationError(f"{path}: not a whole cohort pack of this format")
-    digest = _sha256()
-    with open(path, "rb") as file:
-        handle = _Hashed(file, digest)
-        if handle.readline(len(PACK_FORMAT)) != PACK_FORMAT:
-            raise garbled
-        for name, value in key.items():
-            line = handle.readline(256).decode("utf-8", errors="replace")
-            field, _, stored = line.rstrip("\n").partition(" = ")
-            if field != name or not line.endswith("\n"):
-                raise garbled
-            if stored != value:
-                raise ValidationError(
-                    f"{path} was written for another {name} ({stored} there, {value} here): "
-                    "classify must read the cohort fit read, with the same filter settings"
-                )
-        try:
-            # a garbled shape may ask for more memory than there is
-            arrays = [np.lib.format.read_array(handle, allow_pickle=False) for _ in range(7)]
-        except (ValueError, EOFError, MemoryError):
-            raise garbled from None
-        trailer = _trailer(digest)
-        if file.read(len(trailer) + 1) != trailer:
-            raise garbled
-    kinds = [array.dtype.kind if array.ndim == 1 else "" for array in arrays]
-    if kinds != ["u", "u", "i", "i", "i", "i", "i"]:
-        raise garbled
-    clone_id, pt_person, starts, counts, obs_pt, pt_time, pt_total = arrays
+    *columns, prob_dynamic = _read_pack(path, _COHORT_PACK, key)
+    clone_id, pt_person, starts, counts, obs_pt, pt_time, pt_total = columns
+    in_unit_interval = (prob_dynamic >= 0) & (prob_dynamic <= 1)
+    if not starts.size or prob_dynamic.size != starts.size or not in_unit_interval.all():
+        raise _garbled(path, _COHORT_PACK)
     try:
         clone_id, pt_person = _split(clone_id, starts.size), _split(pt_person, pt_total.size)
-        return PackedCohort(clone_id, starts, counts, obs_pt, pt_person, pt_time, pt_total)
+        cohort = PackedCohort(clone_id, starts, counts, obs_pt, pt_person, pt_time, pt_total)
     except ValueError:
-        raise garbled from None
+        raise _garbled(path, _COHORT_PACK) from None
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
+    return cohort, prob_dynamic.astype(np.float64, copy=False)
+
+
+def write_calls_pack(path: str | Path, counts: PersonCounts, calls_digest: str) -> None:
+    """Replace path with the per-person counts of the calls.tsv whose sha256
+    (hex) is calls_digest, as write_calls gives it: the person ids
+    (_joined), n_dynamic, n_expanding and n_contracting."""
+    columns = (
+        _joined(counts.person_id), counts.n_dynamic, counts.n_expanding, counts.n_contracting
+    )
+    _write_pack(path, _CALLS_PACK, {"calls": calls_digest}, columns)
+
+
+def read_calls_pack(path: str | Path, calls_digest: str) -> PersonCounts:
+    """The counts write_calls_pack wrote to path for the same calls.tsv.
+
+    Another calls_digest is a ValidationError naming calls, and so is a
+    file that is not a whole pack of this format, its sha256 included, or
+    whose counts dynamic_counts_per_person could not have given from a
+    calls.tsv, which holds a row: one person or more, in strictly
+    increasing order, each count >= 0, and n_dynamic the sum of
+    n_expanding and n_contracting.  No array is unpickled.
+    """
+    path = Path(path)
+    ids, *columns = _read_pack(path, _CALLS_PACK, {"calls": calls_digest})
+    n_dynamic, n_expanding, n_contracting = (c.astype(np.int64) for c in columns)
+    try:
+        person_id = _split(ids, n_dynamic.size)
+    except ValueError:
+        raise _garbled(path, _CALLS_PACK) from None
+    if not (
+        0 < n_dynamic.size == n_expanding.size == n_contracting.size
+        and strictly_increasing(person_id)
+        and (n_dynamic >= 0).all()
+        and (n_expanding >= 0).all()
+        and (n_contracting >= 0).all()
+        and (n_dynamic == n_expanding + n_contracting).all()
+    ):
+        raise _garbled(path, _CALLS_PACK)
+    return PersonCounts(person_id, n_dynamic, n_expanding, n_contracting)

@@ -97,5 +97,5 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.rglob("*")) if path.is_file()
         })  # fmt: skip
-    assert len(digests[0]) == 3 + 4 + 5 + 2  # every output of each stage
+    assert len(digests[0]) == 3 + 4 + 6 + 2  # every output of each stage
     assert digests[0] == digests[1]

@@ -1,15 +1,22 @@
-"""The fit -> classify handoff: fit's cohort.pack beside responsibilities.tsv.
+"""The two handoffs by pack: fit's cohort.pack beside responsibilities.tsv,
+and classify's calls.pack beside calls.tsv.
 
-classify takes the cohort from the pack when its key (the sha256 of the
-cohort and offsets bytes fit parsed and the filter settings) matches its
-own options, and must then write exactly what it writes after ingesting
-the table; any other key, or a pack that is not a whole one of this
-format (whose last line is the sha256 of every byte before it), exits 2.
-Each stage reads each input once, so a pipe serves.
+classify takes the cohort and prob_dynamic from cohort.pack when its key
+(the sha256 of the cohort and offsets bytes fit parsed, the filter
+settings and the sha256 of responsibilities.tsv) matches its own options
+and files, and must then write exactly what it writes after ingesting
+the cohort and reading the responsibilities; summarize takes its
+per-person counts from calls.pack when its key (the sha256 of calls.tsv)
+matches, and must then write exactly what it writes after reading
+calls.tsv.  Any other key, or a pack that is not a whole one of its
+format (whose last line is the sha256 of every byte before it) or that
+holds columns its stage could not have written, exits 2.  Each stage
+reads each input once, so a pipe serves.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import os
@@ -27,18 +34,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import clonedyn.cli as cli
-from clonedyn.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, PACK_NAME, main
+from clonedyn.classify import dynamic_counts_per_person
+from clonedyn.cli import CALLS_PACK_NAME, EXIT_IO, EXIT_OK, EXIT_VALIDATION, PACK_NAME, main
 from clonedyn.cohort import (
     Responsibilities,
     cohort_key,
+    file_digest,
     file_digests,
     filter_clones,
     ingest,
+    read_calls,
+    read_calls_pack,
     write_cohort_pack,
     write_responsibilities,
 )
 from clonedyn.errors import ValidationError
 
+from oracles import write_strata
 from test_ingest_props import SETTINGS, cohort_text, cohorts
 
 
@@ -65,8 +77,38 @@ def classify(fit: Path, out: Path, args, *extra):
                "--output-dir", out)  # fmt: skip
 
 
+def summarize(calls: Path, strata: Path, out: Path):
+    return run("summarize", "--input", calls, "--strata", strata, "--cutoff-dynamic", 10,
+               "--cutoff-direction", 5, "--output-dir", out)  # fmt: skip
+
+
 def outputs(directory: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def without_pack(directory: Path, pack: str, copy: Path) -> Path:
+    """A copy of directory without its pack."""
+    copy.mkdir()
+    for path in directory.iterdir():
+        if path.name != pack:
+            (copy / path.name).write_bytes(path.read_bytes())
+    return copy
+
+
+def crlf_copy(path: Path, directory: Path) -> Path:
+    """path's table with CRLF line ends: other bytes, which parse to the same
+    table."""
+    directory.mkdir(exist_ok=True)
+    copy = directory / path.name
+    copy.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    return copy
+
+
+def write_strata_of(calls: Path, path: Path) -> Path:
+    """strata.tsv of the persons of a calls.tsv, alternately 0 and 1."""
+    persons = sorted({line.split("\t")[0] for line in calls.read_text("utf-8").splitlines()[1:]})
+    write_strata(path, {person: j % 2 for j, person in enumerate(persons)})
+    return path
 
 
 @pytest.mark.parametrize("offsets", [True, False], ids=["offsets", "derived"])
@@ -84,24 +126,29 @@ def test_classify_writes_the_same_with_the_pack_and_without_it(
     assert outputs(tmp_path / "packed") == outputs(tmp_path / "ingested")
 
 
-def write_fitted(directory: Path, cohort, pack_key=None) -> None:
+def write_fitted(directory: Path, cohort, inputs=None) -> None:
     """responsibilities.tsv for the cohort's clones, as fit writes it, and
-    the pack beside it when a key is given."""
+    the pack beside it when inputs, cohort_key's digests and filter
+    settings, are given."""
     directory.mkdir(exist_ok=True)
     n = len(cohort)
     prob = np.arange(n, dtype=np.float64) / max(n - 1, 1)
-    write_responsibilities(
+    digest = write_responsibilities(
         directory / "responsibilities.tsv",
         Responsibilities(cohort.person_id, cohort.clone_id, cohort.n_times, prob),
     )
-    if pack_key is not None:
-        write_cohort_pack(directory / PACK_NAME, cohort, pack_key)
+    assert digest == file_digest(directory / "responsibilities.tsv")
+    if inputs is not None:
+        write_cohort_pack(directory / PACK_NAME, cohort, prob, cohort_key(*inputs, digest))
 
 
 @SETTINGS
 @given(cohorts(), st.sampled_from([0, 8]), st.booleans())
 def test_classify_of_any_ids_writes_the_same_with_the_pack(case, min_total_reads, absent_as_zero):
-    """Multi-word and non-ASCII ids, with and without an offsets sidecar."""
+    """Multi-word and non-ASCII ids, with and without an offsets sidecar,
+    through classify and summarize: calls.pack holds what read_calls and
+    dynamic_counts_per_person give, and summarize writes the same with it
+    and without it."""
     rows, _sampled, sidecar = case
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -121,13 +168,28 @@ def test_classify_of_any_ids_writes_the_same_with_the_pack(case, min_total_reads
             return  # fit exits 2 on such a cohort, so it writes no pack
         assert digests == file_digests(root / "cohort.tsv", offsets)
         cohort = filter_clones(table, min_total_reads, absent_as_zero)
-        key = cohort_key(digests, min_total_reads, absent_as_zero)
         write_fitted(root / "ingest", cohort)
-        write_fitted(root / "pack", cohort, key)
+        write_fitted(root / "pack", cohort, (digests, min_total_reads, absent_as_zero))
         codes = [classify(root / name, root / f"out-{name}", args) for name in ("ingest", "pack")]
         assert codes[0] == codes[1]
-        if codes[0] == EXIT_OK:
-            assert outputs(root / "out-ingest") == outputs(root / "out-pack")
+        if codes[0] != EXIT_OK:
+            return
+        assert outputs(root / "out-ingest") == outputs(root / "out-pack")
+        calls = root / "out-pack" / "calls.tsv"
+        packed = read_calls_pack(calls.with_name(CALLS_PACK_NAME), file_digest(calls))
+        parsed = dynamic_counts_per_person(read_calls(calls))
+        for name, column in vars(parsed).items():
+            assert getattr(packed, name).tolist() == column.tolist(), name
+        # a cohort of these has at most three persons, too few for the tests,
+        # so summarize exits 2 after it has the counts, with the same message
+        strata = write_strata_of(calls, root / "strata.tsv")
+        unpacked = without_pack(root / "out-pack", CALLS_PACK_NAME, root / "unpacked") / calls.name
+        ends = []
+        for name, source in (("with", calls), ("without", unpacked)):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = summarize(source, strata, root / f"summary-{name}")
+            ends.append((code, err.getvalue(), outputs(root / f"summary-{name}")))
+        assert ends[0] == ends[1]
 
 
 @pytest.fixture(scope="module")
@@ -139,18 +201,46 @@ def fitted(simulated, tmp_path_factory):
     return fit, args
 
 
+def refuse(*_args, **_kwargs):
+    raise AssertionError("a stage parsed a table its pack stands for")
+
+
 def test_the_pack_is_what_classify_reads(fitted, tmp_path, monkeypatch):
     """With the pack beside the responsibilities, classify neither ingests
-    nor filters the cohort table."""
+    nor filters the cohort table, nor reads the responsibilities table."""
     fit, args = fitted
-
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("classify read the cohort table again")
-
-    monkeypatch.setattr(cli, "ingest", refuse)
-    monkeypatch.setattr(cli, "filter_clones", refuse)
+    for name in ("ingest", "filter_clones", "read_responsibilities", "align_responsibilities"):
+        monkeypatch.setattr(cli, name, refuse)
     assert classify(fit, tmp_path / "cls", args) == EXIT_OK
     assert len((tmp_path / "cls" / "calls.tsv").read_text().splitlines()) == 1 + 300
+
+
+@pytest.fixture(scope="module")
+def classified(fitted, tmp_path_factory):
+    """classify's outputs on the fit, calls.pack among them, and strata of
+    their persons."""
+    fit, args = fitted
+    cls = tmp_path_factory.mktemp("classified")
+    assert classify(fit, cls, args) == EXIT_OK
+    return cls, write_strata_of(cls / "calls.tsv", cls.parent / f"{cls.name}-strata.tsv")
+
+
+def test_the_calls_pack_is_what_summarize_reads(classified, tmp_path, monkeypatch):
+    """With calls.pack beside calls.tsv, summarize neither reads calls.tsv
+    nor counts its calls."""
+    cls, strata = classified
+    monkeypatch.setattr(cli, "read_calls", refuse)
+    monkeypatch.setattr(cli, "dynamic_counts_per_person", refuse)
+    assert summarize(cls / "calls.tsv", strata, tmp_path / "summary") == EXIT_OK
+
+
+def test_summarize_writes_the_same_with_the_calls_pack_and_without_it(classified, tmp_path):
+    cls, strata = classified
+    unpacked = without_pack(cls, CALLS_PACK_NAME, tmp_path / "unpacked")
+    assert summarize(cls / "calls.tsv", strata, tmp_path / "packed") == EXIT_OK
+    assert summarize(unpacked / "calls.tsv", strata, tmp_path / "parsed") == EXIT_OK
+    assert outputs(tmp_path / "packed") == outputs(tmp_path / "parsed")
+    assert sorted(outputs(tmp_path / "packed")) == ["association.tsv", "per_person.tsv"]
 
 
 def changed_copy(path: Path, directory: Path) -> Path:
@@ -171,13 +261,20 @@ def swap(args: list, flag: str, value) -> list:
 
 
 @pytest.mark.parametrize(
-    "field", ["input", "offsets", "no offsets", "min_total_reads", "absent_as_zero"]
-)
+    "field",
+    ["input", "offsets", "no offsets", "min_total_reads", "absent_as_zero", "responsibilities",
+     "calls"],
+)  # fmt: skip
 def test_a_pack_of_other_inputs_or_settings_exits_2_naming_the_field(
-    fitted, simulated, tmp_path, field, capsys
+    fitted, classified, simulated, tmp_path, field, capsys
 ):
+    """A table other than the one its pack was written beside, or other
+    settings; a changed table has CRLF line ends, so only its bytes differ."""
     fit, args = fitted
-    if field == "input":
+    if field == "responsibilities":
+        fit = crlf_copy(fit / "responsibilities.tsv", tmp_path / "fit").parent
+        (fit / PACK_NAME).write_bytes((fitted[0] / PACK_NAME).read_bytes())
+    elif field == "input":
         args = swap(args, "--input", changed_copy(simulated / "cohort.tsv", tmp_path))
     elif field == "offsets":
         args = swap(args, "--offsets", changed_copy(simulated / "offsets.tsv", tmp_path))
@@ -185,14 +282,20 @@ def test_a_pack_of_other_inputs_or_settings_exits_2_naming_the_field(
         args = swap(args, "--offsets", None)
     elif field == "min_total_reads":
         args = swap(args, "--min-total-reads", 1)
-    else:
+    elif field == "absent_as_zero":
         args = [a if a != "--no-absent-as-zero" else "--absent-as-zero" for a in args]
     capsys.readouterr()
-    assert classify(fit, tmp_path / "cls", args) == EXIT_VALIDATION
+    if field == "calls":
+        cls, strata = classified
+        calls = crlf_copy(cls / "calls.tsv", tmp_path / "cls")
+        (calls.parent / CALLS_PACK_NAME).write_bytes((cls / CALLS_PACK_NAME).read_bytes())
+        assert summarize(calls, strata, tmp_path / "out") == EXIT_VALIDATION
+    else:
+        assert classify(fit, tmp_path / "out", args) == EXIT_VALIDATION
     err = capsys.readouterr().err
     name = field.split()[-1]
     assert err.startswith("error: ") and f"was written for another {name} (" in err, err
-    assert not (tmp_path / "cls").exists() or not any((tmp_path / "cls").iterdir())
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 def test_a_pack_keys_the_input_bytes_not_the_path(fitted, simulated, tmp_path):
@@ -230,6 +333,27 @@ def test_fit_and_classify_read_a_pipe_once(fitted, simulated, tmp_path):
     assert outputs(tmp_path / "cls") == outputs(tmp_path / "file")
 
 
+@pytest.mark.parametrize("stage", ["classify", "summarize"])
+def test_a_piped_table_is_parsed_once(fitted, classified, tmp_path, stage):
+    """Responsibilities or calls that can be read only once: no pack lies
+    beside a pipe, so the stage parses the table as it reads it, and writes
+    what it writes from the file beside its pack."""
+    fit, args = fitted
+    cls, strata = classified
+    if stage == "classify":
+        data = (fit / "responsibilities.tsv").read_bytes()
+        argv = ["classify", *args, "--responsibilities", "/dev/fd/0"]
+        assert classify(fit, tmp_path / "file", args) == EXIT_OK
+    else:
+        data = (cls / "calls.tsv").read_bytes()
+        argv = ["summarize", "--input", "/dev/fd/0", "--strata", strata, "--cutoff-dynamic", 10,
+                "--cutoff-direction", 5]  # fmt: skip
+        assert summarize(cls / "calls.tsv", strata, tmp_path / "file") == EXIT_OK
+    done = run_on_stdin(data, *argv, "--output-dir", tmp_path / "piped")
+    assert done.returncode == EXIT_OK, done.stderr
+    assert outputs(tmp_path / "piped") == outputs(tmp_path / "file")
+
+
 @pytest.mark.parametrize("quoted", [False, True], ids=["tokenizer", "csv.reader"])
 def test_ingest_digests_the_bytes_it_parses(simulated, tmp_path, quoted):
     """On the byte tokenizer's path and on csv.reader's, which takes the
@@ -249,29 +373,42 @@ def test_ingest_digests_the_bytes_it_parses(simulated, tmp_path, quoted):
 
 DAMAGES = [
     "empty", "tag only", "header only", "cut in a key line", "cut in the arrays", "one byte short",
-    "one byte more", "another format", "not numpy", "a pickled array", "a count off by one",
-    "a negative total under its sha256",
+    "one byte more", "another format", "format 1", "not numpy", "a pickled array",
+    "a count off by one", "a negative total under its sha256",
+    "a probability outside [0, 1] under its sha256",
 ]  # fmt: skip
 
 
 def resealed(body: bytes) -> bytes:
-    """body with the last line write_cohort_pack would end it with."""
+    """body with the last line a pack writer would end it with."""
     return body + b"sha256 = " + hashlib.sha256(body).hexdigest().encode() + b"\n"
 
 
+def array_at(pack: bytes, k: int) -> tuple[int, int]:
+    """Where the k-th array of the pack starts, and where its data does."""
+    at = [m.start() for m in re.finditer(b"\x93NUMPY", pack)][k]
+    array = io.BytesIO(pack[at:])
+    assert np.lib.format.read_magic(array) == (1, 0)
+    np.lib.format.read_array_header_1_0(array)
+    return at, at + array.tell()
+
+
+def flipped(data: bytes, i: int) -> bytes:
+    """data with the lowest bit of byte i flipped."""
+    return data[:i] + bytes([data[i] ^ 1]) + data[i + 1 :]
+
+
 def damaged(pack: bytes, kind: str) -> bytes:
-    """The pack cut short, garbled, of another format or holding a pickle."""
+    """The cohort pack cut short, garbled, of another format or holding a pickle."""
     arrays = pack.index(b"\x93NUMPY")
     body = pack[: pack.rindex(b"sha256 = ")]
     assert resealed(body) == pack
     pickled = io.BytesIO()
     np.lib.format.write_array(pickled, np.array([{"a": 1}], dtype=object), allow_pickle=True)
     # the lowest byte of the first count: the first data byte of the fourth array
-    counts_at = [m.start() for m in re.finditer(b"\x93NUMPY", pack)][3]
-    counts = io.BytesIO(pack[counts_at:])
-    assert np.lib.format.read_magic(counts) == (1, 0)
-    np.lib.format.read_array_header_1_0(counts)
-    first_count = counts_at + counts.tell()
+    _, first_count = array_at(pack, 3)
+    # prob_dynamic, the last array, follows pt_total
+    prob_at, _ = array_at(pack, 7)
     return {
         "empty": b"",
         "tag only": pack[: pack.index(b"\n") + 1],
@@ -280,16 +417,29 @@ def damaged(pack: bytes, kind: str) -> bytes:
         "cut in the arrays": pack[: len(pack) // 2],
         "one byte short": pack[:-1],
         "one byte more": pack + b"\x00",
-        "another format": pack.replace(b"clonedyn cohort pack 1", b"clonedyn cohort pack 2", 1),
+        "another format": pack.replace(b"clonedyn cohort pack 2", b"clonedyn cohort pack 3", 1),
+        # as the cohort pack was before it held prob_dynamic
+        "format 1": pack.replace(b"clonedyn cohort pack 2", b"clonedyn cohort pack 1", 1),
         "not numpy": pack[:arrays] + bytes(len(pack) - arrays),
         "a pickled array": pack[:arrays] + pickled.getvalue() + pack[arrays:],
         # well formed, so only the sha256 tells
-        "a count off by one": pack[:first_count]
-        + bytes([pack[first_count] ^ 1])
-        + pack[first_count + 1 :],
+        "a count off by one": flipped(pack, first_count),
         # the last pt_total, as int64: only PackedCohort's checks tell
-        "a negative total under its sha256": resealed(body[:-8] + b"\xff" * 8),
+        "a negative total under its sha256": resealed(
+            body[: prob_at - 8] + b"\xff" * 8 + body[prob_at:]
+        ),
+        "a probability outside [0, 1] under its sha256": resealed(
+            body[:-8] + np.float64(1.5).tobytes()
+        ),
     }[kind]
+
+
+def refuse_unpickling(monkeypatch) -> None:
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the pack was unpickled")
+
+    monkeypatch.setattr(pickle, "load", refuse)
+    monkeypatch.setattr(pickle, "loads", refuse)
 
 
 @pytest.mark.parametrize("kind", DAMAGES)
@@ -299,32 +449,65 @@ def test_a_damaged_pack_exits_2_without_unpickling(fitted, tmp_path, kind, capsy
     broken.mkdir()
     (broken / "responsibilities.tsv").write_bytes((fit / "responsibilities.tsv").read_bytes())
     (broken / PACK_NAME).write_bytes(damaged((fit / PACK_NAME).read_bytes(), kind))
-
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("the pack was unpickled")
-
-    monkeypatch.setattr(pickle, "load", refuse)
-    monkeypatch.setattr(pickle, "loads", refuse)
+    refuse_unpickling(monkeypatch)
     capsys.readouterr()
     assert classify(broken, tmp_path / "cls", args) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith(f"error: {broken / PACK_NAME}") and "Traceback" not in err, err
-    if kind == "a count off by one":
+    if kind in ("a count off by one", "format 1", "a probability outside [0, 1] under its sha256"):
         assert "not a whole cohort pack of this format" in err, err
+    assert not any((tmp_path / "cls").iterdir())
+
+
+def damaged_calls_pack(pack: bytes, kind: str) -> bytes:
+    """calls.pack cut short, of another format, or with the first n_dynamic,
+    the first data byte of the second array, off by one under a new sha256
+    (so n_dynamic is no longer n_expanding + n_contracting)."""
+    body = pack[: pack.rindex(b"sha256 = ")]
+    assert resealed(body) == pack
+    return {
+        "cut short": pack[: len(pack) // 2],
+        "another format": pack.replace(b"clonedyn calls pack 1", b"clonedyn calls pack 2", 1),
+        "a count off by one under its sha256": resealed(flipped(body, array_at(pack, 1)[1])),
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind", ["cut short", "another format", "a count off by one under its sha256"]
+)
+def test_a_damaged_calls_pack_exits_2_without_unpickling(
+    classified, tmp_path, kind, capsys, monkeypatch
+):
+    cls, strata = classified
+    broken = tmp_path / "cls"
+    broken.mkdir()
+    (broken / "calls.tsv").write_bytes((cls / "calls.tsv").read_bytes())
+    pack = damaged_calls_pack((cls / CALLS_PACK_NAME).read_bytes(), kind)
+    (broken / CALLS_PACK_NAME).write_bytes(pack)
+    refuse_unpickling(monkeypatch)
+    capsys.readouterr()
+    assert summarize(broken / "calls.tsv", strata, tmp_path / "summary") == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: {broken / CALLS_PACK_NAME}: not a whole calls pack of this format\n"
+    assert not any((tmp_path / "summary").iterdir())
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 def test_the_pack_has_the_umask_mode(simulated, tmp_path, umask):
+    """cohort.pack and calls.pack both."""
     args = cohort_args(simulated, offsets=True, absent_as_zero=False)
     previous = os.umask(umask)
     try:
         assert run("fit", *args, "--seed", 7, "--output-dir", tmp_path) == EXIT_OK
+        assert classify(tmp_path, tmp_path / "cls", args) == EXIT_OK
     finally:
         os.umask(previous)
-    assert stat.S_IMODE((tmp_path / PACK_NAME).stat().st_mode) == 0o666 & ~umask
+    for pack in (tmp_path / PACK_NAME, tmp_path / "cls" / CALLS_PACK_NAME):
+        assert stat.S_IMODE(pack.stat().st_mode) == 0o666 & ~umask, pack
 
 
-def test_a_failed_pack_write_leaves_no_file(simulated, tmp_path, monkeypatch, capsys):
+def fail_on_the_third_array(monkeypatch) -> list:
+    """The arrays np.lib.format.write_array wrote before it failed on the third."""
     write_array, written = np.lib.format.write_array, []
 
     def fail_on_the_third(handle, array, **kwargs):
@@ -334,8 +517,22 @@ def test_a_failed_pack_write_leaves_no_file(simulated, tmp_path, monkeypatch, ca
         written.append(array)
 
     monkeypatch.setattr(np.lib.format, "write_array", fail_on_the_third)
+    return written
+
+
+def test_a_failed_pack_write_leaves_no_file(simulated, tmp_path, monkeypatch, capsys):
+    written = fail_on_the_third_array(monkeypatch)
     args = cohort_args(simulated, offsets=True, absent_as_zero=False)
     assert run("fit", *args, "--seed", 7, "--output-dir", tmp_path) == EXIT_IO
     assert "No space left on device" in capsys.readouterr().err
     assert len(written) == 2
     assert not [path for path in tmp_path.iterdir() if PACK_NAME in path.name]
+
+
+def test_a_failed_calls_pack_write_leaves_no_file(fitted, tmp_path, monkeypatch, capsys):
+    fit, args = fitted
+    written = fail_on_the_third_array(monkeypatch)
+    assert classify(fit, tmp_path, args) == EXIT_IO
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(written) == 2
+    assert not [path for path in tmp_path.iterdir() if CALLS_PACK_NAME in path.name]
