@@ -10,6 +10,11 @@ into --output-dir, and exits with a distinct code per failure class:
     3  unidentifiable design (every clone observed once)
     4  optimizer failure
     5  I/O failure
+
+This module wires options to stages and orders each stage's reads and
+writes.  clonedyn.cohort reads and writes every file, and each of its
+writers either replaces its target with the whole, synced file or
+raises, which exits 5.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import argparse
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +39,6 @@ from .classify import (
 from .cohort import (
     INT64_MAX,
     Responsibilities,
-    atomic_write_text,
     cohort_key,
     file_digest,
     file_digests,
@@ -45,6 +49,7 @@ from .cohort import (
     read_calls,
     read_calls_pack,
     read_cohort_pack,
+    read_keyvalues,
     read_responsibilities,
     read_strata,
     read_truth_labels,
@@ -52,18 +57,14 @@ from .cohort import (
     write_calls_pack,
     write_cohort,
     write_cohort_pack,
+    write_keyvalues,
     write_offsets,
     write_responsibilities,
     write_table,
     write_truth,
 )
 from .em import FitConfig, fit_em
-from .errors import (
-    IdentifiabilityError,
-    OptimizerError,
-    ParseError,
-    ValidationError,
-)
+from .errors import IdentifiabilityError, OptimizerError, ValidationError
 from .model import PackedCohort, match_keys
 from .simulate import SimConfig, simulate
 
@@ -75,39 +76,6 @@ EXIT_IO = 5
 
 PACK_NAME = "cohort.pack"  # fit's cohort and prob_dynamic, beside its responsibilities.tsv
 CALLS_PACK_NAME = "calls.pack"  # classify's per-person counts, beside its calls.tsv
-
-
-def read_keyvalues(path: str | Path, keys: Collection[str] | None = None) -> dict[str, str]:
-    """Flat `key = value` document; # comments and blank lines allowed.
-
-    A repeated key is a ParseError, and so is, when keys are given, a key
-    outside them.
-    """
-    values: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"{path}: expected 'key = value'", lineno)
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key in values:
-                    raise ParseError(f"{path}: key {key!r} repeats an earlier line", lineno)
-                if keys is not None and key not in keys:
-                    raise ParseError(f"{path}: no subcommand takes the key {key!r}", lineno)
-                values[key] = value.strip()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return values
-
-
-def write_keyvalues(path: str | Path, values: Mapping[str, object]) -> None:
-    """`key = value` lines, each value formatted as a table column's would be."""
-    lines = [f"{key} = {format_column(np.array([value]))[0]}" for key, value in values.items()]
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _parse_bool(text: str) -> bool:
@@ -155,12 +123,6 @@ def _ensure_output_dir(opts: _Options) -> Path:
     return out
 
 
-def _check_outputs(paths: Iterable[Path]) -> None:
-    for path in paths:
-        if not path.is_file() or path.stat().st_size == 0:
-            raise OSError(f"output {path} was not written")
-
-
 def _cohort_inputs(opts: _Options) -> tuple[str, str | None, int, bool]:
     """The cohort options of fit and classify: input, offsets,
     min_total_reads and absent_as_zero."""
@@ -185,13 +147,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = _ensure_output_dir(opts)
     cfg = opts.build(SimConfig)
     cohort, truth, _ = simulate(cfg)
-    cohort_path = out / "cohort.tsv"
-    offsets_path = out / "offsets.tsv"
-    truth_path = out / "truth.tsv"
-    write_cohort(cohort_path, cohort)
-    write_offsets(offsets_path, offsets_from_series(cohort))
-    write_truth(truth_path, truth)
-    _check_outputs([cohort_path, offsets_path, truth_path])
+    write_cohort(out / "cohort.tsv", cohort)
+    write_offsets(out / "offsets.tsv", offsets_from_series(cohort))
+    write_truth(out / "truth.tsv", truth)
     return EXIT_OK
 
 
@@ -234,9 +192,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    hp_path = out / "hyperparams.txt"
     write_keyvalues(
-        hp_path,
+        out / "hyperparams.txt",
         {
             **vars(result.hyperparams),
             "iterations": result.iterations,
@@ -249,25 +206,21 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "seed": cfg.seed,
         },
     )
-    resp_path = out / "responsibilities.tsv"
     cohort = result.cohort
     resp_digest = write_responsibilities(
-        resp_path,
+        out / "responsibilities.tsv",
         Responsibilities(cohort.person_id, cohort.clone_id, cohort.n_times, result.prob_dynamic),
     )
-    pack_path = out / PACK_NAME
     key = cohort_key(digests, *inputs[2:], resp_digest)
-    write_cohort_pack(pack_path, cohort, result.prob_dynamic, key)
-    trace_path = out / "fit_trace.tsv"
+    write_cohort_pack(out / PACK_NAME, cohort, result.prob_dynamic, key)
     write_table(
-        trace_path,
+        out / "fit_trace.tsv",
         {
             "iteration": np.arange(1, result.loglik_trace.size + 1),
             "loglik": result.loglik_trace,
             "msq_change": result.msq_change_trace,
         },
     )
-    _check_outputs([hp_path, resp_path, pack_path, trace_path])
     return EXIT_OK
 
 
@@ -315,18 +268,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     # every check has passed: write
     prob_text = format_column(calls.prob_dynamic)  # written to calls.tsv and membership_points.tsv
-    calls_path = out / "calls.tsv"
-    calls_digest = write_calls(calls_path, calls, prob_text)
+    calls_digest = write_calls(out / "calls.tsv", calls, prob_text)
 
     counts = dynamic_counts_per_person(calls)
-    person_path = out / "per_person.tsv"
-    write_table(person_path, vars(counts))
-    calls_pack_path = out / CALLS_PACK_NAME
-    write_calls_pack(calls_pack_path, counts, calls_digest)
+    write_table(out / "per_person.tsv", vars(counts))
+    write_calls_pack(out / CALLS_PACK_NAME, counts, calls_digest)
 
-    points_path = out / "membership_points.tsv"
     write_table(
-        points_path,
+        out / "membership_points.tsv",
         {
             "person_id": cohort.person_id,
             "clone_id": cohort.clone_id,
@@ -338,9 +287,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         },
     )
 
-    traj_path = out / "trajectories.tsv"
     write_table(
-        traj_path,
+        out / "trajectories.tsv",
         {
             "person_id": np.repeat(cohort.person_id, cohort.n_times),
             "clone_id": np.repeat(cohort.clone_id, cohort.n_times),
@@ -350,12 +298,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         },
     )
 
-    outputs = [calls_path, person_path, calls_pack_path, points_path, traj_path]
     if oc is not None:
-        oc_path = out / "operating_characteristics.txt"
-        write_keyvalues(oc_path, vars(oc))
-        outputs.append(oc_path)
-    _check_outputs(outputs)
+        write_keyvalues(out / "operating_characteristics.txt", vars(oc))
     return EXIT_OK
 
 
@@ -394,16 +338,15 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     results = [associate(column, stratum, cutoff) for _, column, cutoff in metrics]
 
     # every check has passed: write
-    person_path = out / "per_person.tsv"
     # person_id keeps the first place, and stratum comes right after it
-    write_table(person_path, {"person_id": counts.person_id, "stratum": stratum, **vars(counts)})
-    association_path = out / "association.tsv"
+    write_table(
+        out / "per_person.tsv", {"person_id": counts.person_id, "stratum": stratum, **vars(counts)}
+    )
     columns = {"metric": [name for name, _, _ in metrics]}
     for f in fields(AssociationResult):
         if f.name != "chi_sq_table":
             columns[f.name] = np.array([getattr(r, f.name) for r in results])
-    write_table(association_path, columns)
-    _check_outputs([person_path, association_path])
+    write_table(out / "association.tsv", columns)
     return EXIT_OK
 
 

@@ -1,4 +1,6 @@
-"""Every table format of the pipeline: ingestion, validation and file output.
+"""Every file format of the pipeline: ingestion, validation and file output.
+
+This is the only module that opens, writes, syncs or replaces a file.
 
 Cohort files are UTF-8 (a leading byte-order mark is ignored, as in every
 table), tab-delimited, with a header row and long-format
@@ -10,12 +12,11 @@ around exogenous totals rather than a partition of them).
 
 Every table is read block by block into one form: a block's UTF-8 bytes
 and the start and end offset of each field, found with numpy at the tabs
-and newlines, so no Python object is made per field.  A block with a
-blank line, a wrong field count or an overlong line is parsed by
-csv.reader instead, as is the rest of the file from the first quote or
-lone carriage return on; either way the fields are what csv.reader gives,
-and one no writer can write back (a quoted tab or line break, or a
-leading quote) is rejected.
+and newlines, so no Python object is made per field.  From the first
+block with a quote, a lone carriage return, a blank line, a wrong field
+count or an overlong line on, csv.reader parses the rest of the file;
+either way the fields are what csv.reader gives, and one no writer can
+write back (a quoted tab or line break, or a leading quote) is rejected.
 
 The cohort goes from those bytes straight into one packed table: integer
 fields of plain ASCII digits are parsed by digit over whole columns, and
@@ -43,7 +44,12 @@ shortest round-trip form and a bool as true or false, each distinct value
 once, WRITE_RECORDS rows at a time.  write_cohort emits canonical
 (person, time, clone) row order, the other writers keep the order of
 their columns, and every target file is replaced atomically and synced
-to disk.
+to disk (_atomic_file).
+
+The flat `key = value` documents (config files, hyperparams.txt and
+operating_characteristics.txt) are read by read_keyvalues, # comments and
+blank lines allowed, and written by write_keyvalues, each value formatted
+as format_column formats a table's.
 
 The two binary formats are packs, each the parsed form of a table one
 stage writes for the next, keyed to the bytes it stands for: the cohort
@@ -71,7 +77,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -269,34 +275,32 @@ def _blocks(handle, width: int, path: Path) -> Iterator[_Block]:
             text += handle.readline()
         if '"' not in text:
             text = text.replace("\r\n", "\n")  # unquoted CRLF records split as LF ones do
-        if '"' in text or "\r" in text:
-            # a quoted field may run past the block: csv.reader takes over
-            rest = itertools.chain(io.StringIO(text, newline=""), handle)
-            yield from _csv_blocks(csv.reader(rest, delimiter="\t"), lineno, width, path)
-            return
-        if not text.endswith("\n"):
-            text += "\n"  # the last record of a file that does not end in a newline
-        raw = np.frombuffer(text.encode("utf-8") + bytes(8), np.uint8)
-        newline = raw == 10
-        seps = np.flatnonzero(newline | (raw == 9))
-        n = int(np.count_nonzero(newline))
-        # every record has width - 1 tabs exactly when every width-th
-        # separator is a newline and there are width per newline
-        line_ends = seps[width - 1 :: width]
-        if (
-            seps.size != n * width
-            or not newline[line_ends].all()
-            or np.diff(line_ends, prepend=-1).max() - 1 > limit  # bytes: at least the chars
-        ):
-            lines = text.split("\n")
-            lines.pop()
-            records = _csv_records(csv.reader(lines, delimiter="\t"), n, lineno, path)
-            yield _columns(records, np.arange(lineno, lineno + n), width, path)
-        else:
-            # a field starts after the separator that ends the one before it
-            starts = np.append(0, seps[:-1] + 1).reshape(n, width)
-            yield _Block(range(lineno, lineno + n), raw, starts, seps.reshape(n, width))
-        lineno += n
+        if '"' not in text and "\r" not in text:
+            if not text.endswith("\n"):
+                text += "\n"  # the last record of a file that does not end in a newline
+            raw = np.frombuffer(text.encode("utf-8") + bytes(8), np.uint8)
+            newline = raw == 10
+            seps = np.flatnonzero(newline | (raw == 9))
+            n = int(np.count_nonzero(newline))
+            # every record has width - 1 tabs exactly when every width-th
+            # separator is a newline and there are width per newline
+            line_ends = seps[width - 1 :: width]
+            if (
+                seps.size == n * width
+                and newline[line_ends].all()
+                and np.diff(line_ends, prepend=-1).max() - 1 <= limit  # bytes: at least the chars
+            ):
+                # a field starts after the separator that ends the one before it
+                starts = np.append(0, seps[:-1] + 1).reshape(n, width)
+                yield _Block(range(lineno, lineno + n), raw, starts, seps.reshape(n, width))
+                lineno += n
+                continue
+        # csv.reader takes over from this block on: a quoted field may run past
+        # the block, and a blank line, a wrong field count or an overlong line
+        # needs its records, line numbers and errors
+        rest = itertools.chain(io.StringIO(text, newline=""), handle)
+        yield from _csv_blocks(csv.reader(rest, delimiter="\t"), lineno, width, path)
+        return
 
 
 def _sha256():
@@ -350,8 +354,8 @@ def _read_blocks(path: str | Path, columns: Sequence[str], digest=None) -> Itera
     Fields are what csv.reader with a tab delimiter gives.  A block of
     text with no quote, lone carriage return, blank line, overlong line
     or wrong field count is split by the byte tokenizer, which gives the
-    same fields without a Python object per field; from the first quote
-    or lone carriage return on, csv.reader parses the rest of the file.
+    same fields without a Python object per field; from the first other
+    block on, csv.reader parses the rest of the file.
     Line numbers count records from 2, the header being 1, blank ones
     included.
     """
@@ -908,12 +912,6 @@ def _atomic_file(path: str | Path, binary: bool = False, digest=None) -> Iterato
         os.close(directory)
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Replace path with text in one rename."""
-    with _atomic_file(path) as handle:
-        handle.write(text)
-
-
 _BOOL_TEXT = np.array(["false", "true"], dtype=object)
 
 
@@ -951,6 +949,41 @@ def write_table(
             block = (column[k : k + WRITE_RECORDS] for column in columns.values())
             text = [c if isinstance(c, list) else format_column(c) for c in block]
             handle.write("\n".join(map("\t".join, zip(*text, strict=True))) + "\n")
+
+
+def read_keyvalues(path: str | Path, keys: Collection[str] | None = None) -> dict[str, str]:
+    """Flat `key = value` document; # comments and blank lines allowed.
+
+    A repeated key is a ParseError, and so is, when keys are given, a key
+    outside them.
+    """
+    values: dict[str, str] = {}
+    try:
+        with _open_text(path) as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ParseError(f"{path}: expected 'key = value'", lineno)
+                key, _, value = line.partition("=")
+                key = key.strip()
+                if key in values:
+                    raise ParseError(f"{path}: key {key!r} repeats an earlier line", lineno)
+                if keys is not None and key not in keys:
+                    raise ParseError(f"{path}: no subcommand takes the key {key!r}", lineno)
+                values[key] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return values
+
+
+def write_keyvalues(path: str | Path, values: Mapping[str, object]) -> None:
+    """Replace path with `key = value` lines, each value formatted as a table
+    column's would be (format_column)."""
+    lines = [f"{key} = {format_column(np.array([value]))[0]}" for key, value in values.items()]
+    with _atomic_file(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def write_cohort(path: str | Path, cohort: PackedCohort) -> None:
@@ -1106,11 +1139,11 @@ def _write_pack(
     hex digest of every byte before it."""
     header = "".join(f"{name} = {value}\n" for name, value in key.items()).encode("utf-8")
     digest = _sha256()
-    with _atomic_file(path, binary=True) as handle:
-        hashed = _Hashed(handle, digest)
-        hashed.write(form.tag + header)
+    with _atomic_file(path, binary=True, digest=digest) as handle:
+        handle.write(form.tag + header)
         for column in columns:
-            np.lib.format.write_array(hashed, column, allow_pickle=False)
+            np.lib.format.write_array(handle, column, allow_pickle=False)
+        handle.flush()  # the digest has seen every byte before the trailer
         handle.write(_trailer(digest))
 
 

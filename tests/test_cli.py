@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline and exit-code mapping."""
 
 import math
+import os
 
 import pytest
 
@@ -309,6 +310,60 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: the incumbent hyperparameters have no finite")
         assert "Traceback" not in err
+
+
+# every table and key = value document a stage writes, in the order it writes them
+TABLE_WRITES = [
+    ("simulate", "cohort.tsv"),
+    ("simulate", "offsets.tsv"),
+    ("simulate", "truth.tsv"),
+    ("fit", "hyperparams.txt"),
+    ("fit", "responsibilities.tsv"),
+    ("fit", "fit_trace.tsv"),
+    ("classify", "calls.tsv"),
+    ("classify", "per_person.tsv"),
+    ("classify", "membership_points.tsv"),
+    ("classify", "trajectories.tsv"),
+    ("classify", "operating_characteristics.txt"),
+    ("summarize", "per_person.tsv"),
+    ("summarize", "association.tsv"),
+]
+
+
+@pytest.mark.parametrize("stage, target", TABLE_WRITES, ids="/".join)
+def test_a_failed_table_write_exits_5_and_leaves_no_file(
+    pipeline, tmp_path, monkeypatch, capsys, stage, target
+):
+    """A disk that fills while one table is synced: the stage exits 5 naming
+    the error, the target is not created and no temporary file is left."""
+    sim, fit, cls = (pipeline / name for name in ("sim", "fit", "cls"))
+    strata = tmp_path / "strata.tsv"
+    strata.write_text("person_id\tstratum\n" + "".join(f"p{i:03d}\t{i % 2}\n" for i in range(6)))
+    out = tmp_path / "out"
+    cohort = [
+        "--input", sim / "cohort.tsv", "--offsets", sim / "offsets.tsv", "--min-total-reads", 0,
+    ]  # fmt: skip
+    argv = {
+        "simulate": ["--n-clones", 300, "--n-persons", 6, "--seed", 42],
+        "fit": [*cohort, "--seed", 7],
+        "classify": [
+            *cohort, "--responsibilities", fit / "responsibilities.tsv",
+            "--truth", sim / "truth.tsv",
+        ],
+        "summarize": ["--input", cls / "calls.tsv", "--strata", strata],
+    }[stage]  # fmt: skip
+    fsync = os.fsync
+
+    def fail_on_the_target(fd):
+        if any(out.glob(f".{target}.*.tmp")):  # the target's temporary file is being synced
+            raise OSError("No space left on device")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fail_on_the_target)
+    assert run(stage, *argv, "--output-dir", out) == EXIT_IO
+    assert capsys.readouterr().err.endswith("error: No space left on device\n")
+    assert not (out / target).exists()
+    assert list(out.glob(".*.tmp")) == []
 
 
 def test_keyvalue_round_trip(tmp_path):

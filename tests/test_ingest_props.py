@@ -226,6 +226,12 @@ MALFORMED = [
 ]
 
 
+# a plain cohort some 7 blocks of 64 characters long: a blank record, or
+# apart a wrong field count, in its first block hands that block and the
+# plain ones after it to csv.reader
+PLAIN = ([("p", t, f"c{i:02d}", i) for i in range(20) for t in (0, 1)], {"p": [0, 1]}, None)
+
+
 @SETTINGS
 @given(
     cohorts(),
@@ -237,6 +243,8 @@ MALFORMED = [
     st.booleans(),
     BLOCK_CHARS,
 )
+@example(PLAIN, [(1, "")], False, 64)
+@example(PLAIN, [(1, "p\t0\tc")], False, 64)
 def test_malformed_records_fail_on_the_same_line_as_the_row_reference(
     cohort, damage, crlf, block_chars
 ):
