@@ -11,10 +11,13 @@ into --output-dir, and exits with a distinct code per failure class:
     4  optimizer failure
     5  I/O failure
 
-This module wires options to stages and orders each stage's reads and
-writes.  clonedyn.cohort reads and writes every file, and each of its
-writers either replaces its target with the whole, synced file or
-raises, which exits 5.
+main is the one control path of every run: it parses the arguments,
+resolves the options (_Options reads the config file), creates the
+output directory, calls the subcommand's cmd_* with both, and maps an
+error to its exit code through EXIT_CODES.  A cmd_* runs its stage's
+checks and orders its reads and writes.  clonedyn.cohort reads and
+writes every file, and each of its writers either replaces its target
+with the whole, synced file or raises, which exits 5.
 """
 
 from __future__ import annotations
@@ -73,6 +76,13 @@ EXIT_VALIDATION = 2
 EXIT_IDENTIFIABILITY = 3
 EXIT_OPTIMIZER = 4
 EXIT_IO = 5
+# the exit code of each failure class, the first class an error is an instance of
+EXIT_CODES = {
+    IdentifiabilityError: EXIT_IDENTIFIABILITY,
+    OptimizerError: EXIT_OPTIMIZER,
+    ValidationError: EXIT_VALIDATION,  # and so ParseError
+    OSError: EXIT_IO,
+}
 
 PACK_NAME = "cohort.pack"  # fit's cohort and prob_dynamic, beside its responsibilities.tsv
 CALLS_PACK_NAME = "calls.pack"  # classify's per-person counts, beside its calls.tsv
@@ -88,39 +98,36 @@ def _parse_bool(text: str) -> bool:
 
 
 class _Options:
-    """Resolved option lookup: CLI flag, then config file, then default."""
+    """Resolved option lookup: CLI flag, then config file, then default.
+    An empty value, which names no file, is a ValidationError."""
 
     def __init__(self, args: argparse.Namespace):
-        self._args = args
-        self._config = read_keyvalues(args.config, args.config_keys) if args.config else {}
+        self._args, self._config = args, {}
+        path = self.get("config", str)  # a flag only: no config key names it
+        if path is not None:
+            self._config = read_keyvalues(path, args.config_keys)
 
     def get(self, name: str, cast, default=None, required: bool = False):
-        flag_value = getattr(self._args, name, None)
-        if flag_value is not None:
-            return flag_value
-        if name in self._config:
+        value = getattr(self._args, name, None)
+        if value is None and name in self._config:
             raw = self._config[name]
             try:
-                return _parse_bool(raw) if cast is bool else cast(raw)
+                value = _parse_bool(raw) if cast is bool else cast(raw)
             except ValueError:
                 raise ValidationError(
                     f"{self._args.config}: config key {name!r}: cannot parse {raw!r}"
                 ) from None
-        if required:
+        if value == "":
+            raise ValidationError(f"option {name!r} is empty")
+        if value is None and required:
             raise ValidationError(f"missing required option {name!r} (flag or config)")
-        return default
+        return default if value is None else value
 
     def build(self, cls):
         """The dataclass cls with each field a flag or the config sets; every
         other field keeps the default cls declares."""
         given = {f.name: self.get(f.name, type(f.default)) for f in fields(cls)}
         return cls(**{name: value for name, value in given.items() if value is not None})
-
-
-def _ensure_output_dir(opts: _Options) -> Path:
-    out = Path(opts.get("output_dir", str, required=True))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _cohort_inputs(opts: _Options) -> tuple[str, str | None, int, bool]:
@@ -142,15 +149,12 @@ def _load_series(
     return filter_clones(table, min_total_reads=min_total_reads, absent_as_zero=absent_as_zero)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    out = _ensure_output_dir(opts)
+def cmd_simulate(opts: _Options, out: Path) -> None:
     cfg = opts.build(SimConfig)
     cohort, truth, _ = simulate(cfg)
     write_cohort(out / "cohort.tsv", cohort)
     write_offsets(out / "offsets.tsv", offsets_from_series(cohort))
     write_truth(out / "truth.tsv", truth)
-    return EXIT_OK
 
 
 def align_responsibilities(table: Responsibilities, cohort: PackedCohort) -> np.ndarray:
@@ -176,9 +180,7 @@ def align_responsibilities(table: Responsibilities, cohort: PackedCohort) -> np.
     return table.prob_dynamic[rows]
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    out = _ensure_output_dir(opts)
+def cmd_fit(opts: _Options, out: Path) -> None:
     inputs = _cohort_inputs(opts)
     digests: dict[str, str | None] = {}
     series = _load_series(inputs, digests)  # hashes the bytes it parses: a pipe is read once
@@ -221,7 +223,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "msq_change": result.msq_change_trace,
         },
     )
-    return EXIT_OK
 
 
 def _proportions(counts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -247,9 +248,7 @@ def _mean_proportions(cohort: PackedCohort) -> np.ndarray:
     return values
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    out = _ensure_output_dir(opts)
+def cmd_classify(opts: _Options, out: Path) -> None:
     threshold = opts.get("threshold", float, 0.75)
     check_threshold(threshold)
     responsibilities = Path(opts.get("responsibilities", str, required=True))
@@ -300,12 +299,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     if oc is not None:
         write_keyvalues(out / "operating_characteristics.txt", vars(oc))
-    return EXIT_OK
 
 
-def cmd_summarize(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    out = _ensure_output_dir(opts)
+def cmd_summarize(opts: _Options, out: Path) -> None:
     calls_path = Path(opts.get("input", str, required=True))
     pack_path = calls_path.with_name(CALLS_PACK_NAME)
     if pack_path.is_file():
@@ -347,7 +343,6 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         if f.name != "chi_sq_table":
             columns[f.name] = np.array([getattr(r, f.name) for r in results])
     write_table(out / "association.tsv", columns)
-    return EXIT_OK
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -421,19 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except IdentifiabilityError as exc:
+        opts = _Options(args)
+        out = Path(opts.get("output_dir", str, required=True))
+        out.mkdir(parents=True, exist_ok=True)
+        args.func(opts, out)
+        return EXIT_OK
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IDENTIFIABILITY
-    except OptimizerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OPTIMIZER
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for error, code in EXIT_CODES.items() if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -818,3 +818,125 @@ def test_offsets_list_only_the_person_times_the_cohort_names(tmp_path):
     named = set(person_times("cohort.tsv"))
     assert len(named) < 3 * 8  # some person-time no clone of its person was seen at
     assert person_times("offsets.tsv") == sorted(named)
+
+
+# the string options each subcommand reads, beside output_dir and config
+PATH_OPTIONS = {
+    "simulate": (),
+    "fit": ("input", "offsets"),
+    "classify": ("input", "offsets", "responsibilities", "truth"),
+    "summarize": ("input", "strata"),
+}
+EMPTY_OPTIONS = [
+    (stage, name, where)
+    for stage, names in PATH_OPTIONS.items()
+    for name in ("output_dir", "config", *names)
+    for where in ("flag", "config")
+    if (name, where) != ("config", "config")  # a config file cannot name another
+]
+
+
+@pytest.mark.parametrize(
+    "stage, name, where", EMPTY_OPTIONS, ids=["-".join(case) for case in EMPTY_OPTIONS]
+)
+def test_an_empty_option_exits_2_and_writes_nothing(
+    pipeline, tmp_path, monkeypatch, capsys, stage, name, where
+):
+    """An empty value names no file: the stage exits 2 naming the option,
+    rather than reading or writing the working directory."""
+    sim, fit, cls = (pipeline / directory for directory in ("sim", "fit", "cls"))
+    strata = tmp_path / "strata.tsv"
+    strata.write_text("person_id\tstratum\n" + "".join(f"p{i:03d}\t{i % 2}\n" for i in range(6)))
+    cohort = {"input": sim / "cohort.tsv", "offsets": sim / "offsets.tsv", "min_total_reads": 0}
+    options = {
+        "simulate": {"n_clones": 300, "n_persons": 6, "seed": 42},
+        "fit": {**cohort, "seed": 7},
+        "classify": {
+            **cohort, "responsibilities": fit / "responsibilities.tsv", "truth": sim / "truth.tsv"
+        },
+        "summarize": {"input": cls / "calls.tsv", "strata": strata},
+    }[stage]  # fmt: skip
+    out = tmp_path / "out"
+    options["output_dir"] = out
+    if where == "config":
+        config = tmp_path / "stage.cfg"
+        config.write_text(f"{name} =\n")
+        options.pop(name, None)
+        options["config"] = config
+    else:
+        options[name] = ""
+    argv = [arg for key, value in options.items() for arg in ("--" + key.replace("_", "-"), value)]
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    capsys.readouterr()
+    assert run(stage, *argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: option {name!r} is empty\n"
+    assert list(cwd.iterdir()) == []
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+BOOLEANS = {
+    True: ["true", "1", "yes", "on", "True", "YES", " On", "tRuE  "],
+    False: ["false", "0", "no", "off", "False", "NO", " Off", "fAlSe  "],
+}
+FLAGS = {True: "--absent-as-zero", False: "--no-absent-as-zero"}
+
+
+def test_config_booleans_match_their_flags(tmp_path):
+    """Each spelling of absent_as_zero in a config file fits what its flag
+    fits, and a flag beats the config value.  (A value that is no boolean,
+    such as 'maybe', exits 2: test_value_that_does_not_parse_names_its_key_and_file.)"""
+    cohort = tmp_path / "cohort.tsv"
+    cohort.write_text(COHORT)  # clone c has no row at time 1, so the setting shows
+
+    def fit(name, *extra):
+        out = tmp_path / name
+        argv = ("fit", "--input", cohort, "--min-total-reads", 0, *extra, "--output-dir", out)
+        assert run(*argv) == EXIT_OK
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    def config(name, text):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(f"absent_as_zero = {text}\n")
+        return path
+
+    by_flag = {value: fit(f"flag-{value}", flag) for value, flag in FLAGS.items()}
+    assert by_flag[True] != by_flag[False]
+    for value, spellings in BOOLEANS.items():
+        for i, text in enumerate(spellings):
+            name = f"{value}-{i}"
+            assert fit(name, "--config", config(name, text)) == by_flag[value], repr(text)
+        # a flag beats the config value
+        name = f"{value}-overridden"
+        overridden = fit(name, "--config", config(name, spellings[0]), FLAGS[not value])
+        assert overridden == by_flag[not value]
+
+
+# settings each stage's own checks reject, and the message each exits 2 with
+OUT_OF_RANGE = [
+    ("fit", "--epsilon", 0, "tolerances must be positive"),
+    ("fit", "--inner-opt-tol", 0, "tolerances must be positive"),
+    ("fit", "--max-em-iters", 0, "iteration caps must be >= 1"),
+    ("fit", "--inner-opt-max-iters", 0, "iteration caps must be >= 1"),
+    ("fit", "--seed", -1, "seed must be a 64-bit unsigned integer"),
+    ("simulate", "--seed", -1, "seed must be a 64-bit unsigned integer"),
+    ("fit", "--min-total-reads", -1, "min_total_reads must be >= 0"),
+    ("fit", "--min-total-reads", 2**63, "min_total_reads does not fit in a 64-bit integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "stage, flag, value, message",
+    OUT_OF_RANGE,
+    ids=[f"{stage}{flag}={value}" for stage, flag, value, _ in OUT_OF_RANGE],
+)
+def test_a_setting_out_of_range_exits_2(tmp_path, capsys, stage, flag, value, message):
+    cohort = tmp_path / "cohort.tsv"
+    cohort.write_text(COHORT)
+    out = tmp_path / "out"
+    given = {"simulate": ["--n-clones", 300, "--n-persons", 3], "fit": ["--input", cohort]}[stage]
+    capsys.readouterr()
+    assert run(stage, *given, flag, value, "--output-dir", out) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []

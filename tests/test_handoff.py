@@ -375,7 +375,13 @@ DAMAGES = [
     "empty", "tag only", "header only", "cut in a key line", "cut in the arrays", "one byte short",
     "one byte more", "another format", "format 1", "not numpy", "a pickled array",
     "a count off by one", "a negative total under its sha256",
-    "a probability outside [0, 1] under its sha256",
+    "a probability outside [0, 1] under its sha256", "an array of another kind under its sha256",
+    "one clone id too many under its sha256",
+]  # fmt: skip
+# the damages only the pack's own checks, not PackedCohort's, tell
+GARBLED = [
+    "a count off by one", "format 1", "a probability outside [0, 1] under its sha256",
+    "an array of another kind under its sha256", "one clone id too many under its sha256",
 ]  # fmt: skip
 
 
@@ -408,7 +414,12 @@ def damaged(pack: bytes, kind: str) -> bytes:
     # the lowest byte of the first count: the first data byte of the fourth array
     _, first_count = array_at(pack, 3)
     # prob_dynamic, the last array, follows pt_total
-    prob_at, _ = array_at(pack, 7)
+    prob_at, prob_data = array_at(pack, 7)
+    # the clone ids, the first array, joined by newlines, and one id more
+    ids_at, ids_data = array_at(pack, 0)
+    ids_end, _ = array_at(pack, 1)
+    more_ids = io.BytesIO()
+    np.lib.format.write_array(more_ids, np.frombuffer(pack[ids_data:ids_end] + b"\nc9", np.uint8))
     return {
         "empty": b"",
         "tag only": pack[: pack.index(b"\n") + 1],
@@ -430,6 +441,14 @@ def damaged(pack: bytes, kind: str) -> bytes:
         ),
         "a probability outside [0, 1] under its sha256": resealed(
             body[:-8] + np.float64(1.5).tobytes()
+        ),
+        # prob_dynamic as int64, of the same size: only the dtype kinds tell
+        "an array of another kind under its sha256": resealed(
+            body[:prob_at] + body[prob_at:prob_data].replace(b"'<f8'", b"'<i8'") + body[prob_data:]
+        ),
+        # one id more than starts has clones: only the id count tells
+        "one clone id too many under its sha256": resealed(
+            body[:ids_at] + more_ids.getvalue() + body[ids_end:]
         ),
     }[kind]
 
@@ -454,7 +473,7 @@ def test_a_damaged_pack_exits_2_without_unpickling(fitted, tmp_path, kind, capsy
     assert classify(broken, tmp_path / "cls", args) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith(f"error: {broken / PACK_NAME}") and "Traceback" not in err, err
-    if kind in ("a count off by one", "format 1", "a probability outside [0, 1] under its sha256"):
+    if kind in GARBLED:
         assert "not a whole cohort pack of this format" in err, err
     assert not any((tmp_path / "cls").iterdir())
 

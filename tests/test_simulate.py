@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from clonedyn import SimConfig, ValidationError, simulate
 
@@ -200,3 +201,57 @@ def test_poisson_means_are_drawn_one_scalar_at_a_time(monkeypatch):
     assert all(isinstance(mean, float) for mean in means)
     monkeypatch.undo()
     assert np.array_equal(simulate(cfg)[0].counts, cohort.counts)
+
+
+# Stream-free checks: the counts against the distributions the fit assumes,
+# with scipy.stats as the independent reference.  A randomized probability
+# integral transform (PIT), F(c - 1) + V (F(c) - F(c - 1)) with V uniform,
+# is uniform on (0, 1) when the counts follow F; its histogram on 20 bins
+# is tested by chi-squared.  The floor is 1e-4, Bonferroni-corrected over
+# the two PIT tests.
+PIT_BINS = 20
+P_FLOOR = 1e-4 / 2
+PIT_CONFIG = SimConfig(n_clones=20_000, alpha=1.0, beta=100.0, pi=0.5, n_followups=3, seed=31)
+
+
+@pytest.fixture(scope="module")
+def pit_draws():
+    return simulate(PIT_CONFIG)
+
+
+def pit_p_value(cdf_below: np.ndarray, cdf_at: np.ndarray) -> float:
+    u = cdf_below + np.random.default_rng(0).random(cdf_at.size) * (cdf_at - cdf_below)
+    bins = np.minimum((u * PIT_BINS).astype(int), PIT_BINS - 1)
+    observed = np.bincount(bins, minlength=PIT_BINS)
+    return float(stats.chisquare(observed).pvalue)
+
+
+def test_dynamic_counts_follow_the_negative_binomial(pit_draws):
+    """A dynamic clone's count at offset o, Poisson(lambda o) with lambda
+    ~ Gamma(alpha, beta), is NB(alpha, beta / (beta + o))."""
+    cohort, truth, _ = pit_draws
+    dynamic = np.repeat(truth.dynamic, cohort.n_times)
+    counts, offsets = cohort.counts[dynamic], cohort.offsets[dynamic]
+    law = stats.nbinom(PIT_CONFIG.alpha, PIT_CONFIG.beta / (PIT_CONFIG.beta + offsets))
+    assert counts.size > 25_000
+    assert pit_p_value(law.cdf(counts - 1), law.cdf(counts)) > P_FLOOR
+
+
+def test_static_first_counts_follow_the_binomial(pit_draws):
+    """A static clone's counts share one lambda, so its first count given
+    its total T is Binomial(T, o_0 / sum(o))."""
+    cohort, truth, _ = pit_draws
+    static = ~truth.dynamic
+    totals = cohort.segment_sums(cohort.counts)[static]
+    share = (cohort.offsets[cohort.starts] / cohort.segment_sums(cohort.offsets))[static]
+    first = cohort.counts[cohort.starts[static]]
+    law = stats.binom(totals, share)
+    assert first.size > 9_000
+    assert pit_p_value(law.cdf(first - 1), law.cdf(first)) > P_FLOOR
+
+
+def test_the_offset_clamp_binds_nowhere(pit_draws):
+    """min(poisson, offset) keeps a count within its offset; at these
+    settings no count comes near it, so the clamp changes no draw."""
+    cohort, _, _ = pit_draws
+    assert (cohort.counts < cohort.offsets).all()
