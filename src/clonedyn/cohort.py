@@ -83,7 +83,14 @@ import numpy as np
 
 from .classify import KINDS, CallTable, PersonCounts
 from .errors import ParseError, ValidationError
-from .model import PackedCohort, narrow_type, segment_rows, strictly_increasing
+from .model import (
+    PackedCohort,
+    changes,
+    distinct,
+    narrow_type,
+    segment_rows,
+    strictly_increasing,
+)
 from .simulate import TruthLabels
 
 COHORT_COLUMNS = ("person_id", "time_index", "clone_id", "count")
@@ -273,7 +280,7 @@ def _blocks(handle, width: int, path: Path) -> Iterator[_Block]:
     while text := handle.read(BLOCK_CHARS):
         if not text.endswith("\n"):
             text += handle.readline()
-        if '"' not in text:
+        if '"' not in text and "\r" in text:
             text = text.replace("\r\n", "\n")  # unquoted CRLF records split as LF ones do
         if '"' not in text and "\r" not in text:
             if not text.endswith("\n"):
@@ -507,7 +514,7 @@ class _IdColumn:
         lengths = ends - starts
         # a one-word id equal to the one before it is ranked with it, as one run
         first = _words(raw, starts, lengths, 0)
-        new = _changes(first, lengths) | (lengths > 8)
+        new = changes(first, lengths) | (lengths > 8)
         heads = np.flatnonzero(new)
         starts, lengths = starts[heads], lengths[heads]
         n_words = _word_counts(lengths)
@@ -556,7 +563,7 @@ def _ranked(words: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndar
     first = words if offsets is None else words[offsets]
     ended = np.minimum(lengths, 9).astype(np.int8)
     order = np.lexsort((ended, first))
-    new = _changes(first[order], ended[order])
+    new = changes(first[order], ended[order])
     del first, ended
     tied = ~(new & np.append(new[1:], True))  # not alone among its equals
     slots, k = np.flatnonzero(tied & (lengths[order] > 8)), 1
@@ -566,7 +573,7 @@ def _ranked(words: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndar
         ended = np.minimum(lengths[ids], 8 * k + 9)
         by = np.lexsort((ended, here, group))
         order[slots] = ids = ids[by]
-        new[slots] = starts = _changes(group[by], here[by], ended[by])
+        new[slots] = starts = changes(group[by], here[by], ended[by])
         tied = ~(starts & np.append(starts[1:], True))
         slots = slots[tied & (lengths[ids] > 8 * (k + 1))]
         k += 1
@@ -580,16 +587,6 @@ def _ranked(words: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndar
     if offsets is not None:
         first = segment_rows(offsets[first], _word_counts(lengths))
     return words[first], lengths, rank
-
-
-def _changes(*columns: np.ndarray) -> np.ndarray:
-    """Mask of the records whose key, one value from each column, differs
-    from the record before (the first record's always does)."""
-    new = np.zeros(columns[0].size, dtype=bool)
-    new[:1] = True
-    for column in columns:
-        new[1:] |= column[1:] != column[:-1]
-    return new
 
 
 def _word_counts(lengths: np.ndarray) -> np.ndarray:
@@ -773,14 +770,14 @@ def ingest(
     pt_person, pt_time = person_names[:0], np.zeros(0, dtype=np.int64)
     if offsets_path is not None:
         pt_person, pt_time, pt_total = read_offsets(offsets_path, offsets_hash)
-    names = np.unique(np.concatenate([person_names, pt_person]))
-    values = np.union1d(np.unique(time), pt_time)
+    names = distinct(np.concatenate([person_names, pt_person]))
+    values = distinct(np.concatenate([time, pt_time]))
     row_key = np.searchsorted(names, person_names)[person]
     row_key *= values.size
     row_key += np.searchsorted(values, time)
     pt_key = np.searchsorted(names, pt_person) * values.size + np.searchsorted(values, pt_time)
     if offsets_path is None:
-        pt_key = np.unique(row_key)
+        pt_key = distinct(row_key)
         pt_person, pt_time = names[pt_key // values.size], values[pt_key % values.size]
     obs_pt = np.searchsorted(pt_key, row_key)
     np.minimum(obs_pt, pt_key.size - 1, out=obs_pt)

@@ -4,8 +4,9 @@ The E-step evaluates each clone's posterior probability of being dynamic
 under the current hyperparameters.  The M-step maximizes the expected
 complete-data log-likelihood: the mixing weight has the closed-form
 update pi = mean(responsibilities), and (alpha, beta) are pushed uphill
-by BFGS in (log alpha, log beta) with analytic digamma gradients
-(log-gamma and digamma are model's numpy kernels).  With
+by BFGS in (log alpha, log beta) with analytic digamma gradients,
+started from the exact inverse Hessian with its trigamma terms
+(log-gamma, digamma and trigamma are model's numpy kernels).  With
 the responsibilities fixed, conjugacy makes that objective a weighted
 sum over the distinct counts, offsets, count sums and offset sums
 (model.ExpectedLoglik), so the M-step builds those histograms once and each
@@ -47,8 +48,8 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and self.inner_opt_tol > 0):
-            raise ValidationError("tolerances must be positive")
+        if not all(math.isfinite(tol) and tol > 0 for tol in (self.epsilon, self.inner_opt_tol)):
+            raise ValidationError("tolerances must be positive and finite")
         if self.max_em_iters < 1 or self.inner_opt_max_iters < 1:
             raise ValidationError("iteration caps must be >= 1")
         if not (0 <= int(self.seed) < 2**64):
@@ -99,7 +100,9 @@ def m_step(
     weight update is the responsibility mean, clamped away from 0 and 1;
     (alpha, beta) are maximized by BFGS in log coordinates with the
     current values as the warm start, on the histogram form of
-    ExpectedLoglik.  Never returns hyperparameters with a lower expected
+    ExpectedLoglik, starting from the exact inverse of the negated Hessian
+    there when that is finite and positive definite, and from the identity
+    otherwise.  Never returns hyperparameters with a lower expected
     complete-data value than hp_current; OptimizerError when hp_current has
     no finite value, as the maximization then has no start.
     """
@@ -118,11 +121,15 @@ def m_step(
             "log-likelihood, so the M-step has no starting point"
         )
     theta0 = np.array([math.log(hp_current.alpha), math.log(hp_current.beta)])
+    curvature = -q.hessian_in_log_coords(theta0)
+    (a, b), (_, d) = curvature
+    positive_definite = np.all(np.isfinite(curvature)) and a > 0 and a * d - b * b > 0
     result = maximize_bfgs(
         q.in_log_coords,
         theta0,
         gtol=cfg.inner_opt_tol,
         max_iters=cfg.inner_opt_max_iters,
+        h_inv0=np.linalg.inv(curvature) if positive_definite else None,
     )
     candidate = Hyperparams(
         alpha=float(np.exp(result.x[0])), beta=float(np.exp(result.x[1])), pi=pi_new

@@ -118,6 +118,10 @@ _SHIFT = 8
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _GAMMALN_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 _DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+# the Bernoulli numbers B_2 to B_18: trigamma's terms fall more slowly
+_TRIGAMMA_SERIES = (
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798
+)  # fmt: skip
 
 
 def _in_series(coefs: tuple[float, ...], s: np.ndarray) -> np.ndarray:
@@ -175,6 +179,20 @@ def _digamma(x):
     return _digamma_from(z, small, low, np.log(z), 1.0 / z).reshape(np.shape(x))
 
 
+def _trigamma(x):
+    """d^2/dx^2 log Gamma(x) for x in [0, inf], elementwise: inf at 0, 0 at inf."""
+    z, small, low = _shifted(x)
+    s = 1.0 / z
+    # 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k + 1)
+    out = s + s * s * (0.5 + _in_series(_TRIGAMMA_SERIES, s))
+    with np.errstate(divide="ignore"):  # the pole at 0: 1 / 0 = inf
+        recip = 1.0 / (low + (_SHIFT - 1)) ** 2
+        for k in range(_SHIFT - 2, -1, -1):  # smallest terms first
+            recip += 1.0 / (low + k) ** 2
+    out[small] += recip
+    return out.reshape(np.shape(x))
+
+
 def _gammaln_digamma(x) -> tuple[np.ndarray, np.ndarray]:
     """(_gammaln(x), _digamma(x)), bit for bit, from one shift, log and reciprocal."""
     z, small, low = _shifted(x)
@@ -216,6 +234,23 @@ def strictly_increasing(*columns: np.ndarray) -> bool:
         increasing |= tied & (column[1:] > column[:-1])
         tied &= column[1:] == column[:-1]
     return bool(increasing.all())
+
+
+def changes(*columns: np.ndarray) -> np.ndarray:
+    """Mask of the records whose key, one value from each column, differs
+    from the record before (the first record's always does)."""
+    new = np.zeros(columns[0].size, dtype=bool)
+    new[:1] = True
+    for column in columns:
+        new[1:] |= column[1:] != column[:-1]
+    return new
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, as np.unique(values) gives them; np.unique
+    without an inverse, and np.union1d, import numpy.ma (over 10 ms)."""
+    values = np.sort(values)
+    return values[changes(values)]
 
 
 def match_keys(table: Sequence[np.ndarray], keys: Sequence[np.ndarray]) -> np.ndarray:
@@ -372,7 +407,7 @@ class SeriesBatch:
         # distinct offsets of the table rows in use: a total no observation
         # has would add a zero weight to ExpectedLoglik's histograms, which
         # regroups their pairwise sums
-        self._uniq_o = np.unique(cohort.pt_total[cohort.used_rows()].astype(np.float64))
+        self._uniq_o = distinct(cohort.pt_total[cohort.used_rows()].astype(np.float64))
         self._inv_o = np.searchsorted(self._uniq_o, cohort.pt_total)[cohort.obs_pt]
         flat_o = self._uniq_o[self._inv_o]
 
@@ -384,6 +419,11 @@ class SeriesBatch:
         self._sum_lgamma_c1 = self._segment_sum(_gammaln(self._uniq_c + 1.0)[self._inv_c])
         self._uniq_csum, self._inv_csum = np.unique(self.csum, return_inverse=True)
         self._uniq_osum, self._inv_osum = np.unique(self.osum, return_inverse=True)
+        # alpha plus each distinct count, each distinct count sum and 0: a
+        # kernel takes all three at once, as a numpy call costs tens of
+        # microseconds whatever its size
+        self._shapes = np.concatenate([self._uniq_c, self._uniq_csum, [0.0]])
+        self._cuts = (self._uniq_c.size, self._uniq_c.size + self._uniq_csum.size)
 
         # sum_k c_k * log(o_k), with 0 * log(o) pinned to zero for zero counts
         log_o = np.log(self._uniq_o)[self._inv_o]
@@ -405,11 +445,11 @@ class SeriesBatch:
         if not (alpha > 0 and beta > 0):
             raise ValidationError(f"alpha and beta must be positive, got {alpha}, {beta}")
         log_beta = math.log(beta)
-        gl_alpha = float(_gammaln(alpha))
+        gl_c, gl_csum, gl_alpha = _split(_gammaln(self._shapes + alpha), self._cuts)
 
         log_b_osum = np.log(self._uniq_osum + beta)[self._inv_osum]
         ls = (
-            _gammaln(self._uniq_csum + alpha)[self._inv_csum]
+            gl_csum[self._inv_csum]
             - gl_alpha
             - self._sum_lgamma_c1
             + alpha * (log_beta - log_b_osum)
@@ -419,7 +459,7 @@ class SeriesBatch:
 
         log_b_o = np.log(self._uniq_o + beta)[self._inv_o]
         ld = (
-            self._segment_sum(_gammaln(self._uniq_c + alpha)[self._inv_c])
+            self._segment_sum(gl_c[self._inv_c])
             - self.t * gl_alpha
             - self._sum_lgamma_c1
             + alpha * (self.t * log_beta - self._segment_sum(log_b_o))
@@ -458,6 +498,13 @@ class SeriesBatch:
         return dls_da, dls_db, dld_da, dld_db
 
 
+def _split(values: np.ndarray, cuts: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, float]:
+    """A kernel's values on SeriesBatch's shapes: (per distinct count, per
+    distinct count sum, at alpha)."""
+    i, j = cuts
+    return values[:i], values[i:j], float(values[j])
+
+
 def _dot(w: np.ndarray, x: np.ndarray) -> float:
     # numpy's pairwise sum of the products: a BLAS dot may split long
     # vectors across threads, which costs more than the sum at these sizes
@@ -493,6 +540,7 @@ class ExpectedLoglik:
         one_minus_r = 1.0 - r
         self._c, self._o = batch._uniq_c, batch._uniq_o
         self._csum, self._osum = batch._uniq_csum, batch._uniq_osum
+        self._shapes, self._cuts = batch._shapes, batch._cuts
         self._w_c = np.bincount(batch._inv_c, r_obs, self._c.size)
         self._w_o = np.bincount(batch._inv_o, r_obs, self._o.size)
         self._wc_o = np.bincount(batch._inv_o, r_obs * batch._flat_c, self._o.size)
@@ -511,20 +559,20 @@ class ExpectedLoglik:
         with np.errstate(over="ignore", invalid="ignore"):  # far out: inf, then -inf to BFGS
             w_o = alpha * self._w_o + self._wc_o
             w_osum = alpha * self._v_osum + self._vc_osum
-        gl_c, dg_c = _gammaln_digamma(self._c + alpha)
-        gl_csum, dg_csum = _gammaln_digamma(self._csum + alpha)
-        gl_alpha, dg_alpha = _gammaln_digamma(alpha)
+        gl, dg = _gammaln_digamma(self._shapes + alpha)
+        gl_c, gl_csum, gl_alpha = _split(gl, self._cuts)
+        dg_c, dg_csum, dg_alpha = _split(dg, self._cuts)
         value = (
             _dot(self._w_c, gl_c)
             + _dot(self._v_csum, gl_csum)
-            - s * (float(gl_alpha) - alpha * log_beta)
+            - s * (gl_alpha - alpha * log_beta)
             - _dot(w_o, log_b_o)
             - _dot(w_osum, log_b_osum)
         )
         d_alpha = (
             _dot(self._w_c, dg_c)
             + _dot(self._v_csum, dg_csum)
-            - s * (float(dg_alpha) - log_beta)
+            - s * (dg_alpha - log_beta)
             - _dot(self._w_o, log_b_o)
             - _dot(self._v_osum, log_b_osum)
         )
@@ -543,6 +591,43 @@ class ExpectedLoglik:
             return -math.inf, np.zeros(2)
         n = self.n
         return value / n, np.array([d_alpha * (alpha / n), d_beta * (beta / n)])
+
+    def hessian_in_log_coords(self, theta: np.ndarray) -> np.ndarray:
+        """The Hessian of in_log_coords' value, Q / n in (log alpha, log beta),
+        at theta: not finite where Q is not.
+
+        Q's second partials in (alpha, beta) are sums over the same
+        histograms, with trigamma where its first partials have digamma:
+
+            Q_aa = sum_c W(c) trigamma(c + alpha) + sum_C V(C) trigamma(C + alpha)
+                   - S trigamma(alpha)
+            Q_ab = S / beta - sum_o W(o) / (o + beta) - sum_O V(O) / (O + beta)
+            Q_bb = -S alpha / beta^2 + sum_o (alpha W(o) + WC(o)) / (o + beta)^2
+                   + sum_O (alpha V(O) + VC(O)) / (O + beta)^2
+        """
+        with np.errstate(over="ignore", invalid="ignore"):  # far out: inf or nan
+            alpha, beta = float(np.exp(theta[0])), float(np.exp(theta[1]))
+            _, d_alpha, d_beta = self.value_and_grad(alpha, beta)
+            s = self._n_draws
+            tg_c, tg_csum, tg_alpha = _split(_trigamma(self._shapes + alpha), self._cuts)
+            b_o, b_osum = self._o + beta, self._osum + beta
+            w_o = alpha * self._w_o + self._wc_o
+            w_osum = alpha * self._v_osum + self._vc_osum
+            d_aa = _dot(self._w_c, tg_c) + _dot(self._v_csum, tg_csum) - s * tg_alpha
+            d_ab = s / beta - _dot(self._w_o, 1.0 / b_o) - _dot(self._v_osum, 1.0 / b_osum)
+            d_bb = (
+                _dot(w_o, 1.0 / (b_o * b_o))
+                + _dot(w_osum, 1.0 / (b_osum * b_osum))
+                - s * alpha / (beta * beta)
+            )
+            h_ab = alpha * beta * d_ab
+            hessian = np.array(
+                [
+                    [alpha * d_alpha + alpha * alpha * d_aa, h_ab],
+                    [h_ab, beta * d_beta + beta * beta * d_bb],
+                ]
+            )
+        return hessian / self.n
 
     def with_mixing_weight(self, hp: Hyperparams) -> float:
         """Q at (hp.alpha, hp.beta) plus the expected log mixing weights at hp.pi."""

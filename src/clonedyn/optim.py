@@ -1,10 +1,20 @@
 """Quasi-Newton ascent for smooth unconstrained maximization.
 
 BFGS on the inverse-Hessian approximation with a backtracking line search
-enforcing an Armijo sufficient-increase condition.  If the approximation
-stops producing an ascent direction it is reset to the identity, which
-turns the step into steepest ascent.  Deterministic: no randomness, no
-tolerance-dependent branching beyond the documented stopping rules.
+enforcing an Armijo sufficient-increase condition.  The approximation
+starts from a given inverse of the negated Hessian at the start, or else
+from the identity, rescaled after the first step.  If it stops producing
+an ascent direction it is reset to the identity, which turns the step
+into steepest ascent.
+
+Near a maximum a step's gain can fall below the float resolution of the
+value, and the value's rounding then decides the Armijo test.  So the
+search also accepts a step whose value is within rounding of the current
+one when the slopes at both ends show a sufficient increase (Hager and
+Zhang's approximate Wolfe condition, SIAM J. Optim. 16, 2005).
+
+Deterministic: no randomness, no tolerance-dependent branching beyond
+the documented stopping rules.
 """
 
 from __future__ import annotations
@@ -16,6 +26,8 @@ import numpy as np
 
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 45
+# values this close, relative to their size, differ by rounding alone
+ROUNDING = 1e-12
 # accepted steps this small cannot move the objective at float resolution
 STEP_FLOOR = 1e-13
 
@@ -34,12 +46,18 @@ def maximize_bfgs(
     x0: np.ndarray,
     gtol: float,
     max_iters: int,
+    h_inv0: np.ndarray | None = None,
 ) -> MaximizeResult:
     """Maximize a smooth function given a joint (value, gradient) callback.
 
-    The objective value never decreases along the returned iterates; on a
-    failed line search the current point is returned as-is.  Raises
-    ValueError if the objective is not finite at x0.
+    h_inv0, when given, is the starting inverse-Hessian approximation: the
+    inverse of the negated Hessian at x0, symmetric positive definite.  With
+    the exact one, a quadratic's maximum is one step away.
+
+    The objective value never decreases from one returned iterate to the
+    next by more than ROUNDING of its size; on a failed line search the
+    current point is returned as-is.  Raises ValueError if the objective
+    is not finite at x0.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = value_and_grad(x)
@@ -49,7 +67,7 @@ def maximize_bfgs(
 
     dim = x.size
     identity = np.eye(dim)
-    h_inv = identity.copy()
+    h_inv = identity.copy() if h_inv0 is None else np.array(h_inv0, dtype=np.float64)
     converged = False
     iterations = 0
 
@@ -72,7 +90,12 @@ def maximize_bfgs(
         for _ in range(MAX_HALVINGS):
             x_new = x + step * direction
             f_new, g_new = value_and_grad(x_new)
-            if np.isfinite(f_new) and f_new >= f + ARMIJO_C * step * slope:
+            if np.isfinite(f_new) and (
+                f_new >= f + ARMIJO_C * step * slope
+                # the trapezoid rule on the slopes at both ends meets the Armijo test
+                or f_new >= f - ROUNDING * abs(f)
+                and float(np.dot(g_new, direction)) >= (2.0 * ARMIJO_C - 1.0) * slope
+            ):
                 accepted = True
                 break
             step *= 0.5
@@ -87,7 +110,7 @@ def maximize_bfgs(
         y = g - np.asarray(g_new, dtype=np.float64)  # curvature of the negated objective
         sy = float(s @ y)
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            if iterations == 1:
+            if iterations == 1 and h_inv0 is None:
                 h_inv = (sy / float(y @ y)) * identity
             rho = 1.0 / sy
             v = identity - rho * np.outer(s, y)

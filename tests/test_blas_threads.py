@@ -1,9 +1,10 @@
 """numpy's OpenBLAS loads with one thread under clonedyn, and no output
-depends on its thread count.
+depends on its thread count; a fit loads no part of numpy it does not use.
 
-OpenBLAS reads its thread count only while numpy loads, so every case runs
-in a fresh interpreter whose environment holds none of the variables
-OpenBLAS reads, unless the case sets one.
+OpenBLAS reads its thread count only while numpy loads, and a module stays
+loaded once imported, so every case runs in a fresh interpreter whose
+environment holds none of the variables OpenBLAS reads, unless the case
+sets one.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import clonedyn
+from clonedyn.cli import main
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -99,3 +101,21 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         })  # fmt: skip
     assert len(digests[0]) == 3 + 4 + 6 + 2  # every output of each stage
     assert digests[0] == digests[1]
+
+
+def test_a_fit_leaves_numpy_ma_unloaded(tmp_path):
+    """np.unique without an inverse, and np.union1d, import numpy.ma, which
+    costs a fit process 12-20 ms; a fit with and one without an offsets
+    file take different paths through ingest."""
+    sim = tmp_path / "sim"
+    argv = ["simulate", "--n-clones", 300, "--n-persons", 3, "--seed", 3, "--output-dir", sim]
+    assert main(list(map(str, argv))) == 0
+    fits = [
+        ("fit", "--input", sim / "cohort.tsv", "--offsets", sim / "offsets.tsv",
+         "--min-total-reads", 0, "--output-dir", tmp_path / "with-offsets"),
+        ("fit", "--input", sim / "cohort.tsv", "--min-total-reads", 0, "--absent-as-zero",
+         "--output-dir", tmp_path / "derived"),
+    ]  # fmt: skip
+    code = STAGES + 'print("numpy.ma" in sys.modules)'
+    for fit in fits:
+        assert fresh(code, "|".join(map(str, fit))) == "False\n"

@@ -915,8 +915,10 @@ def test_config_booleans_match_their_flags(tmp_path):
 
 # settings each stage's own checks reject, and the message each exits 2 with
 OUT_OF_RANGE = [
-    ("fit", "--epsilon", 0, "tolerances must be positive"),
-    ("fit", "--inner-opt-tol", 0, "tolerances must be positive"),
+    ("fit", "--epsilon", 0, "tolerances must be positive and finite"),
+    ("fit", "--epsilon", "inf", "tolerances must be positive and finite"),
+    ("fit", "--inner-opt-tol", 0, "tolerances must be positive and finite"),
+    ("fit", "--inner-opt-tol", "inf", "tolerances must be positive and finite"),
     ("fit", "--max-em-iters", 0, "iteration caps must be >= 1"),
     ("fit", "--inner-opt-max-iters", 0, "iteration caps must be >= 1"),
     ("fit", "--seed", -1, "seed must be a 64-bit unsigned integer"),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import clonedyn.em as em
 from clonedyn import (
     CloneSeries,
     FitConfig,
@@ -22,7 +23,7 @@ from clonedyn import (
     simulate,
 )
 from clonedyn.em import _mixture_loglik
-from clonedyn.model import stable_responsibility
+from clonedyn.model import ExpectedLoglik, stable_responsibility
 
 from oracles import pack
 
@@ -179,6 +180,46 @@ class TestMStep:
         fd_b = (q_ab(alpha, beta + hb) - q_ab(alpha, beta - hb)) / (2 * hb)
         assert ga == pytest.approx(fd_a, rel=1e-4)
         assert gb == pytest.approx(fd_b, rel=1e-4)
+
+    def test_hessian_matches_central_differences_of_the_gradient(self):
+        clones = small_cohort(n=150, seed=13)
+        batch = SeriesBatch(clones)
+        q = ExpectedLoglik(batch, prob_dynamic(batch, Hyperparams(0.9, 140.0, 0.3)))
+        for theta in ([0.2, 4.8], [-1.5, 7.0], [2.0, 2.0]):
+            theta = np.array(theta)
+            h = 1e-5
+            columns = [
+                (q.in_log_coords(theta + step)[1] - q.in_log_coords(theta - step)[1]) / (2 * h)
+                for step in np.eye(2) * h
+            ]
+            hessian = q.hessian_in_log_coords(theta)
+            assert hessian[0, 1] == hessian[1, 0]
+            scale = np.max(np.abs(hessian))
+            assert np.max(np.abs(hessian - np.column_stack(columns))) <= 1e-6 * scale
+
+    def test_inner_solves_converge_in_few_evaluations(self, monkeypatch):
+        """BFGS starts from the exact inverse Hessian, so each M-step of a fit
+        takes a few near-Newton steps and ends at the gradient tolerance."""
+        solves = []
+
+        def counting(value_and_grad, x0, **kwargs):
+            evaluations = []
+
+            def counted(x):
+                evaluations.append(x)
+                return value_and_grad(x)
+
+            result = unwrapped(counted, x0, **kwargs)
+            solves.append((len(evaluations), result.converged))
+            return result
+
+        unwrapped = em.maximize_bfgs
+        monkeypatch.setattr(em, "maximize_bfgs", counting)
+        clones = small_cohort(n=4000, seed=17, n_persons=10, n_followups=5, missing_rate=0.3)
+        assert fit_em(clones, FitConfig(seed=1)).converged
+        assert len(solves) >= 3
+        assert all(converged for _, converged in solves), solves
+        assert sum(n for n, _ in solves) / len(solves) <= 6, solves
 
     def test_never_decreases_expected_complete_loglik(self):
         clones = small_cohort(n=40, seed=2)
@@ -354,3 +395,11 @@ def test_person_times_no_clone_uses_change_no_bit_of_the_fit():
     a, b = fit_em(padded, cfg), fit_em(used, cfg)
     assert a.hyperparams == b.hyperparams
     assert np.array_equal(a.prob_dynamic, b.prob_dynamic)
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-8, math.inf, math.nan])
+@pytest.mark.parametrize("field", ["epsilon", "inner_opt_tol"])
+def test_tolerances_must_be_positive_and_finite(field, value):
+    # an infinite epsilon stops EM after one iteration and calls it converged
+    with pytest.raises(ValidationError, match="tolerances must be positive and finite"):
+        FitConfig(**{field: value})

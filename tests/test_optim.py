@@ -1,5 +1,7 @@
 """BFGS maximizer on known concave objectives."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,29 @@ def test_rejects_nonfinite_regions():
     res = maximize_bfgs(value_and_grad, np.array([3.0]), gtol=1e-10, max_iters=100)
     assert res.converged
     assert res.x[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_the_exact_inverse_hessian_reaches_a_quadratic_maximum_in_one_step():
+    scales = np.array([3.0, 40.0])
+    res = maximize_bfgs(
+        quadratic([1.0, -2.0], scales), np.zeros(2), gtol=1e-10, max_iters=100,
+        h_inv0=np.diag(1.0 / scales),
+    )  # fmt: skip
+    assert res.converged
+    assert res.iterations == 1
+    assert res.x == pytest.approx([1.0, -2.0], abs=1e-12)
+
+
+def test_converges_where_rounding_hides_the_last_gains():
+    # the value carries an error of a few ulps, as a long float sum does;
+    # near the top a step gains less than that, and only the slopes, which
+    # are exact, show the increase
+    vg = quadratic([0.3, 5.0], [1.0, 2000.0])
+
+    def value_and_grad(x):
+        value, grad = vg(x)
+        return 1e8 + value + 5e-8 * math.sin(1e12 * x[0]), grad
+
+    res = maximize_bfgs(value_and_grad, np.array([4.0, -3.0]), gtol=1e-9, max_iters=200)
+    assert res.converged
+    assert res.x == pytest.approx([0.3, 5.0], abs=1e-7)

@@ -1,5 +1,5 @@
-"""The model's numpy log-gamma, digamma and logistic kernels against mpmath
-and scipy.special.
+"""The model's numpy log-gamma, digamma, trigamma and logistic kernels
+against mpmath and scipy.special.
 
 Error is relative, or absolute where the function's magnitude is below 1
 (near the zeros of log-gamma at 1 and 2 and of digamma at 1.4616...).
@@ -16,7 +16,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonedyn.model import _digamma, _expit, _gammaln, _gammaln_digamma
+from clonedyn.model import _digamma, _expit, _gammaln, _gammaln_digamma, _trigamma
 
 TOL = 1e-14
 DIGAMMA_ROOT = 1.4616321449683622
@@ -78,6 +78,16 @@ def test_kernels_match_mpmath_on_drawn_floats(values):
     x = np.array(values)
     assert worst_error(_gammaln(x), exact(mpmath.loggamma, x)) <= TOL
     assert worst_error(_digamma(x), exact(mpmath.digamma, x)) <= TOL
+
+
+def test_trigamma_matches_scipy():
+    x = np.concatenate([np.geomspace(1e-3, 1e6, 3000), np.nextafter(8.0, [0.0, 16.0]), [8.0]])
+    expected = scipy.special.polygamma(1, x)
+    assert np.max(np.abs(_trigamma(x) - expected) / expected) <= 1e-13
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _trigamma(np.array([0.0, np.inf])).tolist() == [np.inf, 0.0]
+        assert np.shape(_trigamma(2.5)) == ()
 
 
 def test_the_joint_kernel_gives_the_bits_of_each_kernel():
