@@ -5,15 +5,16 @@ under the current hyperparameters.  The M-step maximizes the expected
 complete-data log-likelihood: the mixing weight has the closed-form
 update pi = mean(responsibilities), and (alpha, beta) are pushed uphill
 by BFGS in (log alpha, log beta) with analytic digamma gradients,
-started from the exact inverse Hessian with its trigamma terms
-(log-gamma, digamma and trigamma are model's numpy kernels).  With
+started from the exact inverse Hessian with its trigamma terms.  With
 the responsibilities fixed, conjugacy makes that objective a weighted
 sum over the distinct counts, offsets, count sums and offset sums
 (model.ExpectedLoglik), so the M-step builds those histograms once and each
-BFGS evaluation costs O(#distinct values); the per-observation kernels
-run once per iteration, in the E-step.  The loop stops when the mean
-squared change in responsibilities between successive iterations drops
-below epsilon.
+BFGS evaluation costs O(#distinct values) and one call of model's numpy
+log-gamma kernel, which gives digamma and trigamma too; the warm start
+is evaluated once, for its value, gradient and Hessian, and the
+per-observation kernels run once per iteration, in the E-step.  The loop
+stops when the mean squared change in responsibilities between
+successive iterations drops below epsilon.
 """
 
 from __future__ import annotations
@@ -103,8 +104,10 @@ def m_step(
     ExpectedLoglik, starting from the exact inverse of the negated Hessian
     there when that is finite and positive definite, and from the identity
     otherwise.  Never returns hyperparameters with a lower expected
-    complete-data value than hp_current; OptimizerError when hp_current has
-    no finite value, as the maximization then has no start.
+    complete-data value than hp_current, each valued by in_log_coords at
+    the point it is exp of (the warm start, or the point BFGS returns) plus
+    the expected log mixing weights; OptimizerError when hp_current has no
+    finite value, as the maximization then has no start.
     """
     r = np.asarray(responsibilities, dtype=np.float64)
     if r.shape != (batch.n,):
@@ -112,16 +115,17 @@ def m_step(
     if not np.all((r >= 0.0) & (r <= 1.0)):
         raise ValidationError("responsibilities must be finite and lie in [0, 1]")
 
-    pi_new = float(np.clip(r.mean(), PI_FLOOR, 1.0 - PI_FLOOR))
+    r_mean = float(r.mean())
+    pi_new = float(np.clip(r_mean, PI_FLOOR, 1.0 - PI_FLOOR))
     q = ExpectedLoglik(batch, r)
-    q_incumbent = q.with_mixing_weight(hp_current)
-    if not math.isfinite(q_incumbent):
+    theta0 = np.array([math.log(hp_current.alpha), math.log(hp_current.beta)])
+    value0, grad0, hessian0 = q.in_log_coords(theta0, order=2)
+    if not math.isfinite(value0):
         raise OptimizerError(
             "the incumbent hyperparameters have no finite expected complete-data "
             "log-likelihood, so the M-step has no starting point"
         )
-    theta0 = np.array([math.log(hp_current.alpha), math.log(hp_current.beta)])
-    curvature = -q.hessian_in_log_coords(theta0)
+    curvature = -hessian0
     (a, b), (_, d) = curvature
     positive_definite = np.all(np.isfinite(curvature)) and a > 0 and a * d - b * b > 0
     result = maximize_bfgs(
@@ -130,13 +134,17 @@ def m_step(
         gtol=cfg.inner_opt_tol,
         max_iters=cfg.inner_opt_max_iters,
         h_inv0=np.linalg.inv(curvature) if positive_definite else None,
+        start=(value0, grad0),
     )
     candidate = Hyperparams(
         alpha=float(np.exp(result.x[0])), beta=float(np.exp(result.x[1])), pi=pi_new
     )
 
-    q_candidate = q.with_mixing_weight(candidate)
-    return candidate if math.isfinite(q_candidate) and q_candidate >= q_incumbent else hp_current
+    # the gain per clone, as in_log_coords gives Q, in the expected log mixing weights
+    mixing_gain = r_mean * (math.log(pi_new) - math.log(hp_current.pi)) + (1.0 - r_mean) * (
+        math.log1p(-pi_new) - math.log1p(-hp_current.pi)
+    )
+    return candidate if result.value - value0 + mixing_gain >= 0.0 else hp_current
 
 
 def _moment_start(batch: SeriesBatch, pi: float) -> Hyperparams:
@@ -175,6 +183,8 @@ def fit_em(cohort: PackedCohort, cfg: FitConfig) -> FitResult:
             "every clone is observed at a single time point; the mixture "
             "components coincide and pi is unidentified"
         )
+    if not np.any(cohort.counts):
+        raise IdentifiabilityError("every count is zero; alpha and beta are unidentified")
 
     batch = SeriesBatch(cohort)
     rng = np.random.default_rng(cfg.seed)

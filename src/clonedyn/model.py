@@ -18,9 +18,10 @@ batch, evaluated on histograms of the batch's distinct values.
 Every operation here is a pure function of its arguments and safe to map
 over clones in parallel.
 
-The three special functions the model needs, log-gamma, digamma and the
-logistic, are small numpy kernels here (_gammaln, _digamma, _expit), so
-the package's only runtime dependency is numpy.
+The special functions the model needs, log-gamma with its first two
+derivatives (digamma and trigamma, from one kernel call, _log_gamma) and
+the logistic (_expit), are small numpy kernels here, so the package's
+only runtime dependency is numpy.
 """
 
 from __future__ import annotations
@@ -111,9 +112,10 @@ class Hyperparams:
             raise ValidationError(f"pi must lie strictly inside (0, 1), got {self.pi}")
 
 
-# log-gamma and digamma on [0, inf]: a value x below _SHIFT is raised to
-# x + _SHIFT by the recurrence, and the Stirling / asymptotic series in 1/z
-# is truncated where its next term is below 1e-15 relative at z = _SHIFT
+# log-gamma, digamma and trigamma on [0, inf]: a value x below _SHIFT is
+# raised to x + _SHIFT by the recurrence, and the Stirling / asymptotic
+# series in 1/z is truncated where its next term is below 1e-15 relative
+# at z = _SHIFT
 _SHIFT = 8
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _GAMMALN_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
@@ -133,75 +135,46 @@ def _in_series(coefs: tuple[float, ...], s: np.ndarray) -> np.ndarray:
     return acc * s
 
 
-def _shifted(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x as a 1-d float64 copy with the values below _SHIFT raised by _SHIFT,
-    the mask of those values, and their original values."""
+def _log_gamma(x, order: int = 0) -> tuple[np.ndarray, ...]:
+    """log Gamma(x), then its derivatives up to the order-th (digamma at 1,
+    trigamma at 2), for x in [0, inf], elementwise, from one shift, log and
+    reciprocal: log-gamma is inf at 0 and at inf, digamma -inf at 0 and inf
+    at inf, trigamma inf at 0 and 0 at inf."""
     z = np.array(x, dtype=np.float64, ndmin=1)
     small = z < _SHIFT
     low = z[small]
     z[small] += _SHIFT
-    return z, small, low
-
-
-def _gammaln_from(z, small, low, log_z, s) -> np.ndarray:
-    """log Gamma of _shifted's output, given log(z) and s = 1 / z."""
+    log_z, s = np.log(z), 1.0 / z
     # (z - 1/2)(log z - 1) rather than (z - 1/2) log z - z: inf, not nan, at inf
-    out = (z - 0.5) * (log_z - 1.0) + (_HALF_LOG_2PI - 0.5)
-    out += _in_series(_GAMMALN_SERIES, s)
-    prod = low.copy()
-    for k in range(1, _SHIFT):
-        prod *= low + k
-    with np.errstate(divide="ignore"):  # the pole at 0: log(0) = -inf
-        out[small] -= np.log(prod)
-    return out
-
-
-def _digamma_from(z, small, low, log_z, s) -> np.ndarray:
-    """Digamma of _shifted's output, given log(z) and s = 1 / z."""
-    out = log_z - 0.5 * s - s * _in_series(_DIGAMMA_SERIES, s)
-    with np.errstate(divide="ignore"):  # the pole at 0: 1 / 0 = inf
-        recip = 1.0 / (low + (_SHIFT - 1))
-        for k in range(_SHIFT - 2, -1, -1):  # smallest terms first
-            recip += 1.0 / (low + k)
-    out[small] -= recip
-    return out
+    out = [(z - 0.5) * (log_z - 1.0) + (_HALF_LOG_2PI - 0.5) + _in_series(_GAMMALN_SERIES, s)]
+    if order >= 1:
+        out.append(log_z - 0.5 * s - s * _in_series(_DIGAMMA_SERIES, s))
+    if order >= 2:
+        # 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k + 1)
+        out.append(s + s * s * (0.5 + _in_series(_TRIGAMMA_SERIES, s)))
+    # undo the shift: log Gamma(x) = log Gamma(x + _SHIFT) - log prod_k (x + k),
+    # and the m-th derivative gains (-1)^m sum_k 1 / (x + k)^m
+    with np.errstate(divide="ignore"):  # the poles at 0: log(0) = -inf, 1 / 0 = inf
+        prod = low.copy()
+        for k in range(1, _SHIFT):
+            prod *= low + k
+        out[0][small] -= np.log(prod)
+        for m in range(1, order + 1):
+            recip = 1.0 / (low + (_SHIFT - 1)) ** m
+            for k in range(_SHIFT - 2, -1, -1):  # smallest terms first
+                recip += 1.0 / (low + k) ** m
+            out[m][small] += (-1) ** m * recip
+    return tuple(values.reshape(np.shape(x)) for values in out)
 
 
 def _gammaln(x):
     """log Gamma(x) for x in [0, inf], elementwise: inf at 0 and at inf."""
-    z, small, low = _shifted(x)
-    return _gammaln_from(z, small, low, np.log(z), 1.0 / z).reshape(np.shape(x))
+    return _log_gamma(x)[0]
 
 
 def _digamma(x):
     """d/dx log Gamma(x) for x in [0, inf], elementwise: -inf at 0, inf at inf."""
-    z, small, low = _shifted(x)
-    return _digamma_from(z, small, low, np.log(z), 1.0 / z).reshape(np.shape(x))
-
-
-def _trigamma(x):
-    """d^2/dx^2 log Gamma(x) for x in [0, inf], elementwise: inf at 0, 0 at inf."""
-    z, small, low = _shifted(x)
-    s = 1.0 / z
-    # 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k + 1)
-    out = s + s * s * (0.5 + _in_series(_TRIGAMMA_SERIES, s))
-    with np.errstate(divide="ignore"):  # the pole at 0: 1 / 0 = inf
-        recip = 1.0 / (low + (_SHIFT - 1)) ** 2
-        for k in range(_SHIFT - 2, -1, -1):  # smallest terms first
-            recip += 1.0 / (low + k) ** 2
-    out[small] += recip
-    return out.reshape(np.shape(x))
-
-
-def _gammaln_digamma(x) -> tuple[np.ndarray, np.ndarray]:
-    """(_gammaln(x), _digamma(x)), bit for bit, from one shift, log and reciprocal."""
-    z, small, low = _shifted(x)
-    log_z, s = np.log(z), 1.0 / z
-    shape = np.shape(x)
-    return (
-        _gammaln_from(z, small, low, log_z, s).reshape(shape),
-        _digamma_from(z, small, low, log_z, s).reshape(shape),
-    )
+    return _log_gamma(x, 1)[1]
 
 
 def _expit(x):
@@ -548,92 +521,72 @@ class ExpectedLoglik:
         self._v_osum = np.bincount(batch._inv_osum, one_minus_r, self._osum.size)
         self._vc_osum = np.bincount(batch._inv_osum, one_minus_r * batch.csum, self._osum.size)
         self._n_draws = _dot(r, batch.t) + float(one_minus_r.sum())
-        self._r_sum = float(r.sum())
 
-    def value_and_grad(self, alpha: float, beta: float) -> tuple[float, float, float]:
-        """Q and its partial derivatives in alpha and beta."""
-        s = self._n_draws
-        log_beta = math.log(beta)
-        b_o, b_osum = self._o + beta, self._osum + beta
-        log_b_o, log_b_osum = np.log(b_o), np.log(b_osum)
-        with np.errstate(over="ignore", invalid="ignore"):  # far out: inf, then -inf to BFGS
-            w_o = alpha * self._w_o + self._wc_o
-            w_osum = alpha * self._v_osum + self._vc_osum
-        gl, dg = _gammaln_digamma(self._shapes + alpha)
-        gl_c, gl_csum, gl_alpha = _split(gl, self._cuts)
-        dg_c, dg_csum, dg_alpha = _split(dg, self._cuts)
-        value = (
-            _dot(self._w_c, gl_c)
-            + _dot(self._v_csum, gl_csum)
-            - s * (gl_alpha - alpha * log_beta)
-            - _dot(w_o, log_b_o)
-            - _dot(w_osum, log_b_osum)
-        )
-        d_alpha = (
-            _dot(self._w_c, dg_c)
-            + _dot(self._v_csum, dg_csum)
-            - s * (dg_alpha - log_beta)
-            - _dot(self._w_o, log_b_o)
-            - _dot(self._v_osum, log_b_osum)
-        )
-        d_beta = s * alpha / beta - _dot(w_o, 1.0 / b_o) - _dot(w_osum, 1.0 / b_osum)
-        return value, d_alpha, d_beta
+    def in_log_coords(self, theta: np.ndarray, order: int = 1) -> tuple:
+        """Q / n and its gradient in (log alpha, log beta), the BFGS objective,
+        plus at order 2 its Hessian there, all from one kernel pass; -inf, a
+        zero gradient and a nan Hessian where exp(theta) leaves (0, inf) or
+        Q is not finite.
 
-    def in_log_coords(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """Q / n and its gradient in (log alpha, log beta): the BFGS objective."""
-        with np.errstate(over="ignore"):
-            alpha = float(np.exp(theta[0]))
-            beta = float(np.exp(theta[1]))
-        if not (math.isfinite(alpha) and math.isfinite(beta) and alpha > 0 and beta > 0):
-            return -math.inf, np.zeros(2)
-        value, d_alpha, d_beta = self.value_and_grad(alpha, beta)
-        if not math.isfinite(value):
-            return -math.inf, np.zeros(2)
-        n = self.n
-        return value / n, np.array([d_alpha * (alpha / n), d_beta * (beta / n)])
-
-    def hessian_in_log_coords(self, theta: np.ndarray) -> np.ndarray:
-        """The Hessian of in_log_coords' value, Q / n in (log alpha, log beta),
-        at theta: not finite where Q is not.
-
-        Q's second partials in (alpha, beta) are sums over the same
-        histograms, with trigamma where its first partials have digamma:
+        Q's partials in (alpha, beta), Q_a and Q_b, are sums over the same
+        histograms with digamma where Q has log-gamma, and with trigamma its
+        second partials are
 
             Q_aa = sum_c W(c) trigamma(c + alpha) + sum_C V(C) trigamma(C + alpha)
                    - S trigamma(alpha)
             Q_ab = S / beta - sum_o W(o) / (o + beta) - sum_O V(O) / (O + beta)
             Q_bb = -S alpha / beta^2 + sum_o (alpha W(o) + WC(o)) / (o + beta)^2
                    + sum_O (alpha V(O) + VC(O)) / (O + beta)^2
+
+        In log coordinates the gradient is (alpha Q_a, beta Q_b) / n and the Hessian
+        [[alpha Q_a + alpha^2 Q_aa, alpha beta Q_ab], [., beta Q_b + beta^2 Q_bb]] / n.
         """
-        with np.errstate(over="ignore", invalid="ignore"):  # far out: inf or nan
+        failed = (-math.inf, np.zeros(2), np.full((2, 2), math.nan))[: order + 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # far out: inf or nan, then failed
             alpha, beta = float(np.exp(theta[0])), float(np.exp(theta[1]))
-            _, d_alpha, d_beta = self.value_and_grad(alpha, beta)
-            s = self._n_draws
-            tg_c, tg_csum, tg_alpha = _split(_trigamma(self._shapes + alpha), self._cuts)
+            if not (math.isfinite(alpha) and math.isfinite(beta) and alpha > 0 and beta > 0):
+                return failed
+            s, n = self._n_draws, self.n
+            log_beta = math.log(beta)
             b_o, b_osum = self._o + beta, self._osum + beta
+            log_b_o, log_b_osum = np.log(b_o), np.log(b_osum)
+            inv_b_o, inv_b_osum = 1.0 / b_o, 1.0 / b_osum
             w_o = alpha * self._w_o + self._wc_o
             w_osum = alpha * self._v_osum + self._vc_osum
+            kernels = [_split(k, self._cuts) for k in _log_gamma(self._shapes + alpha, order)]
+            (gl_c, gl_csum, gl_alpha), (dg_c, dg_csum, dg_alpha) = kernels[:2]
+            value = (
+                _dot(self._w_c, gl_c)
+                + _dot(self._v_csum, gl_csum)
+                - s * (gl_alpha - alpha * log_beta)
+                - _dot(w_o, log_b_o)
+                - _dot(w_osum, log_b_osum)
+            )
+            if not math.isfinite(value):
+                return failed
+            d_alpha = (
+                _dot(self._w_c, dg_c)
+                + _dot(self._v_csum, dg_csum)
+                - s * (dg_alpha - log_beta)
+                - _dot(self._w_o, log_b_o)
+                - _dot(self._v_osum, log_b_osum)
+            )
+            d_beta = s * alpha / beta - _dot(w_o, inv_b_o) - _dot(w_osum, inv_b_osum)
+            gradient = np.array([d_alpha * (alpha / n), d_beta * (beta / n)])
+            if order < 2:
+                return value / n, gradient
+            tg_c, tg_csum, tg_alpha = kernels[2]
             d_aa = _dot(self._w_c, tg_c) + _dot(self._v_csum, tg_csum) - s * tg_alpha
-            d_ab = s / beta - _dot(self._w_o, 1.0 / b_o) - _dot(self._v_osum, 1.0 / b_osum)
+            d_ab = s / beta - _dot(self._w_o, inv_b_o) - _dot(self._v_osum, inv_b_osum)
             d_bb = (
                 _dot(w_o, 1.0 / (b_o * b_o))
                 + _dot(w_osum, 1.0 / (b_osum * b_osum))
                 - s * alpha / (beta * beta)
             )
+            h_aa = alpha * d_alpha + alpha * alpha * d_aa
             h_ab = alpha * beta * d_ab
-            hessian = np.array(
-                [
-                    [alpha * d_alpha + alpha * alpha * d_aa, h_ab],
-                    [h_ab, beta * d_beta + beta * beta * d_bb],
-                ]
-            )
-        return hessian / self.n
-
-    def with_mixing_weight(self, hp: Hyperparams) -> float:
-        """Q at (hp.alpha, hp.beta) plus the expected log mixing weights at hp.pi."""
-        value, _, _ = self.value_and_grad(hp.alpha, hp.beta)
-        r_sum = self._r_sum
-        return value + math.log(hp.pi) * r_sum + math.log1p(-hp.pi) * (self.n - r_sum)
+            h_bb = beta * d_beta + beta * beta * d_bb
+        return value / n, gradient, np.array([[h_aa, h_ab], [h_ab, h_bb]]) / n
 
 
 def stable_responsibility(ls, ld, pi: float):

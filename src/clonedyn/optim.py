@@ -47,12 +47,14 @@ def maximize_bfgs(
     gtol: float,
     max_iters: int,
     h_inv0: np.ndarray | None = None,
+    start: tuple[float, np.ndarray] | None = None,
 ) -> MaximizeResult:
     """Maximize a smooth function given a joint (value, gradient) callback.
 
     h_inv0, when given, is the starting inverse-Hessian approximation: the
     inverse of the negated Hessian at x0, symmetric positive definite.  With
-    the exact one, a quadratic's maximum is one step away.
+    the exact one, a quadratic's maximum is one step away.  start, when
+    given, is the (value, gradient) at x0, which is then not evaluated.
 
     The objective value never decreases from one returned iterate to the
     next by more than ROUNDING of its size; on a failed line search the
@@ -60,7 +62,7 @@ def maximize_bfgs(
     is not finite at x0.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
-    f, g = value_and_grad(x)
+    f, g = value_and_grad(x) if start is None else start
     g = np.asarray(g, dtype=np.float64)
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the starting point")

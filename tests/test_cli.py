@@ -258,6 +258,22 @@ class TestExitCodes:
             == EXIT_IDENTIFIABILITY
         )
 
+    def test_a_cohort_whose_counts_are_all_zero_is_unidentifiable(self, tmp_path, capsys):
+        cohort, offsets = tmp_path / "cohort.tsv", tmp_path / "offsets.tsv"
+        cohort.write_text(
+            "person_id\ttime_index\tclone_id\tcount\n"
+            + "".join(f"p{k % 2}\t{t}\tc{k}\t0\n" for k in range(12) for t in range(3))
+        )
+        offsets.write_text(
+            "person_id\ttime_index\ttotal_reads\n"
+            + "".join(f"p{p}\t{t}\t1000\n" for p in range(2) for t in range(3))
+        )
+        out = tmp_path / "out"
+        argv = ("fit", "--input", cohort, "--offsets", offsets, "--min-total-reads", 0)
+        assert run(*argv, "--output-dir", out) == EXIT_IDENTIFIABILITY
+        assert "every count is zero" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_cohort_that_is_not_utf8_is_rejected(self, tmp_path, capsys):
         bad = tmp_path / "latin1.tsv"
         bad.write_bytes(b"person_id\ttime_index\tclone_id\tcount\np1\t0\tcaf\xe9\t3\n")
@@ -296,10 +312,10 @@ class TestExitCodes:
     def test_objective_not_finite_at_the_incumbent_exits_4(self, tmp_path, monkeypatch, capsys):
         from clonedyn.model import ExpectedLoglik
 
-        def nan_everywhere(self, alpha, beta):
-            return math.nan, math.nan, math.nan
+        def nan_everywhere(self, theta, order=1):
+            return (math.nan, math.nan, math.nan)[: order + 1]
 
-        monkeypatch.setattr(ExpectedLoglik, "value_and_grad", nan_everywhere)
+        monkeypatch.setattr(ExpectedLoglik, "in_log_coords", nan_everywhere)
         cohort = tmp_path / "cohort.tsv"
         cohort.write_text(
             "person_id\ttime_index\tclone_id\tcount\n"

@@ -339,3 +339,19 @@ def test_outputs_are_synced_before_the_rename_and_the_directory_after(tmp_path, 
         ("replace", written.st_ino, written.st_size),
         ("fsync", tmp_path.stat().st_ino, None),  # then the directory holding the new name
     ]
+
+
+def test_a_temporary_name_in_use_is_drawn_again(tmp_path, monkeypatch):
+    """Two writers of one path draw the same temporary name; the second,
+    finding it taken, draws another."""
+    draws = [bytes(6), bytes(6), b"\x01" * 6]
+    monkeypatch.setattr(os, "urandom", lambda n: draws.pop(0))
+    path = tmp_path / "table.tsv"
+    with cohort_module._atomic_file(path) as outer:
+        with cohort_module._atomic_file(path) as inner:
+            inner.write("inner\n")
+        assert path.read_text() == "inner\n"
+        outer.write("outer\n")
+    assert path.read_text() == "outer\n"
+    assert draws == []
+    assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]

@@ -1,6 +1,7 @@
 """EM engine: likelihood assembly, E/M steps, and full fits against oracles."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from scipy.optimize import minimize
 
 import clonedyn.em as em
+import clonedyn.model as model
 from clonedyn import (
     CloneSeries,
     FitConfig,
@@ -192,7 +194,7 @@ class TestMStep:
                 (q.in_log_coords(theta + step)[1] - q.in_log_coords(theta - step)[1]) / (2 * h)
                 for step in np.eye(2) * h
             ]
-            hessian = q.hessian_in_log_coords(theta)
+            hessian = q.in_log_coords(theta, order=2)[2]
             assert hessian[0, 1] == hessian[1, 0]
             scale = np.max(np.abs(hessian))
             assert np.max(np.abs(hessian - np.column_stack(columns))) <= 1e-6 * scale
@@ -220,6 +222,59 @@ class TestMStep:
         assert len(solves) >= 3
         assert all(converged for _, converged in solves), solves
         assert sum(n for n, _ in solves) / len(solves) <= 6, solves
+
+    def test_each_objective_evaluation_is_one_kernel_call(self, monkeypatch):
+        """An M-step calls the log-gamma kernel once at the warm start, for the
+        value, gradient and Hessian, then once per BFGS evaluation, which is
+        never the warm start again, and not after BFGS returns."""
+        events = []
+        kernel, bfgs, step = model._log_gamma, em.maximize_bfgs, em.m_step
+
+        def counting_kernel(x, order=0):
+            events.append(f"kernel{order}")
+            return kernel(x, order)
+
+        def counting_bfgs(value_and_grad, x0, **kwargs):
+            def counted(x):
+                events.append("start" if np.array_equal(x, x0) else "eval")
+                return value_and_grad(x)
+
+            events.append("bfgs")
+            result = bfgs(counted, x0, **kwargs)
+            events.append("/bfgs")
+            return result
+
+        def counting_m_step(*args):
+            events.append("m_step")
+            hp = step(*args)
+            events.append("/m_step")
+            return hp
+
+        monkeypatch.setattr(model, "_log_gamma", counting_kernel)
+        monkeypatch.setattr(em, "maximize_bfgs", counting_bfgs)
+        monkeypatch.setattr(em, "m_step", counting_m_step)
+        clones = small_cohort(n=4000, seed=17, n_persons=10, n_followups=5, missing_rate=0.3)
+        assert fit_em(clones, FitConfig(seed=1)).converged
+        m_steps = re.findall(r"m_step (.*?) /m_step", " ".join(events))
+        assert len(m_steps) >= 3
+        for events_of_step in m_steps:
+            assert re.fullmatch(r"kernel2 bfgs( eval kernel1)* /bfgs", events_of_step)
+
+    @pytest.mark.parametrize(
+        "theta",
+        [[800.0, 5.0], [0.0, 800.0], [-800.0, 5.0], [0.0, -800.0], [math.nan, 5.0], [700.0, 5.0]],
+    )
+    def test_the_objective_is_minus_inf_where_it_cannot_be_evaluated(self, theta):
+        """exp(theta) overflows or underflows, or (at alpha = 1e304) Q is not finite."""
+        batch = SeriesBatch(small_cohort(n=50, seed=13))
+        q = ExpectedLoglik(batch, prob_dynamic(batch, Hyperparams(0.9, 140.0, 0.3)))
+        value, gradient = q.in_log_coords(np.array(theta))
+        assert value == -math.inf
+        assert gradient.tolist() == [0.0, 0.0]
+        value, gradient, hessian = q.in_log_coords(np.array(theta), order=2)
+        assert value == -math.inf
+        assert gradient.tolist() == [0.0, 0.0]
+        assert not np.any(np.isfinite(hessian))
 
     def test_never_decreases_expected_complete_loglik(self):
         clones = small_cohort(n=40, seed=2)
@@ -321,6 +376,11 @@ class TestFitEm:
             clones = small_cohort(n=90, seed=40 + seed)
             result = fit_em(clones, FitConfig(seed=seed))
             assert np.all(np.diff(result.loglik_trace) >= -1e-6)
+
+    def test_moment_start_falls_back_when_every_proportion_is_the_same(self):
+        clones = [series([1, 3], [8, 8], clone=f"c{k}") for k in range(4)]  # 4 / 16 each
+        hp = em._moment_start(SeriesBatch(pack(clones)), pi=0.5)
+        assert (hp.alpha, hp.beta, hp.pi) == (1.0, 1.0, 0.5)
 
     def test_single_timepoint_only_design_raises(self):
         clones = [series([k + 1], [100], clone=f"c{k}") for k in range(5)]

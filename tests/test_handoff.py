@@ -34,6 +34,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import clonedyn.cli as cli
+from clonedyn import CloneSeries
 from clonedyn.classify import dynamic_counts_per_person
 from clonedyn.cli import CALLS_PACK_NAME, EXIT_IO, EXIT_OK, EXIT_VALIDATION, PACK_NAME, main
 from clonedyn.cohort import (
@@ -50,7 +51,7 @@ from clonedyn.cohort import (
 )
 from clonedyn.errors import ValidationError
 
-from oracles import write_strata
+from oracles import pack, write_strata
 from test_ingest_props import SETTINGS, cohort_text, cohorts
 
 
@@ -479,21 +480,33 @@ def test_a_damaged_pack_exits_2_without_unpickling(fitted, tmp_path, kind, capsy
 
 
 def damaged_calls_pack(pack: bytes, kind: str) -> bytes:
-    """calls.pack cut short, of another format, or with the first n_dynamic,
+    """calls.pack cut short, of another format, with the first n_dynamic,
     the first data byte of the second array, off by one under a new sha256
-    (so n_dynamic is no longer n_expanding + n_contracting)."""
+    (so n_dynamic is no longer n_expanding + n_contracting), or with one
+    person id more than it has counts under a new sha256."""
     body = pack[: pack.rindex(b"sha256 = ")]
     assert resealed(body) == pack
+    ids_at, ids_data = array_at(pack, 0)
+    ids_end, _ = array_at(pack, 1)
+    more_ids = io.BytesIO()
+    np.lib.format.write_array(more_ids, np.frombuffer(pack[ids_data:ids_end] + b"\nzz", np.uint8))
     return {
         "cut short": pack[: len(pack) // 2],
         "another format": pack.replace(b"clonedyn calls pack 1", b"clonedyn calls pack 2", 1),
         "a count off by one under its sha256": resealed(flipped(body, array_at(pack, 1)[1])),
+        "one person id too many under its sha256": resealed(
+            body[:ids_at] + more_ids.getvalue() + body[ids_end:]
+        ),
     }[kind]
 
 
 @pytest.mark.parametrize(
-    "kind", ["cut short", "another format", "a count off by one under its sha256"]
-)
+    "kind",
+    [
+        "cut short", "another format", "a count off by one under its sha256",
+        "one person id too many under its sha256",
+    ],
+)  # fmt: skip
 def test_a_damaged_calls_pack_exits_2_without_unpickling(
     classified, tmp_path, kind, capsys, monkeypatch
 ):
@@ -537,6 +550,14 @@ def fail_on_the_third_array(monkeypatch) -> list:
 
     monkeypatch.setattr(np.lib.format, "write_array", fail_on_the_third)
     return written
+
+
+def test_a_pack_refuses_an_id_with_a_line_break_and_leaves_no_file(tmp_path):
+    cohort = pack([CloneSeries(clone_id="a\nb", person_id="p", counts=[1, 2], offsets=[9, 9])])
+    key = cohort_key({"input": "0" * 64, "offsets": None}, 0, False, "1" * 64)
+    with pytest.raises(ValidationError, match="an id holds a line break"):
+        write_cohort_pack(tmp_path / PACK_NAME, cohort, np.array([0.5]), key)
+    assert not any(tmp_path.iterdir())
 
 
 def test_a_failed_pack_write_leaves_no_file(simulated, tmp_path, monkeypatch, capsys):

@@ -208,6 +208,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             series([1, 2], [10, 10], times=[1, 1])
 
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0)])
+    def test_log_densities_and_their_gradients_reject_a_non_positive_prior(self, alpha, beta):
+        batch = SeriesBatch(pack([series([1, 2], [10, 10])]))
+        for evaluate in (batch.log_pmfs, batch.log_pmf_grads):
+            with pytest.raises(ValidationError, match="alpha and beta must be positive"):
+                evaluate(alpha, beta)
+
 
 class TestPackedCohort:
     def test_rejects_what_a_single_series_rejects_with_the_same_message(self):
